@@ -4,8 +4,18 @@
 //! Prints a scaling table and, with `--json [PATH]`, emits a machine-readable
 //! `BENCH_parallel.json` (default path) so the perf trajectory is tracked
 //! from commit to commit. The sweep also asserts that every worker count
-//! finds the identical Trojan set — scaling must never buy speed with
-//! soundness.
+//! finds the identical Trojan set and issues the identical number of solver
+//! queries — scaling must never buy speed with soundness, and a stolen item
+//! must not re-ask its replayed prefix's queries.
+//!
+//! Two per-row ratios, which measure different things:
+//!
+//! * `utilization` = worker busy time ÷ (server wall × workers): how much
+//!   of the pool's time went into items rather than idling. It reads high
+//!   even when the pool does more total work than one worker would.
+//! * `efficiency` = speedup vs 1 worker ÷ min(effective workers, host
+//!   cores): how much of the available hardware parallelism turned into
+//!   server-phase speedup.
 //!
 //! ```text
 //! cargo run --release -p achilles-bench --bin parallel_scaling -- --json
@@ -33,10 +43,20 @@ struct Sweep {
     /// Proof-audit wall time during this sweep point (0 unless the audit
     /// is installed via `--check-proofs` / `ACHILLES_CHECK_PROOFS`).
     proof_check_wall_s: f64,
-    /// Sum of worker busy time / (server wall clock x workers) — the
-    /// ROADMAP's steal-granularity tuning criterion (< 0.7 at 8 workers
-    /// means batch stealing is worth a look).
-    efficiency: f64,
+    /// Sum of worker busy time / (server wall clock x workers).
+    utilization: f64,
+}
+
+impl Sweep {
+    /// Server-phase speedup over `base`, the 1-worker server time.
+    fn speedup(&self, base: f64) -> f64 {
+        base / self.server_s.max(1e-9)
+    }
+
+    /// Speedup divided by the parallelism the host could give this row.
+    fn efficiency(&self, base: f64, cores: usize) -> f64 {
+        self.speedup(base) / self.workers_effective.min(cores).max(1) as f64
+    }
 }
 
 fn main() {
@@ -94,7 +114,7 @@ fn main() {
             certified_unsat: result.explore_stats.certified_unsat,
             core_subsumption_hits: result.explore_stats.core_subsumption_hits,
             proof_check_wall_s: (audit_wall_after - audit_wall_before).as_secs_f64(),
-            efficiency: (busy / (server_s.max(1e-9) * workers as f64)).min(1.0),
+            utilization: (busy / (server_s.max(1e-9) * workers as f64)).min(1.0),
         });
         println!(
             "{}",
@@ -102,7 +122,7 @@ fn main() {
                 &format!("workers={workers}"),
                 format!(
                     "{} total / {} server, {} trojans, {} steals, {} shared hits, \
-                     {} certified unsat ({} subsumed), {:.0}% eff",
+                     {} certified unsat ({} subsumed), {:.0}% util",
                     fmt_secs(wall),
                     format_args!("{:.3}s", result.server_time.as_secs_f64()),
                     result.trojans.len(),
@@ -110,7 +130,7 @@ fn main() {
                     result.explore_stats.shared_cache_hits,
                     result.explore_stats.certified_unsat,
                     result.explore_stats.core_subsumption_hits,
-                    sweeps.last().expect("just pushed").efficiency * 100.0,
+                    sweeps.last().expect("just pushed").utilization * 100.0,
                 )
             )
         );
@@ -122,14 +142,22 @@ fn main() {
             "every worker count must discover the identical Trojan set"
         );
     }
+    for s in &sweeps[1..] {
+        assert_eq!(
+            s.solver_queries, sweeps[0].solver_queries,
+            "workers={} issued a different number of solver queries than workers=1",
+            s.workers
+        );
+    }
 
     header("server-phase speedup vs workers=1");
     let base = sweeps[0].server_s;
     for s in &sweeps {
-        let speedup = base / s.server_s.max(1e-9);
+        let speedup = s.speedup(base);
         println!(
-            "  {:>2} workers  {speedup:5.2}x  |{}",
+            "  {:>2} workers  {speedup:5.2}x  {:3.0}% eff  |{}",
             s.workers,
+            s.efficiency(base, cores) * 100.0,
             bar(speedup, 8.0, 40)
         );
     }
@@ -156,12 +184,13 @@ fn main() {
                  \"speedup_vs_1\": {:.3}, \"trojans\": {}, \"steals\": {}, \
                  \"shared_cache_hits\": {}, \"solver_queries\": {}, \
                  \"certified_unsat\": {}, \"core_subsumption_hits\": {}, \
-                 \"proof_check_wall_s\": {:.4}, \"efficiency\": {:.3}}}{}\n",
+                 \"proof_check_wall_s\": {:.4}, \"utilization\": {:.3}, \
+                 \"efficiency\": {:.3}}}{}\n",
                 s.workers,
                 s.workers_effective,
                 s.wall_s,
                 s.server_s,
-                base / s.server_s.max(1e-9),
+                s.speedup(base),
                 s.trojans,
                 s.steals,
                 s.shared_hits,
@@ -169,7 +198,8 @@ fn main() {
                 s.certified_unsat,
                 s.core_subsumption_hits,
                 s.proof_check_wall_s,
-                s.efficiency,
+                s.utilization,
+                s.efficiency(base, cores),
                 if i + 1 == sweeps.len() { "" } else { "," },
             ));
         }

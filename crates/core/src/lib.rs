@@ -315,7 +315,9 @@
 //! top:
 //!
 //! * **Unit of work.** The executor schedules paths as *decision prefixes*
-//!   and re-executes the node program from the start for each one, so every
+//!   and re-executes the node program from the start for each one. Each
+//!   item also carries the [`TrojanObserver`]'s per-path state from its
+//!   fork point (which client path predicates are still active), so every
 //!   worklist item is self-contained — the natural grain for a
 //!   work-stealing pool (`achilles_symvm::parallel`). Workers keep their own
 //!   deque LIFO (depth-first, hot caches) and steal the oldest item from a
@@ -328,8 +330,11 @@
 //! * **Sharing.** Workers share solved queries through a sharded
 //!   [`SharedCache`](achilles_solver::SharedCache) keyed on *structural
 //!   fingerprints*, so `TermId` divergence between pools doesn't matter:
-//!   replaying a prefix another worker already solved is a cache hit.
-//!   Within a path, the incremental
+//!   a query another worker already solved is a cache hit. A stolen prefix
+//!   no longer re-queries at all: the run resumes the observer from the
+//!   item's fork-point state and checks only the conjuncts past the
+//!   replayed prefix, so each drop and Trojan-existence check is issued
+//!   once per node of the path tree. Within a path, the incremental
 //!   [`ScopedSolver`](achilles_solver::ScopedSolver) answers most branch
 //!   checks by re-evaluating the previous model instead of searching.
 //! * **Why determinism holds.** A path's constraint structure is a function

@@ -8,7 +8,10 @@
 //!   trigger the path (`pathS ∧ pathC_i` satisfiable); predicates that no
 //!   longer match are **dropped** and their negations leave the Trojan query
 //!   (if `pathS ∧ pathC_i` is unsat, `pathS ⇒ negate(pathC_i)` holds
-//!   implicitly);
+//!   implicitly). That set is the observer's per-path state: a scheduled
+//!   path resumes from the set at its fork point, so the checks below run
+//!   once per conjunct of the server path tree, never again for a replayed
+//!   prefix;
 //! * when a drop was caused by a branch that depends on a single message
 //!   field, the pre-computed [`DiffMatrix`] drops whole groups of related
 //!   predicates without solver calls;
@@ -25,8 +28,8 @@ use std::time::{Duration, Instant};
 
 use achilles_solver::{Model, SatResult, Solver, TermId, TermPool, VarId};
 use achilles_symvm::{
-    Executor, ExploreConfig, ExploreStats, NodeProgram, ObserverCx, PathObserver, PathRecord,
-    SymMessage, Verdict,
+    Executor, ExploreConfig, ExploreStats, NodeProgram, ObserverCx, ObserverState, PathObserver,
+    PathRecord, SymMessage, Verdict,
 };
 
 use crate::diff_matrix::DiffMatrix;
@@ -268,7 +271,8 @@ pub fn prepare_client_workers(
 }
 
 /// One (path length, matching predicate count) sample — the raw data of
-/// Figure 11.
+/// Figure 11. There is one sample per node of the server path tree: a run
+/// resumed from its fork point does not re-sample the replayed prefix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MatchSample {
     /// Length of the (partial) server path, counted in conjuncts.
@@ -278,6 +282,10 @@ pub struct MatchSample {
 }
 
 /// Counters for one Trojan search.
+///
+/// Drops and Trojan-existence checks count each node of the server path
+/// tree once, like the paper's incremental search: a run resumed from its
+/// fork point does not re-check the replayed prefix.
 ///
 /// Formerly named `SearchStats`, which collided with the solver's
 /// DPLL-search counters (`achilles_solver::SearchStats`); the rename keeps
@@ -752,9 +760,16 @@ pub fn run_trojan_search(
 }
 
 impl PathObserver for TrojanObserver<'_> {
-    fn on_path_start(&mut self) {
-        self.active.iter_mut().for_each(|a| *a = true);
-        self.active_count = self.active.len();
+    /// The per-path state is which client path predicates are still active.
+    fn fork_state(&self) -> ObserverState {
+        self.active.iter().map(|&a| u64::from(a)).collect()
+    }
+
+    fn resume(&mut self, state: ObserverState) {
+        for (a, word) in self.active.iter_mut().zip(state) {
+            *a = word != 0;
+        }
+        self.active_count = self.active.iter().filter(|&&a| a).count();
     }
 
     fn on_constraint(&mut self, cx: &mut ObserverCx<'_>) -> bool {

@@ -17,7 +17,8 @@ use std::collections::HashMap;
 
 use achilles_solver::{SatResult, Solver, TermId, TermPool};
 use achilles_symvm::{
-    Executor, ExploreConfig, NodeProgram, ObserverCx, PathObserver, PathRecord, Verdict,
+    Executor, ExploreConfig, NodeProgram, ObserverCx, ObserverState, PathObserver, PathRecord,
+    Verdict,
 };
 
 use crate::predicate::combine;
@@ -158,10 +159,21 @@ impl<'p> SequenceObserver<'p> {
 }
 
 impl PathObserver for SequenceObserver<'_> {
-    fn on_path_start(&mut self) {
+    /// The per-path state is every slot's active flags, slot after slot.
+    fn fork_state(&self) -> ObserverState {
+        self.states
+            .iter()
+            .flat_map(|state| state.active.iter().map(|&a| u64::from(a)))
+            .collect()
+    }
+
+    fn resume(&mut self, state: ObserverState) {
+        let mut words = state.into_iter();
         for state in &mut self.states {
-            state.active.iter_mut().for_each(|a| *a = true);
-            state.active_count = state.active.len();
+            for (a, word) in state.active.iter_mut().zip(&mut words) {
+                *a = word != 0;
+            }
+            state.active_count = state.active.iter().filter(|&&a| a).count();
         }
     }
 

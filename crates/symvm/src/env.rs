@@ -22,13 +22,15 @@
 //! *(call index, name, width)* and received messages by *receive index* —
 //! the same program point sees the same variables on every run, which keeps
 //! path constraints identical along shared prefixes (and the solver cache
-//! hot).
+//! hot). The observer is not notified of the replayed prefix: the run that
+//! scheduled the item already observed it (see [`crate::observer`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use achilles_solver::{SatResult, ScopedSolver, Solver, TermId, TermPool, VarId, Width};
 
+use crate::executor::{ExploreConfig, WorkItem};
 use crate::message::{MessageLayout, SymMessage};
 use crate::observer::{ObserverCx, PathObserver};
 use crate::program::{Halt, PathResult};
@@ -92,7 +94,7 @@ pub(crate) struct RunOutput {
     pub branch_points: usize,
     pub verdict: Option<Verdict>,
     pub notes: Vec<String>,
-    pub forks: Vec<Vec<bool>>,
+    pub forks: Vec<WorkItem>,
     pub branch_checks: u64,
     pub unknown_branches: u64,
     pub model_reuse_hits: u64,
@@ -104,12 +106,11 @@ pub struct SymEnv<'a> {
     solver: &'a mut Solver,
     observer: &'a mut dyn PathObserver,
     registry: &'a mut Registry,
-    max_depth: usize,
-    recv_prefix: String,
+    config: &'a ExploreConfig,
     // Replay/decision state.
     decisions: Vec<bool>,
     cursor: usize,
-    forks: Vec<Vec<bool>>,
+    forks: Vec<WorkItem>,
     // Path state.
     pc: Vec<TermId>,
     /// Incremental view of `pc`: frames mirror the path condition so branch
@@ -120,7 +121,6 @@ pub struct SymEnv<'a> {
     received: Vec<SymMessage>,
     verdict: Option<Verdict>,
     notes: Vec<String>,
-    sym_salt: u64,
     sym_counter: usize,
     recv_counter: usize,
     branch_points: usize,
@@ -129,35 +129,30 @@ pub struct SymEnv<'a> {
 }
 
 impl<'a> SymEnv<'a> {
-    #[allow(clippy::too_many_arguments)]
+    /// An environment for one run along decision `prefix`.
     pub(crate) fn new(
         pool: &'a mut TermPool,
         solver: &'a mut Solver,
         observer: &'a mut dyn PathObserver,
         registry: &'a mut Registry,
+        config: &'a ExploreConfig,
         prefix: Vec<bool>,
-        initial_constraints: &[TermId],
-        max_depth: usize,
-        recv_prefix: String,
-        sym_salt: u64,
     ) -> SymEnv<'a> {
         SymEnv {
             pool,
             solver,
             observer,
             registry,
-            max_depth,
-            recv_prefix,
+            config,
             decisions: prefix,
             cursor: 0,
             forks: Vec::new(),
-            scoped: ScopedSolver::with_assertions(initial_constraints),
-            pc: initial_constraints.to_vec(),
+            scoped: ScopedSolver::with_assertions(&config.initial_constraints),
+            pc: config.initial_constraints.clone(),
             sent: Vec::new(),
             received: Vec::new(),
             verdict: None,
             notes: Vec::new(),
-            sym_salt,
             sym_counter: 0,
             recv_counter: 0,
             branch_points: 0,
@@ -207,7 +202,7 @@ impl<'a> SymEnv<'a> {
         let index = self.sym_counter;
         let key = (index, name.to_string(), width.bits() as u8);
         self.sym_counter += 1;
-        let salt = self.sym_salt;
+        let salt = self.config.sym_salt;
         let pool = &mut *self.pool;
         let var = *self.registry.syms.entry(key).or_insert_with(|| {
             pool.fresh_var_tagged(name, width, sym_tag(salt, index, name, width))
@@ -248,7 +243,8 @@ impl<'a> SymEnv<'a> {
         self.branch_points
     }
 
-    /// Adds `constraint` to the path condition and notifies the observer.
+    /// Adds `constraint` to the path condition and, past the replayed
+    /// prefix, notifies the observer.
     fn push_constraint(&mut self, constraint: TermId) -> PathResult<()> {
         // Skip trivially true conjuncts so path predicates stay tight.
         if self.pool.as_const(constraint) == Some(1) {
@@ -256,6 +252,11 @@ impl<'a> SymEnv<'a> {
         }
         self.pc.push(constraint);
         self.scoped.push(constraint);
+        // The run that scheduled this item observed (and kept) every
+        // conjunct up to its fork point; the observer resumed from there.
+        if self.cursor < self.decisions.len() {
+            return Ok(());
+        }
         let mut cx = ObserverCx {
             pool: self.pool,
             solver: self.solver,
@@ -305,7 +306,7 @@ impl<'a> SymEnv<'a> {
         if let Some(v) = self.pool.as_const(cond) {
             return Ok(v != 0);
         }
-        if self.branch_points >= self.max_depth {
+        if self.branch_points >= self.config.max_depth {
             return Err(Halt::DepthExhausted);
         }
         let not_cond = self.pool.not(cond);
@@ -333,10 +334,14 @@ impl<'a> SymEnv<'a> {
                 let take = if self.cursor < self.decisions.len() {
                     self.decisions[self.cursor]
                 } else {
-                    // New branch point: take `true`, schedule `false`.
-                    let mut other = self.decisions.clone();
-                    other.push(false);
-                    self.forks.push(other);
+                    // New branch point: take `true`, schedule `false` with
+                    // the observer state of this point of the path.
+                    let mut prefix = self.decisions.clone();
+                    prefix.push(false);
+                    self.forks.push(WorkItem {
+                        prefix,
+                        state: self.observer.fork_state(),
+                    });
                     self.decisions.push(true);
                     true
                 };
@@ -410,9 +415,9 @@ impl<'a> SymEnv<'a> {
         self.recv_counter += 1;
         if idx >= self.registry.recv_script.len() {
             let prefix = if idx == 0 {
-                self.recv_prefix.clone()
+                self.config.recv_prefix.clone()
             } else {
-                format!("{}{}", self.recv_prefix, idx)
+                format!("{}{}", self.config.recv_prefix, idx)
             };
             // Tagged interning, not `SymMessage::fresh`: plain fresh vars
             // carry the pool's fork nonce in their fingerprint, so parallel
@@ -426,7 +431,7 @@ impl<'a> SymEnv<'a> {
                     let var = pool.fresh_var_tagged(
                         &name,
                         f.width,
-                        recv_tag(self.sym_salt, idx, &name, f.width),
+                        recv_tag(self.config.sym_salt, idx, &name, f.width),
                     );
                     pool.var(var)
                 })

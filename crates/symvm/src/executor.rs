@@ -2,16 +2,24 @@
 //!
 //! This is the S2E replacement: it systematically explores the feasible
 //! execution paths of a [`NodeProgram`] by *re-execution with decision
-//! prefixes* (execution-generated testing). Every scheduled path is a vector
-//! of branch decisions; the program runs from the start, replays the prefix
-//! at each both-feasible branch point, and when it runs past the prefix the
-//! executor forks: the current run takes one side and the untaken side is
-//! pushed onto the worklist.
+//! prefixes* (execution-generated testing). Every scheduled path is a
+//! `WorkItem`: a vector of branch decisions plus the observer state at the
+//! point where it was scheduled. The program runs from the start, replays
+//! the prefix at each both-feasible branch point, and when it runs past the
+//! prefix the executor forks: the current run takes one side and the
+//! untaken side is pushed onto the worklist, carrying the observer's
+//! [`fork_state`](PathObserver::fork_state).
 //!
 //! Re-execution trades CPU for simplicity and, combined with the
 //! deterministic variable interning in [`SymEnv`](crate::env::SymEnv), keeps
 //! path constraints structurally identical along shared prefixes — which the
-//! solver's query cache exploits heavily.
+//! solver's query cache exploits heavily. The observer does not pay for the
+//! replay: each run [`resume`](PathObserver::resume)s it from the item's
+//! state and notifies it only past the replayed prefix, so every observer
+//! query is issued once per node of the path tree.
+//!
+//! `Runner::run_item` is the one per-item body; the sequential worklist
+//! below and the work-stealing pool in [`crate::parallel`] both call it.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -21,7 +29,7 @@ use achilles_solver::{Solver, TermId, TermPool};
 
 use crate::env::{Registry, SymEnv};
 use crate::message::{MessageLayout, SymMessage};
-use crate::observer::{NullObserver, ObserverCx, PathObserver};
+use crate::observer::{NullObserver, ObserverCx, ObserverState, PathObserver};
 use crate::parallel::ParallelOutcome;
 use crate::program::{Halt, NodeProgram};
 use crate::record::{ExploreResult, ExploreStats, PathRecord, Verdict};
@@ -208,7 +216,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Explores in parallel on [`ExploreConfig::workers`] work-stealing
-    /// threads, giving each worker its own observer from `make_observer`.
+    /// threads, giving each worker its own observer from `make_observer`
+    /// (called on this thread; worker 0's fresh state is the root item's).
     ///
     /// Workers run over forks of the shared pool with private solvers and a
     /// cross-worker query cache; the merged result has every term imported
@@ -223,7 +232,7 @@ impl<'a> Executor<'a> {
     ) -> ParallelOutcome<O>
     where
         O: PathObserver + Send,
-        F: Fn(usize) -> O + Sync,
+        F: Fn(usize) -> O,
     {
         crate::parallel::explore_parallel(
             self.pool,
@@ -236,6 +245,9 @@ impl<'a> Executor<'a> {
 
     /// Explores with an observer that may prune paths (Achilles' server
     /// analysis).
+    ///
+    /// The observer's per-path state at the call is the root item's state
+    /// (see [`crate::observer`]), so pass a freshly made observer.
     pub fn explore_observed(
         &mut self,
         program: &dyn NodeProgram,
@@ -244,96 +256,45 @@ impl<'a> Executor<'a> {
         let _span = achilles_obs::span("explore", "symvm");
         let started = Instant::now();
         let solver_before = *self.solver.stats();
-        let mut registry = Registry::new(self.config.recv_script.clone());
-        let mut worklist: VecDeque<Vec<bool>> = VecDeque::new();
-        worklist.push_back(Vec::new());
-        let mut result = ExploreResult::default();
+        let config = &self.config;
+        let mut runner = Runner::new(self.pool, self.solver, config);
+        let mut worklist = VecDeque::from([WorkItem::root(observer)]);
+        let mut paths: Vec<PathRecord> = Vec::new();
+
+        while let Some(item) = match config.order {
+            ExploreOrder::Dfs => worklist.pop_back(),
+            ExploreOrder::Bfs => worklist.pop_front(),
+        } {
+            if runner.stats.runs >= config.max_runs {
+                break;
+            }
+            let (forks, path) = runner.run_item(program, observer, item, paths.len());
+            // Forks found before any halt are feasible alternates: keep them.
+            worklist.extend(forks);
+            if let Some(path) = path {
+                paths.push(path);
+                if paths.len() >= config.max_paths {
+                    break;
+                }
+            }
+        }
         let mut stats = ExploreStats {
             // `workers` echoes the request; `workers_effective` records that
             // this exploration actually ran on one thread (callers reach
             // this path either with `workers <= 1` or through the explicit
             // BFS downgrade in `explore_multi`).
-            workers: self.config.workers.max(1),
+            workers: config.workers.max(1),
             workers_effective: 1,
-            ..ExploreStats::default()
+            ..runner.stats
         };
-
-        while let Some(prefix) = match self.config.order {
-            ExploreOrder::Dfs => worklist.pop_back(),
-            ExploreOrder::Bfs => worklist.pop_front(),
-        } {
-            if stats.runs >= self.config.max_runs {
-                break;
-            }
-            stats.runs += 1;
-            observer.on_path_start();
-            let mut env = SymEnv::new(
-                self.pool,
-                self.solver,
-                observer,
-                &mut registry,
-                prefix,
-                &self.config.initial_constraints,
-                self.config.max_depth,
-                self.config.recv_prefix.clone(),
-                self.config.sym_salt,
-            );
-            let run_result = program.run(&mut env);
-            let out = env.into_output();
-
-            stats.branch_checks += out.branch_checks;
-            stats.unknown_branches += out.unknown_branches;
-            stats.model_reuse_hits += out.model_reuse_hits;
-            // Forks found before any halt are feasible alternates: keep them.
-            for fork in out.forks {
-                worklist.push_back(fork);
-            }
-
-            match run_result {
-                Ok(()) => {
-                    let verdict = out.verdict.unwrap_or(if out.sent.is_empty() {
-                        Verdict::Reject
-                    } else {
-                        Verdict::Accept
-                    });
-                    let record = PathRecord {
-                        id: result.paths.len(),
-                        constraints: out.constraints,
-                        sent: out.sent,
-                        received: out.received,
-                        verdict,
-                        decisions: out.decisions,
-                        branch_points: out.branch_points,
-                        notes: out.notes,
-                    };
-                    let mut cx = ObserverCx {
-                        pool: self.pool,
-                        solver: self.solver,
-                        pc: &record.constraints,
-                        received: &record.received,
-                    };
-                    observer.on_path_end(&mut cx, &record);
-                    result.paths.push(record);
-                    stats.completed += 1;
-                    if stats.completed >= self.config.max_paths {
-                        break;
-                    }
-                }
-                Err(Halt::Infeasible) => stats.infeasible += 1,
-                Err(Halt::Dropped) => stats.dropped += 1,
-                Err(Halt::Pruned) => stats.pruned += 1,
-                Err(Halt::DepthExhausted) => stats.depth_exhausted += 1,
-            }
-        }
         let solver_after = self.solver.stats();
         stats.certified_unsat = solver_after.certified_unsat - solver_before.certified_unsat;
         stats.core_subsumption_hits =
             solver_after.core_subsumption_hits - solver_before.core_subsumption_hits;
         stats.wall_time = started.elapsed();
-        result.stats = stats;
         self.solver.stats().record_metrics_delta(&solver_before);
-        result.stats.record_metrics();
-        result
+        stats.record_metrics();
+        ExploreResult { paths, stats }
     }
 
     /// Runs `program` once along a fully concrete path (no forking expected).
@@ -356,6 +317,116 @@ impl<'a> Executor<'a> {
     /// Seeds additional path constraints for subsequent explorations.
     pub fn add_initial_constraints(&mut self, constraints: impl IntoIterator<Item = TermId>) {
         self.config.initial_constraints.extend(constraints);
+    }
+}
+
+/// A scheduled path: a decision prefix plus the observer state at the
+/// fork point that scheduled it.
+#[derive(Debug)]
+pub(crate) struct WorkItem {
+    pub(crate) prefix: Vec<bool>,
+    pub(crate) state: ObserverState,
+}
+
+impl WorkItem {
+    /// The root item: the empty prefix, with the state of `observer` as
+    /// freshly made (before any run).
+    pub(crate) fn root(observer: &dyn PathObserver) -> WorkItem {
+        WorkItem {
+            prefix: Vec::new(),
+            state: observer.fork_state(),
+        }
+    }
+}
+
+/// One thread's exploration context: what [`Runner::run_item`] needs besides
+/// the program, the observer and the item, plus the counters it tallies.
+pub(crate) struct Runner<'a> {
+    pool: &'a mut TermPool,
+    solver: &'a mut Solver,
+    config: &'a ExploreConfig,
+    registry: Registry,
+    pub(crate) stats: ExploreStats,
+}
+
+impl<'a> Runner<'a> {
+    pub(crate) fn new(
+        pool: &'a mut TermPool,
+        solver: &'a mut Solver,
+        config: &'a ExploreConfig,
+    ) -> Runner<'a> {
+        Runner {
+            pool,
+            solver,
+            config,
+            registry: Registry::new(config.recv_script.clone()),
+            stats: ExploreStats::default(),
+        }
+    }
+
+    /// Runs one worklist item: resumes `observer` from the item's state,
+    /// re-executes `program` along the item's prefix, and tallies the run.
+    /// A completed path is recorded as `id` and reported to the observer.
+    ///
+    /// Returns the items the run scheduled at its new branch points (kept
+    /// even when the run halted: they forked before the halt) and the
+    /// completed path, if any.
+    pub(crate) fn run_item(
+        &mut self,
+        program: &dyn NodeProgram,
+        observer: &mut dyn PathObserver,
+        item: WorkItem,
+        id: usize,
+    ) -> (Vec<WorkItem>, Option<PathRecord>) {
+        self.stats.runs += 1;
+        observer.resume(item.state);
+        let mut env = SymEnv::new(
+            self.pool,
+            self.solver,
+            observer,
+            &mut self.registry,
+            self.config,
+            item.prefix,
+        );
+        let run_result = program.run(&mut env);
+        let out = env.into_output();
+        self.stats.branch_checks += out.branch_checks;
+        self.stats.unknown_branches += out.unknown_branches;
+        self.stats.model_reuse_hits += out.model_reuse_hits;
+
+        if let Err(halt) = run_result {
+            match halt {
+                Halt::Infeasible => self.stats.infeasible += 1,
+                Halt::Dropped => self.stats.dropped += 1,
+                Halt::Pruned => self.stats.pruned += 1,
+                Halt::DepthExhausted => self.stats.depth_exhausted += 1,
+            }
+            return (out.forks, None);
+        }
+        let verdict = out.verdict.unwrap_or(if out.sent.is_empty() {
+            Verdict::Reject
+        } else {
+            Verdict::Accept
+        });
+        let record = PathRecord {
+            id,
+            constraints: out.constraints,
+            sent: out.sent,
+            received: out.received,
+            verdict,
+            decisions: out.decisions,
+            branch_points: out.branch_points,
+            notes: out.notes,
+        };
+        let mut cx = ObserverCx {
+            pool: self.pool,
+            solver: self.solver,
+            pc: &record.constraints,
+            received: &record.received,
+        };
+        observer.on_path_end(&mut cx, &record);
+        self.stats.completed += 1;
+        (out.forks, Some(record))
     }
 }
 

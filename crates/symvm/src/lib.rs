@@ -13,7 +13,9 @@
 //!   through its [`SymEnv`] (the paper's intercepted syscalls) and branches
 //!   on symbolic conditions via [`SymEnv::branch`].
 //! * The [`Executor`] schedules paths as decision prefixes and re-executes
-//!   the program once per path, forking at both-feasible branch points.
+//!   the program once per path, forking at both-feasible branch points. A
+//!   scheduled path carries its observer's state from the fork point, so
+//!   the replayed prefix is never observed twice.
 //! * Protocol messages are field-structured ([`MessageLayout`],
 //!   [`SymMessage`]); a server analysis receives a fully symbolic message, a
 //!   client analysis captures the (partially symbolic) messages the client
@@ -61,7 +63,7 @@ pub mod record;
 pub use env::SymEnv;
 pub use executor::{Executor, ExploreConfig, ExploreOrder};
 pub use message::{FieldDef, MessageLayout, MessageLayoutBuilder, SymMessage};
-pub use observer::{NullObserver, ObserverCx, PathObserver};
+pub use observer::{NullObserver, ObserverCx, ObserverState, PathObserver};
 pub use parallel::{parallel_map, parallel_map_with, ParallelOutcome, WorkerReport};
 pub use program::{Halt, NodeProgram, PathResult};
 pub use record::{ExploreResult, ExploreStats, PathRecord, Verdict};

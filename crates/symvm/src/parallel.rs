@@ -1,21 +1,26 @@
 //! Parallel path exploration on a work-stealing pool.
 //!
 //! The re-execution-with-decision-prefix design makes every worklist item
-//! independent: a prefix fully determines its path, so items can run on any
+//! independent: a prefix fully determines its path, and the observer state
+//! the item carries depends on that prefix alone, so items can run on any
 //! thread in any order. This module exploits that with a hand-rolled
 //! work-stealing pool (std threads only — the build environment is offline):
 //!
-//! * **Isolation** — every worker owns a [`TermPool::fork`] of the base pool
-//!   and its own [`Solver`]. Base-pool ids stay valid in every fork, and
-//!   interning is deterministic per prefix, so a worker re-executing a given
-//!   prefix builds bit-identical constraint *structure* no matter which
-//!   worker runs it.
+//! * **Isolation** — every worker owns a [`TermPool::fork`] of the base pool,
+//!   its own [`Solver`] and its own observer. Base-pool ids stay valid in
+//!   every fork, and interning is deterministic per prefix, so a worker
+//!   re-executing a given prefix builds bit-identical constraint *structure*
+//!   no matter which worker runs it. Observer state holds no `TermId`s, so a
+//!   stolen item resumes its observer the same way on any worker.
 //! * **Sharing** — workers attach one [`SharedCache`], keyed on structural
-//!   fingerprints, so a path-prefix query solved by one worker is a cache
-//!   hit for every other worker that replays the same prefix.
+//!   fingerprints, so a query solved by one worker is a cache hit for every
+//!   other worker that asks it. A stolen item does not re-ask its replayed
+//!   prefix's observer queries at all: it resumes from the fork-point state.
 //! * **Stealing** — each worker treats its own deque as a LIFO (depth-first,
 //!   cache-friendly) and steals the *oldest* item from a victim's deque
 //!   (shallow prefixes = large subtrees, classic Cilk-style stealing).
+//!   Every item runs through the same `Runner::run_item` body as the
+//!   sequential executor.
 //! * **Determinism** — completed paths are merged, re-interned into the base
 //!   pool ([`TermPool::import_term`]), sorted into canonical depth-first
 //!   order (`true` before `false` at every branch), and renumbered. The
@@ -42,12 +47,11 @@ use std::time::{Duration, Instant};
 
 use achilles_solver::{SharedCache, Solver, SolverStats, TermId, TermPool};
 
-use crate::env::{Registry, SymEnv};
-use crate::executor::ExploreConfig;
+use crate::executor::{ExploreConfig, Runner, WorkItem};
 use crate::message::SymMessage;
-use crate::observer::{ObserverCx, PathObserver};
-use crate::program::{Halt, NodeProgram};
-use crate::record::{ExploreResult, ExploreStats, PathRecord, Verdict};
+use crate::observer::PathObserver;
+use crate::program::NodeProgram;
+use crate::record::{ExploreResult, ExploreStats, PathRecord};
 
 /// What one worker brings home from a parallel exploration.
 #[derive(Debug)]
@@ -175,7 +179,7 @@ impl CanonicalBound {
 
 /// Pool-global coordination state.
 struct Coordinator {
-    deques: Vec<Mutex<VecDeque<Vec<bool>>>>,
+    deques: Vec<Mutex<VecDeque<WorkItem>>>,
     /// Items queued or running; the exploration is over when this is zero.
     pending: AtomicUsize,
     /// Canonical bound over executed item prefixes (`max_runs`).
@@ -201,7 +205,7 @@ impl Coordinator {
         }
     }
 
-    fn push(&self, worker: usize, task: Vec<bool>) {
+    fn push(&self, worker: usize, task: WorkItem) {
         self.pending.fetch_add(1, Ordering::SeqCst);
         self.deques[worker]
             .lock()
@@ -218,7 +222,7 @@ impl Coordinator {
     }
 
     /// Pops own work (newest first) or steals (oldest first) from a victim.
-    fn take(&self, worker: usize) -> Option<Vec<bool>> {
+    fn take(&self, worker: usize) -> Option<WorkItem> {
         if let Some(task) = self.deques[worker]
             .lock()
             .expect("deque poisoned")
@@ -276,7 +280,7 @@ pub(crate) fn explore_parallel<O, F>(
 ) -> ParallelOutcome<O>
 where
     O: PathObserver + Send,
-    F: Fn(usize) -> O + Sync,
+    F: Fn(usize) -> O,
 {
     debug_assert!(
         config.order == crate::executor::ExploreOrder::Dfs,
@@ -299,16 +303,16 @@ where
     shared.advance_epoch();
     let cross_before = shared.stats().cross_epoch_hits;
     let coord = Coordinator::new(workers, config);
-    coord.push(0, Vec::new());
+    let observers: Vec<O> = (0..workers).map(&make_observer).collect();
+    coord.push(0, WorkItem::root(&observers[0]));
 
     let worker_outcomes: Vec<WorkerOutcome<O>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
+        for (w, observer) in observers.into_iter().enumerate() {
             let worker_pool = base_pool.fork(w as u64 + 1);
             let worker_solver = Solver::with_config(base_solver.config().clone())
                 .with_shared_cache(Arc::clone(&shared));
             let coord = &coord;
-            let make_observer = &make_observer;
             handles.push(scope.spawn(move || {
                 run_worker(
                     w,
@@ -317,7 +321,7 @@ where
                     config,
                     program,
                     coord,
-                    make_observer(w),
+                    observer,
                 )
             }));
         }
@@ -368,15 +372,14 @@ fn run_worker<O: PathObserver>(
     mut observer: O,
 ) -> WorkerOutcome<O> {
     let worker_span = achilles_obs::span_owned(format!("worker-{worker}"), "symvm");
-    let mut registry = Registry::new(config.recv_script.clone());
+    let mut runner = Runner::new(&mut pool, &mut solver, config);
     let mut paths: Vec<PathRecord> = Vec::new();
     let mut item_prefixes: Vec<Vec<bool>> = Vec::new();
     let mut executed_prefixes: Vec<Vec<bool>> = Vec::new();
-    let mut stats = ExploreStats::default();
     let mut busy = Duration::ZERO;
 
     loop {
-        let Some(prefix) = coord.take(worker) else {
+        let Some(item) = coord.take(worker) else {
             if coord.done() {
                 break;
             }
@@ -394,79 +397,33 @@ fn run_worker<O: PathObserver>(
         // can only produce runs/paths the final truncation would discard, so
         // it is dropped (descendants included) without executing. In-flight
         // items always finish; there is no raced stop signal.
-        if coord.run_bound.prunes(&prefix) || coord.path_bound.prunes(&prefix) {
+        if coord.run_bound.prunes(&item.prefix) || coord.path_bound.prunes(&item.prefix) {
             coord.finish();
             continue;
         }
-        coord.run_bound.record(&prefix);
-        executed_prefixes.push(prefix.clone());
+        coord.run_bound.record(&item.prefix);
+        executed_prefixes.push(item.prefix.clone());
 
         let _item_span = achilles_obs::span("item", "symvm");
         let item_started = Instant::now();
-        stats.runs += 1;
-        observer.on_path_start();
-        let item_prefix = prefix.clone();
-        let mut env = SymEnv::new(
-            &mut pool,
-            &mut solver,
-            &mut observer,
-            &mut registry,
-            prefix,
-            &config.initial_constraints,
-            config.max_depth,
-            config.recv_prefix.clone(),
-            config.sym_salt,
-        );
-        let run_result = program.run(&mut env);
-        let out = env.into_output();
-
-        stats.branch_checks += out.branch_checks;
-        stats.unknown_branches += out.unknown_branches;
-        stats.model_reuse_hits += out.model_reuse_hits;
-        for fork in out.forks {
+        let item_prefix = item.prefix.clone();
+        // Provisional id: interleaved so it is unique across workers
+        // without a stride that could overflow `usize`; canonical
+        // renumbering happens in `merge`.
+        let id = paths.len() * coord.deques.len() + worker;
+        let (forks, path) = runner.run_item(program, &mut observer, item, id);
+        for fork in forks {
             coord.push(worker, fork);
         }
-
-        match run_result {
-            Ok(()) => {
-                let verdict = out.verdict.unwrap_or(if out.sent.is_empty() {
-                    Verdict::Reject
-                } else {
-                    Verdict::Accept
-                });
-                let record = PathRecord {
-                    // Provisional id: interleaved so it is unique across
-                    // workers without a stride that could overflow `usize`;
-                    // canonical renumbering happens in `merge`.
-                    id: paths.len() * coord.deques.len() + worker,
-                    constraints: out.constraints,
-                    sent: out.sent,
-                    received: out.received,
-                    verdict,
-                    decisions: out.decisions,
-                    branch_points: out.branch_points,
-                    notes: out.notes,
-                };
-                let mut cx = ObserverCx {
-                    pool: &mut pool,
-                    solver: &mut solver,
-                    pc: &record.constraints,
-                    received: &record.received,
-                };
-                observer.on_path_end(&mut cx, &record);
-                coord.path_bound.record(&record.decisions);
-                paths.push(record);
-                item_prefixes.push(item_prefix);
-                stats.completed += 1;
-            }
-            Err(Halt::Infeasible) => stats.infeasible += 1,
-            Err(Halt::Dropped) => stats.dropped += 1,
-            Err(Halt::Pruned) => stats.pruned += 1,
-            Err(Halt::DepthExhausted) => stats.depth_exhausted += 1,
+        if let Some(path) = path {
+            coord.path_bound.record(&path.decisions);
+            paths.push(path);
+            item_prefixes.push(item_prefix);
         }
         busy += item_started.elapsed();
         coord.finish();
     }
+    let stats = runner.stats;
 
     // Merge point: close this worker's span and hand its trace buffer to
     // the process sink before the scoped thread unwinds.
@@ -710,7 +667,9 @@ fn import_messages(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::SymEnv;
     use crate::executor::Executor;
+    use crate::observer::ObserverCx;
     use crate::program::PathResult;
     use achilles_solver::Width;
 

@@ -33,9 +33,7 @@ use std::time::Instant;
 
 use achilles::AchillesSession;
 use achilles_bench::{arg_present, arg_value, arg_value_required, header, host_cores, row};
-use achilles_replay::{
-    validate_spec, validate_spec_sessions, ReplayCorpus, SessionValidateConfig, ValidateConfig,
-};
+use achilles_replay::{validate_spec, validate_spec_sessions, ReplayCorpus, ValidateConfig};
 use achilles_targets::builtin_registry;
 
 struct SystemRun {
@@ -92,9 +90,9 @@ fn validate_sessions(spec: &dyn achilles::TargetSpec, corpus_dir: Option<&str>) 
     };
     let mut runs = Vec::with_capacity(reports.len());
     for report in &reports {
-        let config = SessionValidateConfig {
+        let config = ValidateConfig {
             minimize: true,
-            ..SessionValidateConfig::default()
+            ..ValidateConfig::default()
         };
         let summary = validate_spec_sessions(spec, report, &mut corpus, &config);
         // Second pass: the corpus must short-circuit every known session.
@@ -281,7 +279,7 @@ fn main() {
     let sweep_counts = [1usize, 2, 4, 8];
     // (workers requested, workers effective, wall seconds, witnesses/sec).
     let mut sweep: Vec<(usize, usize, f64, f64)> = Vec::new();
-    let mut reference: Option<Vec<(Vec<u64>, String)>> = None;
+    let mut reference: Option<Vec<(Vec<Vec<u64>>, String)>> = None;
     for &workers in &sweep_counts {
         let mut corpus = ReplayCorpus::new();
         let started = Instant::now();
@@ -292,7 +290,7 @@ fn main() {
             &ValidateConfig::default().with_workers(workers),
         );
         let wall = started.elapsed().as_secs_f64();
-        let key: Vec<(Vec<u64>, String)> = summary
+        let key: Vec<(Vec<Vec<u64>>, String)> = summary
             .results
             .iter()
             .map(|r| (r.witness.fields.clone(), r.signature.to_line()))

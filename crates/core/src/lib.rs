@@ -51,7 +51,8 @@
 //! ```
 //! use std::sync::Arc;
 //! use achilles::{
-//!     AchillesSession, Delivery, InjectionOutcome, ReplayTarget, TargetSpec,
+//!     AchillesSession, Delivery, InjectionOutcome, ReplayTarget, SnapshotReplayTarget,
+//!     TargetSnapshot, TargetSpec,
 //! };
 //! use achilles_solver::Width;
 //! use achilles_symvm::{MessageLayout, NodeProgram, PathResult, SymEnv, SymMessage};
@@ -86,24 +87,28 @@
 //!     Ok(())
 //! }
 //!
-//! // The concrete deployment replayed witnesses are fired at.
+//! // The concrete deployment replayed witnesses are fired at: one message
+//! // slot, its oracles, and a bootable server.
 //! struct Figure2Target;
 //! impl ReplayTarget for Figure2Target {
 //!     fn name(&self) -> &'static str { "figure2" }
-//!     fn layout(&self) -> Arc<MessageLayout> { layout() }
-//!     fn benign_fields(&self) -> Vec<u64> { vec![1, 5] }
-//!     fn client_generable(&self, fields: &[u64]) -> bool {
+//!     fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> { vec![layout()] }
+//!     fn slot_benign_fields(&self, _slot: usize) -> Vec<u64> { vec![1, 5] }
+//!     fn slot_generable(&self, _slot: usize, fields: &[u64]) -> bool {
 //!         fields[0] == 1 && (0..100).contains(&Width::W32.to_signed(fields[1]))
 //!     }
-//!     fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
-//!         InjectionOutcome {
-//!             accepted_each: deliveries
-//!                 .iter()
-//!                 .map(|(w, _)| w[0] == 1) // the buggy dispatch, concretely
-//!                 .collect(),
-//!             effects: vec![],
-//!         }
+//!     fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> { Box::new(Figure2Server) }
+//! }
+//!
+//! // The booted server, fed one delivery at a time. It keeps no state, so
+//! // its snapshot is `()`.
+//! struct Figure2Server;
+//! impl SnapshotReplayTarget for Figure2Server {
+//!     fn deliver(&mut self, (wire, _): &Delivery, outcome: &mut InjectionOutcome) {
+//!         outcome.accepted_each.push(wire[0] == 1); // the buggy dispatch, concretely
 //!     }
+//!     fn snapshot(&self) -> TargetSnapshot { TargetSnapshot::of(()) }
+//!     fn restore(&mut self, _snapshot: &TargetSnapshot) {}
 //! }
 //!
 //! // The spec bundles it all: this is the entire onboarding surface.
@@ -140,10 +145,16 @@
 //!    [`MessageLayout`](achilles_symvm::MessageLayout). The client
 //!    validates like the real client library; the server marks acceptance
 //!    with `mark_accept()` where the real server commits to acting.
-//! 2. **Build the concrete deployment.** Implement [`ReplayTarget`]:
-//!    `inject` boots fresh state per call and reports per-delivery
-//!    acceptance plus structural effect strings; `client_generable` is the
+//! 2. **Build the concrete deployment.** Implement [`ReplayTarget`] with
+//!    one slot: `slot_layouts` is `[your layout]`, `slot_benign_fields`
+//!    is a message a correct client sends, and `slot_generable` is the
 //!    concrete oracle for "could a correct client send these bytes?".
+//!    `boot` returns a freshly booted deployment as a
+//!    [`SnapshotReplayTarget`]: `deliver` feeds it one datagram and
+//!    records acceptance plus structural effect strings, `finish` appends
+//!    end-of-plan effects (filesystem diffs, final decisions), and
+//!    `snapshot`/`restore` copy and rewind its state (step 7). The
+//!    provided `inject` — boot, deliver each, finish — is cold replay.
 //! 3. **Implement [`TargetSpec`].** Return the programs, layout, mask
 //!    (checksums/digests per §5.2), the analysis defaults, the supported
 //!    [`LocalStateMode`]s, an expected-count hint if the bounded model
@@ -166,9 +177,12 @@
 //!    (one `recv` per slot, in slot order) via
 //!    [`session_server`](TargetSpec::session_server) and a deployment that
 //!    consumes whole sequences via
-//!    [`session_replay_target`](TargetSpec::session_replay_target)
-//!    (override the [`ReplayTarget`] `slot_*` hooks for per-slot layouts,
-//!    benign baselines, and generability). Then
+//!    [`session_replay_target`](TargetSpec::session_replay_target): the
+//!    step-2 [`ReplayTarget`] with one layout, benign baseline and
+//!    generability oracle per slot, whose booted session consumes the
+//!    slots' deliveries in order. A single message is the one-slot case,
+//!    so replay, minimization, validation and the corpus are the same
+//!    code for both. Then
 //!    [`AchillesSession::run_sessions`] discovers session Trojans —
 //!    `⋁ₛ ¬genₛ(mₛ)`, with slot attribution — over the work-stealing
 //!    pool, and `achilles_replay::validate_spec_sessions` replays them
@@ -178,7 +192,7 @@
 //!    `examples/quickstart.rs` walks the whole step with a hello→request
 //!    session.
 //! 6. **Sweep fault schedules** (optional — for schedule-sensitive
-//!    findings). A session Trojan validated under one fault plan says
+//!    findings). A session Trojan validated under one fault schedule says
 //!    nothing about *which* delivery faults arm or disarm it — the
 //!    question that decides whether an S3-style corruption survives real
 //!    network weather. `achilles_sweep::run_campaign` takes the same spec
@@ -195,24 +209,24 @@
 //!    seed→sync→read session is the shipped reference;
 //!    `examples/quickstart.rs` runs a mini-sweep on its hello→request
 //!    session.
-//! 7. **Make the target snapshottable** (optional — a pure speed lever for
-//!    sweeps). A campaign cold-boots one [`ReplayTarget::inject`] per
-//!    (witness, schedule) cell even though canonical schedules share long
-//!    delivery prefixes. Implement [`SnapshotReplayTarget`] and override
-//!    [`ReplayTarget::boot_fork`] to return it, and the sweep fork-server
-//!    executes each witness's schedules as a delivery-prefix trie instead,
+//! 7. **Make snapshots exact** (required — the fork session *is* the
+//!    deployment). Sweeps do not boot one deployment per (witness,
+//!    schedule) cell: the fork-server boots the step-2 session once and
+//!    executes each witness's schedules as a delivery-prefix trie,
 //!    restoring from the deepest shared ancestor. What to clone in
 //!    [`snapshot`](SnapshotReplayTarget::snapshot): *every* piece of state
 //!    a delivery can mutate — the protocol engine (node, cluster,
 //!    coordinator, simulated filesystem + network) *and* the injection
 //!    bookkeeping (login flags, tracked witness keys). Clones must be deep:
 //!    a snapshot that aliases a live `Arc<Mutex<…>>` corrupts every sibling
-//!    branch. The cold-boot fallback contract: `boot_fork` defaults to
-//!    `None`, every driver then falls back to booting per cell, and
-//!    snapshots may never change results — only wall time. The
-//!    `fork_server_equivalence` suite and the snapshot conformance contract
-//!    pin bit-identity per target; `examples/quickstart.rs` runs its
-//!    mini-sweep through the fork-server and prints `boots_saved`.
+//!    branch, and restoring the boot-state snapshot must be
+//!    indistinguishable from a fresh boot. Snapshots may never change
+//!    results — only wall time: the `fork_server_equivalence` suite
+//!    compares every sweep against cold per-cell replay (`--no-fork`,
+//!    `CampaignConfig::without_fork`), and the conformance suite's snapshot
+//!    contract covers every registered target. `examples/quickstart.rs`
+//!    runs its mini-sweep through the fork-server and asserts
+//!    `boots_saved > 0`.
 //! 8. **Serve campaigns** (optional — for fleets that keep producing
 //!    witnesses). The batch bins run one corpus to completion and exit;
 //!    `achilles-fleetd` is the resident alternative: a campaign service
@@ -224,7 +238,8 @@
 //!    `tests/fleetd_service.rs` pins the incremental contract: a no-op
 //!    re-ingest replays nothing, a one-witness ingest replays exactly
 //!    that witness's cells). A registered spec needs *nothing* beyond
-//!    steps 1–5 — the service is registry-driven like every other driver.
+//!    steps 1–5 and 7 — the service is registry-driven like every other
+//!    driver.
 //!    Embed it in-process (`Fleetd::start` + `handle_line`) or run the
 //!    `achilles-fleetd` binary for localhost-TCP / unix-socket
 //!    transports; `--state DIR` persists the witness corpora and sweep

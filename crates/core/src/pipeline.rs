@@ -63,15 +63,12 @@ pub struct PhaseTimes {
     /// CPU time spent across all server-analysis workers (equals `server`
     /// for single-threaded runs; up to `workers ×` it when scaling).
     pub server_cpu: Duration,
-    /// Concrete witness replay (the opt-in `validate` phase driven by
-    /// `achilles-replay`; zero when validation did not run).
-    pub validate: Duration,
 }
 
 impl PhaseTimes {
     /// Total pipeline wall-clock time.
     pub fn total(&self) -> Duration {
-        self.client + self.preprocess + self.server + self.validate
+        self.client + self.preprocess + self.server
     }
 }
 
@@ -270,11 +267,30 @@ impl Achilles {
         layout: &Arc<MessageLayout>,
         config: &AchillesConfig,
     ) -> AchillesReport {
+        self.run_clients(&[client], server, layout, config)
+    }
+
+    /// [`Achilles::run`] over several client programs: each is explored
+    /// and their predicates merged in order (`P_C` = union over clients;
+    /// merging one client's predicate is the identity).
+    pub(crate) fn run_clients(
+        &mut self,
+        clients: &[&(dyn NodeProgram + Sync)],
+        server: &(dyn NodeProgram + Sync),
+        layout: &Arc<MessageLayout>,
+        config: &AchillesConfig,
+    ) -> AchillesReport {
         let run_span = achilles_obs::timed("pipeline:run", "pipeline");
 
         let phase = achilles_obs::timed("phase:client", "pipeline");
-        let (client_pred, client_explore) =
-            self.extract_client_predicate(client, &config.client_explore);
+        let mut parts = Vec::with_capacity(clients.len());
+        let mut client_explore = ExploreStats::default();
+        for &client in clients {
+            let (pred, stats) = self.extract_client_predicate(client, &config.client_explore);
+            accumulate_stats(&mut client_explore, &stats);
+            parts.push(pred);
+        }
+        let client_pred = ClientPredicate::merge(parts);
         let client_time = phase.finish();
 
         let phase = achilles_obs::timed("phase:preprocess", "pipeline");
@@ -305,7 +321,6 @@ impl Achilles {
                 preprocess: preprocess_time,
                 server: server_time,
                 server_cpu,
-                validate: Duration::ZERO,
             },
             samples: outcome.samples,
             search_stats: outcome.stats,
@@ -315,6 +330,20 @@ impl Achilles {
             server_workers: outcome.workers,
         }
     }
+}
+
+/// Accumulation of exploration counters across the client programs of one
+/// run: plain-sum counters via [`ExploreStats::absorb_counters`] (shared
+/// with the parallel worker merge), `workers` as max, the rest as sums —
+/// so accumulating one client's stats into the default copies them.
+fn accumulate_stats(into: &mut ExploreStats, part: &ExploreStats) {
+    into.absorb_counters(part);
+    into.workers = into.workers.max(part.workers);
+    into.workers_effective = into.workers_effective.max(part.workers_effective);
+    into.steals += part.steals;
+    into.shared_cache_hits += part.shared_cache_hits;
+    into.cross_phase_cache_hits += part.cross_phase_cache_hits;
+    into.wall_time += part.wall_time;
 }
 
 /// Publishes the process-lifetime proof-audit totals (certificates checked

@@ -20,11 +20,10 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use achilles_symvm::{ExploreStats, MessageLayout, SymMessage};
+use achilles_symvm::{MessageLayout, NodeProgram, SymMessage};
 
-use crate::pipeline::{Achilles, AchillesConfig, AchillesReport, LocalState, PhaseTimes};
+use crate::pipeline::{Achilles, AchillesConfig, AchillesReport, LocalState};
 use crate::predicate::{ClientPredicate, FieldMask};
 use crate::report::TrojanReport;
 use crate::search::{prepare_client_workers, Optimizations};
@@ -113,7 +112,9 @@ impl TargetRegistry {
 /// ```
 /// use achilles::AchillesSession;
 /// # use std::sync::Arc;
-/// # use achilles::{Delivery, InjectionOutcome, ReplayTarget, TargetSpec};
+/// # use achilles::{
+/// #     Delivery, InjectionOutcome, ReplayTarget, SnapshotReplayTarget, TargetSnapshot, TargetSpec,
+/// # };
 /// # use achilles_solver::Width;
 /// # use achilles_symvm::{MessageLayout, NodeProgram, PathResult, SymEnv, SymMessage};
 /// # fn layout() -> Arc<MessageLayout> {
@@ -122,12 +123,18 @@ impl TargetRegistry {
 /// # struct KvTarget;
 /// # impl ReplayTarget for KvTarget {
 /// #     fn name(&self) -> &'static str { "kv" }
-/// #     fn layout(&self) -> Arc<MessageLayout> { layout() }
-/// #     fn benign_fields(&self) -> Vec<u64> { vec![1, 0] }
-/// #     fn client_generable(&self, fields: &[u64]) -> bool { fields[1] < 1024 }
-/// #     fn inject(&self, d: &[Delivery]) -> InjectionOutcome {
-/// #         InjectionOutcome { accepted_each: d.iter().map(|(w, _)| w[0] == 1 && u64::from(w[1]) * 256 + u64::from(w[2]) < 4096).collect(), effects: vec![] }
+/// #     fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> { vec![layout()] }
+/// #     fn slot_benign_fields(&self, _: usize) -> Vec<u64> { vec![1, 0] }
+/// #     fn slot_generable(&self, _: usize, fields: &[u64]) -> bool { fields[1] < 1024 }
+/// #     fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> { Box::new(KvServer) }
+/// # }
+/// # struct KvServer;
+/// # impl SnapshotReplayTarget for KvServer {
+/// #     fn deliver(&mut self, (w, _): &Delivery, outcome: &mut InjectionOutcome) {
+/// #         outcome.accepted_each.push(w[0] == 1 && u64::from(w[1]) * 256 + u64::from(w[2]) < 4096);
 /// #     }
+/// #     fn snapshot(&self) -> TargetSnapshot { TargetSnapshot::of(()) }
+/// #     fn restore(&mut self, _: &TargetSnapshot) {}
 /// # }
 /// # struct KvSpec;
 /// # fn client(env: &mut SymEnv<'_>) -> PathResult<()> {
@@ -263,63 +270,11 @@ impl<'s> AchillesSession<'s> {
     /// pre-processing and the server Trojan search run exactly as
     /// [`Achilles::run`] would.
     pub fn run(&mut self) -> AchillesReport {
-        let spec = self.spec;
-        let layout = spec.layout();
-        let run_span = achilles_obs::timed("pipeline:run", "pipeline");
-        let t0 = Instant::now();
-        let phase = achilles_obs::timed("phase:client", "pipeline");
-        let mut parts = Vec::new();
-        let mut client_explore = ExploreStats::default();
-        for client in spec.clients() {
-            let (pred, stats) = self
-                .engine
-                .extract_client_predicate(&*client, &self.config.client_explore);
-            accumulate_stats(&mut client_explore, &stats);
-            parts.push(pred);
-        }
-        let client_pred = ClientPredicate::merge(parts);
-        phase.finish();
-        let t1 = Instant::now();
-        let phase = achilles_obs::timed("phase:preprocess", "pipeline");
-        let prepared = self.engine.prepare_with_workers(
-            client_pred,
-            &layout,
-            self.config.mask.clone(),
-            self.config.optimizations,
-            self.config.server_explore.workers.max(1),
-        );
-        phase.finish();
-        let t2 = Instant::now();
-        let phase = achilles_obs::timed("phase:server", "pipeline");
-        let server = spec.server();
-        let outcome = self
-            .engine
-            .analyze_server(&*server, &prepared, &self.config);
-        phase.finish();
-        run_span.finish();
-        let t3 = Instant::now();
-        outcome.stats.record_metrics();
-        self.engine.shared_cache().stats().record_metrics();
-        crate::pipeline::record_proof_audit_metrics();
-        let server_cpu: Duration = outcome.workers.iter().map(|w| w.busy).sum();
-        AchillesReport {
-            client: prepared.client.clone(),
-            server_msg: prepared.server_msg.clone(),
-            trojans: outcome.reports,
-            phase_times: PhaseTimes {
-                client: t1 - t0,
-                preprocess: t2 - t1,
-                server: t3 - t2,
-                server_cpu,
-                validate: Duration::ZERO,
-            },
-            samples: outcome.samples,
-            search_stats: outcome.stats,
-            client_explore,
-            server_explore: outcome.explore,
-            server_paths: outcome.server_paths,
-            server_workers: outcome.workers,
-        }
+        let clients = self.spec.clients();
+        let clients: Vec<&(dyn NodeProgram + Sync)> = clients.iter().map(|c| &**c).collect();
+        let server = self.spec.server();
+        self.engine
+            .run_clients(&clients, &*server, &self.spec.layout(), &self.config)
     }
 }
 
@@ -474,26 +429,14 @@ impl<'s> AchillesSession<'s> {
     }
 }
 
-/// Accumulation of exploration counters across the client programs of one
-/// spec: plain-sum counters via [`ExploreStats::absorb_counters`]
-/// (shared with the parallel worker merge), `workers` as max, the rest as
-/// sums.
-fn accumulate_stats(into: &mut ExploreStats, part: &ExploreStats) {
-    into.absorb_counters(part);
-    into.workers = into.workers.max(part.workers);
-    into.workers_effective = into.workers_effective.max(part.workers_effective);
-    into.steals += part.steals;
-    into.shared_cache_hits += part.shared_cache_hits;
-    into.cross_phase_cache_hits += part.cross_phase_cache_hits;
-    into.wall_time += part.wall_time;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::target::{Delivery, InjectionOutcome, ReplayTarget};
+    use crate::target::{
+        Delivery, InjectionOutcome, ReplayTarget, SnapshotReplayTarget, TargetSnapshot,
+    };
     use achilles_solver::Width;
-    use achilles_symvm::{MessageLayout, NodeProgram, PathResult, SymEnv, SymMessage};
+    use achilles_symvm::{PathResult, SymEnv};
 
     fn layout() -> Arc<MessageLayout> {
         MessageLayout::builder("kv")
@@ -532,21 +475,30 @@ mod tests {
         fn name(&self) -> &'static str {
             "kv"
         }
-        fn layout(&self) -> Arc<MessageLayout> {
-            layout()
+        fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> {
+            vec![layout()]
         }
-        fn benign_fields(&self) -> Vec<u64> {
+        fn slot_benign_fields(&self, _slot: usize) -> Vec<u64> {
             vec![1, 0]
         }
-        fn client_generable(&self, fields: &[u64]) -> bool {
+        fn slot_generable(&self, _slot: usize, fields: &[u64]) -> bool {
             fields[0] == 1 && fields[1] < 1024
         }
-        fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
-            InjectionOutcome {
-                accepted_each: deliveries.iter().map(|_| true).collect(),
-                effects: vec![],
-            }
+        fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+            Box::new(KvServer)
         }
+    }
+
+    /// A stateless deployment that accepts every delivery.
+    struct KvServer;
+    impl SnapshotReplayTarget for KvServer {
+        fn deliver(&mut self, _delivery: &Delivery, outcome: &mut InjectionOutcome) {
+            outcome.accepted_each.push(true);
+        }
+        fn snapshot(&self) -> TargetSnapshot {
+            TargetSnapshot::of(())
+        }
+        fn restore(&mut self, _snapshot: &TargetSnapshot) {}
     }
 
     struct KvSpec;

@@ -18,8 +18,8 @@
 //! into injectable bytes through the same
 //! [`achilles_netsim::bytes`] framing the deployments parse with. The
 //! `achilles-replay` crate drives a [`ReplayTarget`] produced by
-//! [`TargetSpec::replay_target`] through fault plans, triage, and corpus
-//! persistence.
+//! [`TargetSpec::replay_target`] through fault schedules, triage, and
+//! corpus persistence.
 //!
 //! See the crate-level docs ("Porting a protocol") for the step-by-step
 //! guide.
@@ -91,75 +91,54 @@ pub struct InjectionOutcome {
 
 /// A concrete deployment a witness can be fired at.
 ///
-/// Implementations must be pure: [`ReplayTarget::inject`] boots fresh
-/// state every call and its result is a function of the delivery plan
-/// alone. That purity is what makes replay results bit-identical across
-/// worker counts, runs, and machines.
+/// A deployment consumes a *session*: a fixed sequence of slot messages
+/// (login → command, VOTE → DECIDE; see [`TargetSpec::sessions`]). A
+/// single-message deployment is the one-slot case — it declares one slot
+/// layout and is driven by exactly the same replay, minimization,
+/// validation and corpus code as a multi-slot one.
 ///
-/// Session targets — deployments that consume a fixed *sequence* of
-/// messages per session (see [`TargetSpec::sessions`]) — additionally
-/// override the `slot_*` hooks so the replay harness can build per-slot
-/// benign companions and judge per-slot generability. The defaults make
-/// every single-message target a valid one-slot session target.
+/// Implementations must be pure: [`ReplayTarget::boot`] returns a freshly
+/// booted deployment every call, so the outcome of a delivery plan is a
+/// function of the plan alone. That purity is what makes replay results
+/// bit-identical across worker counts, runs, and machines — and what lets
+/// the sweep fork-server resume cells from snapshots of one booted
+/// session instead of booting per cell.
 pub trait ReplayTarget: Sync {
     /// Short system name used in crash signatures (`"fsp"`, `"pbft"`, …).
     fn name(&self) -> &'static str;
 
-    /// The wire layout witnesses for this target use.
-    fn layout(&self) -> Arc<MessageLayout>;
+    /// Per-slot wire layouts of a witness, in slot order (one entry for a
+    /// single-message deployment).
+    fn slot_layouts(&self) -> Vec<Arc<MessageLayout>>;
 
-    /// Field values of a benign message a correct client would send
-    /// (the ddmin baseline and the reorder-fault companion).
-    fn benign_fields(&self) -> Vec<u64>;
-
-    /// Whether a correct client can generate `fields` — the concrete
-    /// client-side oracle.
-    fn client_generable(&self, fields: &[u64]) -> bool;
-
-    /// Boots a fresh deployment and fires the delivery plan at it.
-    ///
-    /// For session targets the plan carries one delivery per slot in
-    /// session order (plus any fault-injected copies); the deployment
-    /// consumes them statefully, exactly like real traffic.
-    fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome;
-
-    /// Per-slot wire layouts of a session witness, in slot order.
-    ///
-    /// Single-message targets keep the default (one slot, the
-    /// [`ReplayTarget::layout`]).
-    fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> {
-        vec![self.layout()]
-    }
-
-    /// Benign field values for `slot` (the per-slot ddmin baseline and the
-    /// benign interleaving companion a fault schedule inserts between
-    /// deliveries). Defaults to [`ReplayTarget::benign_fields`].
-    fn slot_benign_fields(&self, slot: usize) -> Vec<u64> {
-        let _ = slot;
-        self.benign_fields()
-    }
+    /// Field values of a benign message a correct client would send in
+    /// `slot` (the per-slot ddmin baseline and the benign interleaving
+    /// companion a fault schedule inserts before a delivery).
+    fn slot_benign_fields(&self, slot: usize) -> Vec<u64>;
 
     /// Whether a correct client can produce `fields` *in `slot`* — the
-    /// per-slot concrete oracle. Defaults to
-    /// [`ReplayTarget::client_generable`].
-    fn slot_generable(&self, slot: usize, fields: &[u64]) -> bool {
-        let _ = slot;
-        self.client_generable(fields)
-    }
+    /// per-slot concrete client-side oracle.
+    fn slot_generable(&self, slot: usize, fields: &[u64]) -> bool;
 
-    /// Boots a fresh deployment as an incremental *fork session* — the
-    /// snapshot/restore capability behind the sweep fork-server.
-    ///
-    /// Snapshot-capable targets return `Some(session)` where delivering
-    /// every plan entry through [`SnapshotReplayTarget::deliver`] and then
-    /// calling [`SnapshotReplayTarget::finish`] produces exactly the
-    /// [`InjectionOutcome`] that [`ReplayTarget::inject`] would for the
-    /// same plan (the *equivalence law*; the fork-server equivalence suite
-    /// pins it per target). The default is `None`: drivers fall back
-    /// transparently to cold-booting one [`ReplayTarget::inject`] per
-    /// cell, so snapshots are a pure speed lever, never a semantic one.
-    fn boot_fork(&self) -> Option<Box<dyn SnapshotReplayTarget + '_>> {
-        None
+    /// Boots a fresh deployment as a live [`SnapshotReplayTarget`] session:
+    /// the one execution surface of replay. Cold replay is
+    /// [`ReplayTarget::inject`] (boot → deliver each → finish); the sweep
+    /// fork-server boots once and walks a delivery-prefix trie with
+    /// snapshot/restore.
+    fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_>;
+
+    /// Boots a fresh deployment and fires the delivery plan at it: one
+    /// delivery per slot in session order (plus any fault-injected
+    /// copies), consumed statefully exactly like real traffic, then the
+    /// end-of-plan effects.
+    fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
+        let mut session = self.boot();
+        let mut outcome = InjectionOutcome::default();
+        for delivery in deliveries {
+            session.deliver(delivery, &mut outcome);
+        }
+        session.finish(&mut outcome);
+        outcome
     }
 
     /// Whether this deployment observes per-node state roots and reports
@@ -235,27 +214,26 @@ impl<T: Clone + Send + 'static> AnyState for T {
 }
 
 /// One booted deployment driven incrementally, with snapshot/restore at
-/// arbitrary points — the AFL-style fork-server capability.
+/// arbitrary points — what [`ReplayTarget::boot`] returns.
 ///
-/// Where [`ReplayTarget::inject`] boots fresh state per call and consumes a
-/// whole delivery plan, a fork session is handed deliveries one at a time
-/// and can be rewound: the sweep fork-server walks a delivery-prefix trie,
-/// snapshotting at branch points and restoring from the deepest shared
-/// ancestor instead of cold-booting every cell.
+/// Cold replay ([`ReplayTarget::inject`]) boots one session per delivery
+/// plan and feeds it every delivery; the sweep fork-server boots once and
+/// walks a delivery-prefix trie, snapshotting at branch points and
+/// restoring from the deepest shared ancestor instead of booting every
+/// cell (the AFL-style fork-server move).
 ///
 /// # Contract
 ///
 /// - [`deliver`](SnapshotReplayTarget::deliver) pushes exactly one entry
-///   onto `outcome.accepted_each` and appends any per-delivery effects, in
-///   the same order `inject` would.
+///   onto `outcome.accepted_each` and appends any per-delivery effects.
 /// - [`finish`](SnapshotReplayTarget::finish) appends the end-of-plan
-///   effects `inject` computes after its delivery loop (filesystem diffs,
-///   final decisions). It may leave the engine state unspecified — the
-///   fork-server always restores a snapshot before reusing the session.
-/// - *Equivalence law*: boot → `deliver` each plan entry → `finish` must
-///   produce an [`InjectionOutcome`] equal to `inject` on the same plan,
-///   and `snapshot` → any deliveries → `restore` must put the session back
-///   bit-exactly (re-delivering yields identical outcomes).
+///   effects (filesystem diffs, final decisions). It may leave the engine
+///   state unspecified — the fork-server always restores a snapshot before
+///   reusing the session.
+/// - `snapshot` → any deliveries → `restore` must put the session back
+///   bit-exactly (re-delivering yields identical outcomes), and restoring
+///   the boot-state snapshot must be indistinguishable from a fresh boot —
+///   the law fork-server replay's bit-identity with cold replay rests on.
 pub trait SnapshotReplayTarget {
     /// Feeds one delivery to the live deployment, recording acceptance and
     /// effects into `outcome`.
@@ -267,10 +245,11 @@ pub trait SnapshotReplayTarget {
     /// Rewinds the session to a previously captured snapshot.
     fn restore(&mut self, snapshot: &TargetSnapshot);
 
-    /// Appends the end-of-plan effects (whatever `inject` computes after
-    /// delivering everything). May consume the session state; callers
-    /// restore a snapshot before delivering again.
-    fn finish(&mut self, outcome: &mut InjectionOutcome);
+    /// Appends the end-of-plan effects (none by default). May consume the
+    /// session state; callers restore a snapshot before delivering again.
+    fn finish(&mut self, outcome: &mut InjectionOutcome) {
+        let _ = outcome;
+    }
 
     /// The current per-node state roots, for deployments that observe
     /// them (`None` — the default — for single-node targets).
@@ -455,12 +434,10 @@ pub trait TargetSpec: Send + Sync {
         "trojan".to_string()
     }
 
-    /// Builds the concrete deployment used to validate witnesses.
-    ///
-    /// The factory bundles the boot logic that used to be hand-assembled
-    /// per protocol in the replay harness: the returned target boots a
-    /// fresh deployment per injection, configured consistently with the
-    /// analyzed [`TargetSpec::server`].
+    /// Builds the concrete deployment single-message witnesses are fired
+    /// at: a one-slot [`ReplayTarget`] over [`TargetSpec::layout`] whose
+    /// [`boot`](ReplayTarget::boot) yields a fresh deployment configured
+    /// consistently with the analyzed [`TargetSpec::server`].
     fn replay_target(&self) -> Box<dyn ReplayTarget>;
 
     /// Concretizes layout-ordered field values into injectable wire bytes.
@@ -511,10 +488,10 @@ pub trait TargetSpec: Send + Sync {
         self.server()
     }
 
-    /// The concrete deployment session witnesses for `name` are fired at.
-    /// Defaults to [`TargetSpec::replay_target`]; session targets override
-    /// the [`ReplayTarget`] `slot_*` hooks for per-slot layouts, benign
-    /// baselines, and generability.
+    /// The concrete deployment session witnesses for `name` are fired at:
+    /// a [`ReplayTarget`] declaring one slot layout, benign baseline and
+    /// generability oracle per [`SessionSlot`]. Defaults to
+    /// [`TargetSpec::replay_target`].
     fn session_replay_target(&self, name: &str) -> Box<dyn ReplayTarget> {
         let _ = name;
         self.replay_target()
@@ -541,21 +518,30 @@ mod tests {
         fn name(&self) -> &'static str {
             "kv"
         }
-        fn layout(&self) -> Arc<MessageLayout> {
-            layout()
+        fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> {
+            vec![layout()]
         }
-        fn benign_fields(&self) -> Vec<u64> {
+        fn slot_benign_fields(&self, _slot: usize) -> Vec<u64> {
             vec![1, 0]
         }
-        fn client_generable(&self, fields: &[u64]) -> bool {
+        fn slot_generable(&self, _slot: usize, fields: &[u64]) -> bool {
             fields[1] < 1024
         }
-        fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
-            InjectionOutcome {
-                accepted_each: vec![true; deliveries.len()],
-                effects: vec![],
-            }
+        fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+            Box::new(NullSession)
         }
+    }
+
+    /// A stateless deployment that accepts every delivery.
+    struct NullSession;
+    impl SnapshotReplayTarget for NullSession {
+        fn deliver(&mut self, _delivery: &Delivery, outcome: &mut InjectionOutcome) {
+            outcome.accepted_each.push(true);
+        }
+        fn snapshot(&self) -> TargetSnapshot {
+            TargetSnapshot::of(())
+        }
+        fn restore(&mut self, _snapshot: &TargetSnapshot) {}
     }
 
     impl TargetSpec for KvSpec {

@@ -19,12 +19,11 @@
 
 use std::sync::Arc;
 
-use achilles::{Delivery, InjectionOutcome, ReplayTarget, SnapshotReplayTarget};
+use achilles::{ReplayTarget, SnapshotReplayTarget};
 use achilles_solver::Width;
 use achilles_symvm::{MessageLayout, NodeProgram, PathResult, SymEnv, SymMessage};
 
-use crate::oracle::client_can_generate;
-use crate::protocol::{layout, FspMessage};
+use crate::protocol::layout;
 use crate::server::{FspServer, FspServerConfig};
 use crate::target::{FspForkSession, FspTarget};
 
@@ -137,18 +136,6 @@ impl ReplayTarget for FspSessionTarget {
         "fsp"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        layout()
-    }
-
-    fn benign_fields(&self) -> Vec<u64> {
-        self.inner.benign_fields()
-    }
-
-    fn client_generable(&self, fields: &[u64]) -> bool {
-        self.inner.client_generable(fields)
-    }
-
     fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> {
         vec![login_layout(), layout()]
     }
@@ -157,7 +144,7 @@ impl ReplayTarget for FspSessionTarget {
         if slot == 0 {
             vec![0, 7] // user 0, a small in-range token
         } else {
-            self.inner.benign_fields()
+            self.inner.slot_benign_fields(0)
         }
     }
 
@@ -165,30 +152,19 @@ impl ReplayTarget for FspSessionTarget {
         if slot == 0 {
             login_generable(fields)
         } else {
-            let msg = FspMessage::from_field_values(fields);
-            client_can_generate(&msg, self.inner.glob_expansion)
+            self.inner.slot_generable(0, fields)
         }
     }
 
-    fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
-        let mut session = FspForkSession::boot(&self.inner, true);
-        let mut outcome = InjectionOutcome::default();
-        for delivery in deliveries {
-            session.deliver(delivery, &mut outcome);
-        }
-        session.finish(&mut outcome);
-        outcome
-    }
-
-    fn boot_fork(&self) -> Option<Box<dyn SnapshotReplayTarget + '_>> {
-        Some(Box::new(FspForkSession::boot(&self.inner, true)))
+    fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+        Box::new(FspForkSession::boot(&self.inner, true))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Command;
+    use crate::protocol::{Command, FspMessage};
     use achilles::fields_to_wire;
 
     fn login_wire(user: u64, token: u64) -> Vec<u8> {

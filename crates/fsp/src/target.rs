@@ -55,7 +55,7 @@ impl FspTarget {
         }
     }
 
-    fn boot(&self) -> (Network, FspServerRuntime, Addr) {
+    fn boot_endpoint(&self) -> (Network, FspServerRuntime, Addr) {
         let mut fs = SimFs::new();
         for (path, data) in &self.initial_files {
             fs.write(path, data).expect("initial file writes succeed");
@@ -103,11 +103,11 @@ impl ReplayTarget for FspTarget {
         "fsp"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        layout()
+    fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> {
+        vec![layout()]
     }
 
-    fn benign_fields(&self) -> Vec<u64> {
+    fn slot_benign_fields(&self, _slot: usize) -> Vec<u64> {
         let cmd = self
             .server
             .commands
@@ -117,31 +117,18 @@ impl ReplayTarget for FspTarget {
         FspMessage::request(cmd, b"f1").field_values()
     }
 
-    fn client_generable(&self, fields: &[u64]) -> bool {
+    fn slot_generable(&self, _slot: usize, fields: &[u64]) -> bool {
         let msg = FspMessage::from_field_values(fields);
         client_can_generate(&msg, self.glob_expansion)
     }
 
-    fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
-        let mut session = FspForkSession::boot(self, false);
-        let mut outcome = InjectionOutcome::default();
-        for delivery in deliveries {
-            session.deliver(delivery, &mut outcome);
-        }
-        session.finish(&mut outcome);
-        outcome
-    }
-
-    fn boot_fork(&self) -> Option<Box<dyn SnapshotReplayTarget + '_>> {
-        Some(Box::new(FspForkSession::boot(self, false)))
+    fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+        Box::new(FspForkSession::boot(self, false))
     }
 }
 
-/// The incremental FSP deployment behind both FSP targets' `inject` *and*
-/// their fork sessions: one booted server endpoint fed deliveries one at a
-/// time. `inject` is a boot → deliver-each → finish loop over this very
-/// struct, so fork-server replay is equivalent to cold-boot by
-/// construction.
+/// The booted FSP deployment behind both FSP targets: one server endpoint
+/// fed deliveries one at a time, with an optional login gate in front.
 pub(crate) struct FspForkSession {
     net: Network,
     server: FspServerRuntime,
@@ -155,7 +142,7 @@ pub(crate) struct FspForkSession {
 
 impl FspForkSession {
     pub(crate) fn boot(target: &FspTarget, login_gate: bool) -> FspForkSession {
-        let (net, server, client_addr) = target.boot();
+        let (net, server, client_addr) = target.boot_endpoint();
         let before = server.fs().list("/").unwrap_or_default();
         FspForkSession {
             net,
@@ -475,6 +462,6 @@ mod tests {
         let target = spec.replay_target();
         assert_eq!(target.name(), "fsp");
         // A benign request is generable; the patched server still boots.
-        assert!(target.client_generable(&target.benign_fields()));
+        assert!(target.slot_generable(0, &target.slot_benign_fields(0)));
     }
 }

@@ -72,37 +72,25 @@ impl ReplayTarget for GossipTarget {
         "gossip"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        seed_layout()
+    fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> {
+        vec![seed_layout()]
     }
 
-    fn benign_fields(&self) -> Vec<u64> {
+    fn slot_benign_fields(&self, _slot: usize) -> Vec<u64> {
         GossipSeed::correct(0, 0, true).field_values()
     }
 
-    fn client_generable(&self, fields: &[u64]) -> bool {
+    fn slot_generable(&self, _slot: usize, fields: &[u64]) -> bool {
         seed_generable(fields)
     }
 
-    fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
-        let mut session = GossipForkSession::boot(self.config);
-        let mut outcome = InjectionOutcome::default();
-        for delivery in deliveries {
-            session.deliver(delivery, &mut outcome);
-        }
-        session.finish(&mut outcome);
-        outcome
-    }
-
-    fn boot_fork(&self) -> Option<Box<dyn SnapshotReplayTarget + '_>> {
-        Some(Box::new(GossipForkSession::boot(self.config)))
+    fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+        Box::new(GossipForkSession::boot(self.config))
     }
 }
 
-/// The incremental deployment behind [`GossipTarget`]: one live node plus
-/// the tracked witness key. `inject` is a boot → deliver-each → finish
-/// loop over this struct, so fork-server replay is equivalent to
-/// cold-boot by construction.
+/// The booted deployment behind [`GossipTarget`]: one live node plus the
+/// tracked witness key.
 struct GossipForkSession {
     node: GossipNode,
     witness_key: Option<u8>,
@@ -201,26 +189,14 @@ impl ReplayTarget for GossipSessionTarget {
         "gossip"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        seed_layout()
-    }
-
-    fn benign_fields(&self) -> Vec<u64> {
-        // Version 0, so a benign interleaved seed never outranks (and so
-        // never masks) the witness record that follows it.
-        GossipSeed::correct(0, 0, true).field_values()
-    }
-
-    fn client_generable(&self, fields: &[u64]) -> bool {
-        seed_generable(fields)
-    }
-
     fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> {
         vec![seed_layout(), sync_layout(), read_layout()]
     }
 
     fn slot_benign_fields(&self, slot: usize) -> Vec<u64> {
         match slot {
+            // Version 0, so a benign interleaved seed never outranks (and
+            // so never masks) the witness record that follows it.
             0 => GossipSeed::correct(0, 0, true).field_values(),
             1 => GossipRequest::sync(0).field_values(),
             _ => GossipRequest::read(0).field_values(),
@@ -235,18 +211,8 @@ impl ReplayTarget for GossipSessionTarget {
         }
     }
 
-    fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
-        let mut session = GossipSessionForkSession::boot(self.config);
-        let mut outcome = InjectionOutcome::default();
-        for delivery in deliveries {
-            session.deliver(delivery, &mut outcome);
-        }
-        session.finish(&mut outcome);
-        outcome
-    }
-
-    fn boot_fork(&self) -> Option<Box<dyn SnapshotReplayTarget + '_>> {
-        Some(Box::new(GossipSessionForkSession::boot(self.config)))
+    fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+        Box::new(GossipSessionForkSession::boot(self.config))
     }
 }
 
@@ -366,8 +332,6 @@ impl SnapshotReplayTarget for GossipSessionForkSession {
             .expect("a gossip session restores gossip snapshots")
             .clone();
     }
-
-    fn finish(&mut self, _outcome: &mut InjectionOutcome) {}
 }
 
 /// The gossip/anti-entropy protocol as a [`TargetSpec`].
@@ -591,14 +555,14 @@ mod tests {
         assert!(outcome
             .effects
             .contains(&"family:status-domain".to_string()));
-        assert!(!target.client_generable(&trojan.field_values()));
+        assert!(!target.slot_generable(0, &trojan.field_values()));
 
         // A benign seed resolves cleanly.
         let benign = GossipSeed::correct(1, 2, false);
         let outcome = target.inject(&[(benign.to_wire(), true)]);
         assert_eq!(outcome.accepted_each, vec![true]);
         assert!(outcome.effects.contains(&"resolve:down".to_string()));
-        assert!(target.client_generable(&benign.field_values()));
+        assert!(target.slot_generable(0, &benign.field_values()));
     }
 
     #[test]

@@ -41,18 +41,18 @@ impl ReplayTarget for PaxosTarget {
         "paxos"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        accept_layout()
+    fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> {
+        vec![accept_layout()]
     }
 
-    fn benign_fields(&self) -> Vec<u64> {
+    fn slot_benign_fields(&self, _slot: usize) -> Vec<u64> {
         match self.proposer {
             ProposerMode::Concrete(b, v) => vec![ACCEPT_KIND, u64::from(b), u64::from(v)],
             ProposerMode::Constructed(b) => vec![ACCEPT_KIND, u64::from(b), 0],
         }
     }
 
-    fn client_generable(&self, fields: &[u64]) -> bool {
+    fn slot_generable(&self, _slot: usize, fields: &[u64]) -> bool {
         let [kind, ballot, value] = fields else {
             return false;
         };
@@ -67,22 +67,12 @@ impl ReplayTarget for PaxosTarget {
         }
     }
 
-    fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
-        let mut session = PaxosForkSession::boot(*self);
-        let mut outcome = InjectionOutcome::default();
-        for delivery in deliveries {
-            session.deliver(delivery, &mut outcome);
-        }
-        session.finish(&mut outcome);
-        outcome
-    }
-
-    fn boot_fork(&self) -> Option<Box<dyn SnapshotReplayTarget + '_>> {
-        Some(Box::new(PaxosForkSession::boot(*self)))
+    fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+        Box::new(PaxosForkSession::boot(*self))
     }
 }
 
-/// The incremental deployment behind [`PaxosTarget`]: one live acceptor
+/// The booted deployment behind [`PaxosTarget`]: one live acceptor
 /// mid-scenario. No end-of-plan step.
 struct PaxosForkSession {
     target: PaxosTarget,
@@ -100,8 +90,7 @@ impl PaxosForkSession {
 impl SnapshotReplayTarget for PaxosForkSession {
     fn deliver(&mut self, delivery: &Delivery, outcome: &mut InjectionOutcome) {
         let (wire, is_witness) = delivery;
-        let layout = self.target.layout();
-        let Ok(fields) = wire_to_fields(&layout, wire) else {
+        let Ok(fields) = wire_to_fields(&accept_layout(), wire) else {
             outcome.accepted_each.push(false);
             outcome.effects.push("malformed".to_string());
             return;
@@ -125,7 +114,7 @@ impl SnapshotReplayTarget for PaxosForkSession {
             }
             if value > MAX_PROPOSABLE_VALUE {
                 outcome.effects.push("value:out-of-domain".to_string());
-            } else if !self.target.client_generable(&fields) {
+            } else if !self.target.slot_generable(0, &fields) {
                 outcome.effects.push("value:foreign".to_string());
             }
         }
@@ -141,8 +130,6 @@ impl SnapshotReplayTarget for PaxosForkSession {
             .expect("a paxos fork session restores paxos snapshots")
             .clone();
     }
-
-    fn finish(&mut self, _outcome: &mut InjectionOutcome) {}
 }
 
 /// One Paxos local-state scenario as a [`TargetSpec`].

@@ -40,15 +40,15 @@ impl ReplayTarget for PbftTarget {
         "pbft"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        layout()
+    fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> {
+        vec![layout()]
     }
 
-    fn benign_fields(&self) -> Vec<u64> {
+    fn slot_benign_fields(&self, _slot: usize) -> Vec<u64> {
         PbftRequest::correct(0, 1, *b"op__").field_values()
     }
 
-    fn client_generable(&self, fields: &[u64]) -> bool {
+    fn slot_generable(&self, _slot: usize, fields: &[u64]) -> bool {
         let req = PbftRequest::from_field_values(fields);
         u64::from(req.tag) == REQUEST_TAG
             && u64::from(req.size) == MESSAGE_SIZE
@@ -59,22 +59,12 @@ impl ReplayTarget for PbftTarget {
             && (0..N_REPLICAS).all(|r| req.mac_valid_for(r))
     }
 
-    fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
-        let mut session = PbftForkSession::boot(self.cluster);
-        let mut outcome = InjectionOutcome::default();
-        for delivery in deliveries {
-            session.deliver(delivery, &mut outcome);
-        }
-        session.finish(&mut outcome);
-        outcome
-    }
-
-    fn boot_fork(&self) -> Option<Box<dyn SnapshotReplayTarget + '_>> {
-        Some(Box::new(PbftForkSession::boot(self.cluster)))
+    fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+        Box::new(PbftForkSession::boot(self.cluster))
     }
 }
 
-/// The incremental deployment behind [`PbftTarget`]: one live 4-replica
+/// The booted deployment behind [`PbftTarget`]: one live 4-replica
 /// cluster. No end-of-plan step.
 struct PbftForkSession {
     cluster: PbftCluster,
@@ -122,8 +112,6 @@ impl SnapshotReplayTarget for PbftForkSession {
             .expect("a pbft fork session restores pbft snapshots")
             .clone();
     }
-
-    fn finish(&mut self, _outcome: &mut InjectionOutcome) {}
 }
 
 /// The PBFT protocol as a [`TargetSpec`].

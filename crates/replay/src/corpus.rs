@@ -64,34 +64,21 @@ impl std::error::Error for CorpusParseError {}
 pub struct CorpusEntry {
     /// The structural crash signature.
     pub signature: CrashSignature,
-    /// The witness's concrete field values (session witnesses store the
+    /// The witness's concrete field values (multi-slot witnesses store the
     /// slots concatenated; `slot_lens` records the boundaries).
     pub fields: Vec<u64>,
-    /// Per-slot field counts for session witnesses; empty for
-    /// single-message witnesses.
+    /// Per-slot field counts for multi-slot witnesses; empty for one-slot
+    /// (single-message) witnesses.
     pub slot_lens: Vec<usize>,
-    /// Essential field indices from minimization (empty = not minimized).
-    /// For session witnesses these index into the concatenated `fields`.
+    /// Essential field indices from minimization (empty = not minimized),
+    /// indexing into the concatenated `fields`.
     pub essential: Vec<usize>,
 }
 
 impl CorpusEntry {
-    /// A single-message entry.
-    pub fn single(
-        signature: CrashSignature,
-        fields: Vec<u64>,
-        essential: Vec<usize>,
-    ) -> CorpusEntry {
-        CorpusEntry {
-            signature,
-            fields,
-            slot_lens: Vec::new(),
-            essential,
-        }
-    }
-
-    /// A session entry over per-slot field values; `essential` carries
-    /// `(slot, field)` pairs, stored as indices into the concatenation.
+    /// An entry over per-slot field values (one slot for a single-message
+    /// witness); `essential` carries `(slot, field)` pairs, stored as
+    /// indices into the concatenation.
     pub fn session(
         signature: CrashSignature,
         slot_fields: &[Vec<u64>],
@@ -109,7 +96,11 @@ impl CorpusEntry {
         CorpusEntry {
             signature,
             fields: slot_fields.iter().flatten().copied().collect(),
-            slot_lens,
+            slot_lens: if slot_lens.len() <= 1 {
+                Vec::new()
+            } else {
+                slot_lens
+            },
             essential: essential.iter().map(|&(s, f)| offsets[s] + f).collect(),
         }
     }
@@ -155,21 +146,15 @@ impl ReplayCorpus {
         self.entries.is_empty()
     }
 
-    /// Whether this exact single-message witness (by field values) is
-    /// already recorded.
-    pub fn knows_witness(&self, fields: &[u64]) -> bool {
-        self.witnesses.contains(&(Vec::new(), fields.to_vec()))
-    }
-
-    /// Whether this exact session witness (per-slot field values) is
-    /// already recorded.
-    pub fn knows_session_witness(&self, slot_fields: &[Vec<u64>]) -> bool {
-        let mut lens: Vec<usize> = slot_fields.iter().map(Vec::len).collect();
-        if lens.len() <= 1 {
-            // A one-slot session is indistinguishable from (and deduped
-            // with) the single-message form.
-            lens = Vec::new();
-        }
+    /// Whether this exact witness (per-slot field values) is already
+    /// recorded. A one-slot witness is keyed like a single-message record,
+    /// so single-message corpora keep skipping their witnesses.
+    pub fn knows_witness(&self, slot_fields: &[Vec<u64>]) -> bool {
+        let lens: Vec<usize> = if slot_fields.len() <= 1 {
+            Vec::new()
+        } else {
+            slot_fields.iter().map(Vec::len).collect()
+        };
         let fields: Vec<u64> = slot_fields.iter().flatten().copied().collect();
         self.witnesses.contains(&(lens, fields))
     }
@@ -364,14 +349,15 @@ mod tests {
     use crate::target::ReplayVerdict;
 
     fn entry(system: &str, fields: Vec<u64>, effect: &str) -> CorpusEntry {
-        CorpusEntry::single(
-            CrashSignature::new(
+        CorpusEntry::session(
+            CrashSignature::for_session(
                 system,
                 ReplayVerdict::ConfirmedTrojan,
+                1,
                 vec![effect.to_string()],
             ),
-            fields,
-            vec![0, 2],
+            &[fields],
+            &[(0, 0), (0, 2)],
         )
     }
 
@@ -395,8 +381,8 @@ mod tests {
         assert!(!corpus.insert(entry("fsp", vec![1], "a")));
         assert_eq!(corpus.len(), 2);
         assert_eq!(corpus.distinct_signatures(), 1);
-        assert!(corpus.knows_witness(&[2]));
-        assert!(!corpus.knows_witness(&[3]));
+        assert!(corpus.knows_witness(&[vec![2]]));
+        assert!(!corpus.knows_witness(&[vec![3]]));
     }
 
     #[test]
@@ -528,15 +514,15 @@ mod tests {
         let slots = vec![vec![3, 150], vec![68, 0, 1]];
         let mut corpus = ReplayCorpus::new();
         assert!(corpus.insert(CorpusEntry::session(sig, &slots, &[(0, 1), (1, 2)])));
-        assert!(corpus.knows_session_witness(&slots));
+        assert!(corpus.knows_witness(&slots));
         // Same bytes as a *single-message* witness: a different thing.
-        assert!(!corpus.knows_witness(&[3, 150, 68, 0, 1]));
+        assert!(!corpus.knows_witness(&[vec![3, 150, 68, 0, 1]]));
 
         let text = corpus.to_text();
         assert!(text.contains("3,150/68,0,1"), "{text}");
         let back = ReplayCorpus::from_text(&text).unwrap();
         assert_eq!(back.entries(), corpus.entries());
-        assert!(back.knows_session_witness(&slots));
+        assert!(back.knows_witness(&slots));
         assert_eq!(back.entries()[0].slot_fields(), slots);
         assert_eq!(back.entries()[0].essential, vec![1, 4]);
     }

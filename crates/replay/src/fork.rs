@@ -6,7 +6,8 @@
 //! deployment per cell, yet most cells share long delivery prefixes — a
 //! bit-flip at slot 3 of a 4-slot session re-executes slots 0–2
 //! identically. [`replay_session_forked`] exploits that: it expands every
-//! schedule into its [`SessionPlan`], folds the plans into a
+//! schedule into its [`SessionPlan`](crate::target::SessionPlan), folds
+//! the plans into a
 //! *delivery-prefix trie* keyed on post-fault-application [`Delivery`]
 //! bytes, and walks the trie depth-first over one live
 //! [`SnapshotReplayTarget`] session *per worker*, snapshotting at branch
@@ -18,16 +19,15 @@
 //! [`InjectionOutcome`]s, so fork-server results are bit-identical to
 //! cold-boot results by construction — the equivalence suite
 //! (`tests/fork_server_equivalence.rs`) pins this for every registered
-//! target and worker count. Targets without
-//! [`ReplayTarget::boot_fork`] support fall back to cold replay
-//! transparently.
+//! target and worker count against the explicit cold path
+//! ([`ForkServer::detached`] with `fork = false`).
 
 use achilles::{SnapshotReplayTarget, TargetSnapshot};
 use achilles_symvm::{parallel_map, parallel_map_with};
 
 use crate::target::{
     classify_session, plan_session, replay_session, Delivery, FaultSchedule, InjectionOutcome,
-    ReplayTarget, SessionPlan, SessionReplayResult,
+    ReplayTarget, SessionReplayResult,
 };
 use crate::witness::SessionWitness;
 
@@ -244,16 +244,102 @@ fn walk(
     }
 }
 
-/// Replays one session witness under every schedule through the
-/// delivery-prefix trie, returning per-schedule results in schedule order
-/// plus the [`ForkStats`] instrumentation.
+/// The trie executor both fork paths share: expands every schedule into
+/// its plan, folds the plans into the delivery-prefix trie, hands the trie
+/// to `run` — which executes every terminal and returns each plan's
+/// outcome — and classifies the cells in schedule order.
+fn execute_trie(
+    target: &dyn ReplayTarget,
+    witness: &SessionWitness,
+    schedules: &[&FaultSchedule],
+    run: impl FnOnce(&Trie, &mut ForkStats) -> Vec<(usize, InjectionOutcome)>,
+) -> (Vec<SessionReplayResult>, ForkStats) {
+    let plans: Vec<_> = schedules
+        .iter()
+        .map(|schedule| plan_session(target, witness, schedule))
+        .collect();
+    let mut trie = Trie::new();
+    for (index, plan) in plans.iter().enumerate() {
+        trie.insert(&plan.deliveries, index);
+    }
+    let mut stats = ForkStats {
+        plans: plans.len(),
+        branches: trie
+            .children
+            .len()
+            .max(usize::from(!trie.terminals.is_empty())),
+        ..ForkStats::default()
+    };
+    let mut executed: Vec<Option<InjectionOutcome>> = vec![None; plans.len()];
+    for (index, outcome) in run(&trie, &mut stats) {
+        executed[index] = Some(outcome);
+    }
+    let results = plans
+        .into_iter()
+        .zip(executed)
+        .map(|(plan, outcome)| {
+            let outcome = outcome.expect("every plan index reaches exactly one trie terminal");
+            classify_session(target, witness, plan, outcome)
+        })
+        .collect();
+    (results, stats)
+}
+
+/// Runs the trie root's terminals — the cells whose schedule drops every
+/// delivery — on `session`, which sits at boot state.
+fn run_root_terminals(
+    trie: &Trie,
+    session: &mut dyn SnapshotReplayTarget,
+    stats: &mut ForkStats,
+) -> Vec<(usize, InjectionOutcome)> {
+    let root = Trie {
+        children: Vec::new(),
+        terminals: trie.terminals.clone(),
+        plans_through: trie.terminals.len(),
+    };
+    let mut out = Vec::new();
+    walk(
+        &root,
+        session,
+        &mut InjectionOutcome::default(),
+        0,
+        0,
+        &mut out,
+        stats,
+    );
+    out
+}
+
+/// Runs one of the trie root's subtrees on `session`, which sits at boot
+/// state: delivers the subtree's first delivery, then walks the rest.
+fn run_subtree(
+    delivery: &Delivery,
+    child: &Trie,
+    session: &mut dyn SnapshotReplayTarget,
+    stats: &mut ForkStats,
+) -> Vec<(usize, InjectionOutcome)> {
+    let mut outcome = InjectionOutcome::default();
+    session.deliver(delivery, &mut outcome);
+    let shared = usize::from(child.plans_through >= 2);
+    let mut out = Vec::new();
+    walk(child, session, &mut outcome, 1, shared, &mut out, stats);
+    out
+}
+
+/// Boots a fresh fork session of `target` under a `fork:boot` span.
+fn boot(target: &dyn ReplayTarget) -> Box<dyn SnapshotReplayTarget + '_> {
+    let _span = achilles_obs::span("fork:boot", "fork");
+    target.boot()
+}
+
+/// Replays one witness under every schedule through the delivery-prefix
+/// trie, returning per-schedule results in schedule order plus the
+/// [`ForkStats`] instrumentation.
 ///
 /// Results are bit-identical to calling [`replay_session`] per schedule:
 /// plan expansion and classification are the exact same code, and the trie
 /// walk executes the exact same delivery sequence per cell against state
-/// rebuilt by snapshot/restore. Targets whose
-/// [`ReplayTarget::boot_fork`] returns `None` fall back to per-cell cold
-/// replay ([`ForkStats::cold`]).
+/// rebuilt by snapshot/restore.
 ///
 /// Work is parallelized over the trie root's subtrees with the same
 /// order-preserving pool the cold path uses; each worker thread keeps
@@ -270,61 +356,19 @@ pub fn replay_session_forked(
     if schedules.is_empty() {
         return (Vec::new(), ForkStats::default());
     }
-    if target.boot_fork().is_none() {
-        let results = parallel_map(workers.max(1), schedules, |_, schedule| {
-            replay_session(target, witness, schedule)
-        });
-        return (results, ForkStats::cold(schedules.len()));
-    }
-    let plans: Vec<SessionPlan> = schedules
-        .iter()
-        .map(|schedule| plan_session(target, witness, schedule))
-        .collect();
-    let mut trie = Trie::new();
-    for (index, plan) in plans.iter().enumerate() {
-        trie.insert(&plan.deliveries, index);
-    }
-    let mut stats = ForkStats {
-        plans: plans.len(),
-        boots: 0,
-        snapshot_restores: 0,
-        shared_prefix_depth_sum: 0,
-        branches: trie
-            .children
-            .len()
-            .max(usize::from(!trie.terminals.is_empty())),
-    };
-    let mut executed: Vec<Option<InjectionOutcome>> = vec![None; plans.len()];
-    // Root terminals (schedules that drop every delivery) run on one boot
-    // of their own; each root child is an independent subtree for the
-    // worker pool.
-    if !trie.terminals.is_empty() {
-        let boot_span = achilles_obs::span("fork:boot", "fork");
-        let mut session = target
-            .boot_fork()
-            .expect("boot_fork probed Some above and targets are stateless factories");
-        drop(boot_span);
-        stats.boots += 1;
-        let root = Trie {
-            children: Vec::new(),
-            terminals: trie.terminals.clone(),
-            plans_through: trie.terminals.len(),
-        };
+    execute_trie(target, witness, schedules, |trie, stats| {
         let mut out = Vec::new();
-        walk(
-            &root,
-            session.as_mut(),
-            &mut InjectionOutcome::default(),
-            0,
-            0,
-            &mut out,
-            &mut stats,
-        );
-        for (index, outcome) in out {
-            executed[index] = Some(outcome);
+        // Root terminals (schedules that drop every delivery) run on one
+        // boot of their own; each root child is an independent subtree for
+        // the worker pool.
+        if !trie.terminals.is_empty() {
+            let mut session = boot(target);
+            stats.boots += 1;
+            out.extend(run_root_terminals(trie, session.as_mut(), stats));
         }
-    }
-    if !trie.children.is_empty() {
+        if trie.children.is_empty() {
+            return out;
+        }
         // One live session per worker thread: boot, snapshot the boot
         // state, and restore it between the subtrees the worker claims —
         // mirroring `parallel_map_with`'s context behavior (one context
@@ -339,56 +383,31 @@ pub fn replay_session_forked(
             workers.max(1),
             &trie.children,
             |_| {
-                let _span = achilles_obs::span("fork:boot", "fork");
-                let session = target
-                    .boot_fork()
-                    .expect("boot_fork probed Some above and targets are stateless factories");
-                let boot = session.snapshot();
-                (session, boot, false)
+                let session = boot(target);
+                let at_boot = session.snapshot();
+                (session, at_boot, false)
             },
-            |(session, boot, used), _, (delivery, child)| {
+            |(session, at_boot, used), _, (delivery, child)| {
                 let mut worker_stats = ForkStats::default();
                 if *used {
-                    session.restore(boot);
+                    session.restore(at_boot);
                     worker_stats.snapshot_restores += 1;
                 }
                 *used = true;
-                let mut outcome = InjectionOutcome::default();
-                session.deliver(delivery, &mut outcome);
-                let shared = if child.plans_through >= 2 { 1 } else { 0 };
-                let mut out = Vec::new();
-                walk(
-                    child,
-                    session.as_mut(),
-                    &mut outcome,
-                    1,
-                    shared,
-                    &mut out,
-                    &mut worker_stats,
-                );
+                let out = run_subtree(delivery, child, session.as_mut(), &mut worker_stats);
                 (out, worker_stats)
             },
         );
-        for (out, worker_stats) in subtree_results {
+        for (subtree, worker_stats) in subtree_results {
             stats.snapshot_restores += worker_stats.snapshot_restores;
             stats.shared_prefix_depth_sum += worker_stats.shared_prefix_depth_sum;
-            for (index, outcome) in out {
-                executed[index] = Some(outcome);
-            }
+            out.extend(subtree);
         }
-    }
-    let results = plans
-        .into_iter()
-        .zip(executed)
-        .map(|(plan, outcome)| {
-            let outcome = outcome.expect("every plan index reaches exactly one trie terminal");
-            classify_session(target, witness, plan, outcome)
-        })
-        .collect();
-    (results, stats)
+        out
+    })
 }
 
-/// One live fork session kept warm across [`ForkServer::replay`] calls.
+/// One live fork session kept warm across [`ForkServer`] replays.
 struct LiveSession<'t> {
     session: Box<dyn SnapshotReplayTarget + 't>,
     /// Snapshot of the freshly-booted state; restored between replays
@@ -429,10 +448,10 @@ impl std::fmt::Debug for LiveSession<'_> {
 /// server (`achilles_sweep`'s `sweep_witness_on`) serves both the one-shot
 /// bins and the daemon without divergence.
 ///
-/// Persistent mode engages when `fork` is on, the target supports
-/// [`ReplayTarget::boot_fork`], and `workers <= 1` (one live session is
-/// inherently sequential; with more workers the server delegates to the
-/// per-witness parallel fork path, which boots per worker).
+/// Persistent mode engages when `fork` is on and `workers <= 1` (one live
+/// session is inherently sequential; with more workers the server
+/// delegates to the per-witness parallel fork path, which boots per
+/// worker).
 pub struct ForkServer<'t> {
     target: &'t dyn ReplayTarget,
     workers: usize,
@@ -500,7 +519,7 @@ impl<'t> ForkServer<'t> {
     /// Whether replays are currently served by the persistent live
     /// session (as opposed to the delegated batch paths).
     pub fn is_persistent(&self) -> bool {
-        self.persistent && self.fork && self.workers <= 1 && self.target.boot_fork().is_some()
+        self.persistent && self.fork && self.workers <= 1
     }
 
     /// Cumulative [`ForkStats`] over every replay this server performed —
@@ -543,7 +562,7 @@ impl<'t> ForkServer<'t> {
     /// Replays `witness` under every schedule, returning per-schedule
     /// results in schedule order plus this call's [`ForkStats`]. Results
     /// are bit-identical across modes and worker counts.
-    pub fn replay(
+    pub fn replay_schedules(
         &mut self,
         witness: &SessionWitness,
         schedules: &[&FaultSchedule],
@@ -567,33 +586,27 @@ impl<'t> ForkServer<'t> {
         (results, stats)
     }
 
-    /// Ensures the live session exists and sits at boot state.
-    fn at_boot(&mut self, stats: &mut ForkStats) {
-        match &mut self.live {
-            None => {
-                let boot_span = achilles_obs::span("fork:boot", "fork");
-                let session = self
-                    .target
-                    .boot_fork()
-                    .expect("persistent mode requires boot_fork support");
-                let boot = session.snapshot();
-                drop(boot_span);
-                stats.boots += 1;
-                self.live = Some(LiveSession {
-                    session,
-                    boot,
-                    dirty: false,
-                });
-            }
-            Some(live) => {
-                if live.dirty {
-                    let _span = achilles_obs::span("fork:restore", "fork");
-                    live.session.restore(&live.boot);
-                    stats.snapshot_restores += 1;
-                    live.dirty = false;
-                }
-            }
+    /// The live session, booted on first use and otherwise restored to
+    /// boot state; marked dirty, since the caller is about to deliver.
+    fn at_boot(&mut self, stats: &mut ForkStats) -> &mut dyn SnapshotReplayTarget {
+        if self.live.is_none() {
+            let session = boot(self.target);
+            stats.boots += 1;
+            let at_boot = session.snapshot();
+            self.live = Some(LiveSession {
+                session,
+                boot: at_boot,
+                dirty: false,
+            });
         }
+        let live = self.live.as_mut().expect("booted above");
+        if live.dirty {
+            let _span = achilles_obs::span("fork:restore", "fork");
+            live.session.restore(&live.boot);
+            stats.snapshot_restores += 1;
+        }
+        live.dirty = true;
+        live.session.as_mut()
     }
 
     /// The persistent execution path: the same trie the parallel fork
@@ -603,77 +616,17 @@ impl<'t> ForkServer<'t> {
         witness: &SessionWitness,
         schedules: &[&FaultSchedule],
     ) -> (Vec<SessionReplayResult>, ForkStats) {
-        let plans: Vec<SessionPlan> = schedules
-            .iter()
-            .map(|schedule| plan_session(self.target, witness, schedule))
-            .collect();
-        let mut trie = Trie::new();
-        for (index, plan) in plans.iter().enumerate() {
-            trie.insert(&plan.deliveries, index);
-        }
-        let mut stats = ForkStats {
-            plans: plans.len(),
-            boots: 0,
-            snapshot_restores: 0,
-            shared_prefix_depth_sum: 0,
-            branches: trie
-                .children
-                .len()
-                .max(usize::from(!trie.terminals.is_empty())),
-        };
-        let mut executed: Vec<Option<InjectionOutcome>> = vec![None; plans.len()];
-        if !trie.terminals.is_empty() {
-            let root = Trie {
-                children: Vec::new(),
-                terminals: trie.terminals.clone(),
-                plans_through: trie.terminals.len(),
-            };
-            self.at_boot(&mut stats);
-            let live = self.live.as_mut().expect("at_boot installs the session");
-            live.dirty = true;
+        execute_trie(self.target, witness, schedules, |trie, stats| {
             let mut out = Vec::new();
-            walk(
-                &root,
-                live.session.as_mut(),
-                &mut InjectionOutcome::default(),
-                0,
-                0,
-                &mut out,
-                &mut stats,
-            );
-            for (index, outcome) in out {
-                executed[index] = Some(outcome);
+            if !trie.terminals.is_empty() {
+                let session = self.at_boot(stats);
+                out.extend(run_root_terminals(trie, session, stats));
             }
-        }
-        for (delivery, child) in &trie.children {
-            self.at_boot(&mut stats);
-            let live = self.live.as_mut().expect("at_boot installs the session");
-            live.dirty = true;
-            let mut outcome = InjectionOutcome::default();
-            live.session.deliver(delivery, &mut outcome);
-            let shared = if child.plans_through >= 2 { 1 } else { 0 };
-            let mut out = Vec::new();
-            walk(
-                child,
-                live.session.as_mut(),
-                &mut outcome,
-                1,
-                shared,
-                &mut out,
-                &mut stats,
-            );
-            for (index, outcome) in out {
-                executed[index] = Some(outcome);
+            for (delivery, child) in &trie.children {
+                let session = self.at_boot(stats);
+                out.extend(run_subtree(delivery, child, session, stats));
             }
-        }
-        let results = plans
-            .into_iter()
-            .zip(executed)
-            .map(|(plan, outcome)| {
-                let outcome = outcome.expect("every plan index reaches exactly one trie terminal");
-                classify_session(self.target, witness, plan, outcome)
-            })
-            .collect();
-        (results, stats)
+            out
+        })
     }
 }

@@ -2,15 +2,18 @@
 //!
 //! A solver witness carries whatever values the model search happened to
 //! pick: don't-care bytes, arbitrary padding, incidental field choices.
-//! The minimizer shrinks a confirmed witness to the smallest set of fields
-//! that still reproduces its [`CrashSignature`], by resetting candidate
-//! fields to a benign baseline message and replaying — Zeller's delta
-//! debugging over the *field-difference set* between witness and baseline.
+//! The minimizer shrinks a confirmed witness to the smallest set of
+//! `(slot, field)` pairs that still reproduces its [`CrashSignature`], by
+//! resetting candidate fields to each slot's benign baseline message and
+//! replaying — Zeller's delta debugging over the *field-difference set*
+//! between witness and baseline. A single-message witness is the one-slot
+//! case.
 //!
 //! The output names the **essential fields**: the ones a developer has to
 //! look at to understand the bug (for the FSP length-mismatch family,
 //! `bb_len` and the NUL position; for PBFT, the corrupted authenticator;
-//! everything else resets to benign values).
+//! everything else resets to benign values) — and, for a session, which
+//! message of the sequence they sit in.
 //!
 //! Divergence Trojans get their own oracle: [`minimize_session_divergence`]
 //! preserves the *split structure* (same nodes, same delivery index, via
@@ -21,74 +24,13 @@
 use achilles::DivergenceSignature;
 
 use crate::signature::CrashSignature;
-use crate::target::{replay, replay_session, FaultPlan, FaultSchedule, ReplayTarget};
-use crate::witness::{fields_to_wire, ConcreteWitness, SessionWitness};
-
-/// A minimized witness plus its provenance.
-#[derive(Clone, Debug)]
-pub struct MinimizedWitness {
-    /// The reduced witness (essential fields keep their witness values,
-    /// every other field is the benign baseline).
-    pub witness: ConcreteWitness,
-    /// Indices of fields that kept their witness value.
-    pub essential: Vec<usize>,
-    /// Indices that differed from the baseline before minimization.
-    pub original_delta: Vec<usize>,
-    /// The preserved signature.
-    pub signature: CrashSignature,
-    /// Replays spent minimizing.
-    pub replays: usize,
-}
-
-impl MinimizedWitness {
-    /// Whether minimization strictly shrank the field-difference set.
-    pub fn strictly_shrunk(&self) -> bool {
-        self.essential.len() < self.original_delta.len()
-    }
-}
-
-/// Builds the candidate witness that keeps `kept` fields at their witness
-/// values and resets everything else to the baseline.
-fn project(
-    target: &dyn ReplayTarget,
-    witness: &ConcreteWitness,
-    baseline: &[u64],
-    kept: &[usize],
-) -> ConcreteWitness {
-    let mut fields = baseline.to_vec();
-    for &i in kept {
-        fields[i] = witness.fields[i];
-    }
-    let wire = fields_to_wire(&target.layout(), &fields).expect("projected witness encodes");
-    ConcreteWitness {
-        index: witness.index,
-        server_path_id: witness.server_path_id,
-        fields,
-        wire,
-    }
-}
-
-/// Replays the projection of `kept` and checks signature preservation.
-fn preserves(
-    target: &dyn ReplayTarget,
-    witness: &ConcreteWitness,
-    baseline: &[u64],
-    kept: &[usize],
-    faults: &FaultPlan,
-    want: &CrashSignature,
-    replays: &mut usize,
-) -> bool {
-    *replays += 1;
-    let candidate = project(target, witness, baseline, kept);
-    replay(target, &candidate, faults).signature == *want
-}
+use crate::target::{replay_session, FaultSchedule, ReplayTarget};
+use crate::witness::{fields_to_wire, SessionWitness};
 
 /// The ddmin complement loop, generic over the delta element: shrinks
 /// `original` to a (locally) minimal subset for which `keep_ok` still
 /// holds, in `O(|original|²)` probes worst-case — Zeller's delta debugging
-/// with increasing granularity. Shared by the single-message minimizer
-/// (elements are field indices) and the session minimizer (elements are
-/// `(slot, field)` pairs).
+/// with increasing granularity.
 fn ddmin<T: Clone>(original: &[T], mut keep_ok: impl FnMut(&[T]) -> bool) -> Vec<T> {
     let mut delta = original.to_vec();
     let mut granularity = 2usize;
@@ -122,52 +64,7 @@ fn ddmin<T: Clone>(original: &[T], mut keep_ok: impl FnMut(&[T]) -> bool) -> Vec
     delta
 }
 
-/// Minimizes a witness to the smallest field set preserving `signature`.
-///
-/// `signature` must be the signature of replaying `witness` under `faults`
-/// (callers normally pass a [`crate::target::ReplayResult::signature`]);
-/// the returned witness is guaranteed to reproduce it. Runs in
-/// `O(delta² )` replays worst-case, like classic ddmin.
-pub fn minimize(
-    target: &dyn ReplayTarget,
-    witness: &ConcreteWitness,
-    faults: &FaultPlan,
-    signature: &CrashSignature,
-) -> MinimizedWitness {
-    let baseline = target.benign_fields();
-    assert_eq!(
-        baseline.len(),
-        witness.fields.len(),
-        "baseline arity matches the layout"
-    );
-    let original_delta: Vec<usize> = (0..witness.fields.len())
-        .filter(|&i| witness.fields[i] != baseline[i])
-        .collect();
-    let mut replays = 0usize;
-
-    let delta = ddmin(&original_delta, |kept| {
-        preserves(
-            target,
-            witness,
-            &baseline,
-            kept,
-            faults,
-            signature,
-            &mut replays,
-        )
-    });
-
-    let minimized = project(target, witness, &baseline, &delta);
-    MinimizedWitness {
-        witness: minimized,
-        essential: delta,
-        original_delta,
-        signature: signature.clone(),
-        replays,
-    }
-}
-
-/// A minimized session witness plus its provenance.
+/// A minimized witness plus its provenance.
 #[derive(Clone, Debug)]
 pub struct MinimizedSessionWitness {
     /// The reduced session (essential fields keep their witness values,
@@ -218,19 +115,17 @@ fn project_session(
     }
 }
 
-/// Minimizes a session witness to the smallest `(slot, field)` set
-/// preserving `signature` — ddmin over the whole session's field-difference
-/// set against the per-slot benign baselines, so the essential set names
-/// both *which message of the sequence* matters and *which fields in it*.
-///
-/// `signature` must be the signature of replaying `witness` under
-/// `schedule` (normally a
-/// [`SessionReplayResult::signature`](crate::target::SessionReplayResult)).
-pub fn minimize_session(
+/// ddmin over `witness`'s `(slot, field)` difference set against the
+/// per-slot benign baselines: a candidate is kept when its replay under
+/// `schedule` satisfies `preserved` — the set-up both minimizers share;
+/// they differ only in the oracle. The result records `signature`, or —
+/// when `None` — the minimized witness's own (one more replay).
+fn minimize_by(
     target: &dyn ReplayTarget,
     witness: &SessionWitness,
     schedule: &FaultSchedule,
-    signature: &CrashSignature,
+    mut preserved: impl FnMut(&CrashSignature) -> bool,
+    signature: Option<&CrashSignature>,
 ) -> MinimizedSessionWitness {
     let baselines: Vec<Vec<u64>> = (0..witness.slots())
         .map(|s| target.slot_benign_fields(s))
@@ -252,21 +147,51 @@ pub fn minimize_session(
         })
         .collect();
     let mut replays = 0usize;
-
-    let delta = ddmin(&original_delta, |kept| {
+    let essential = ddmin(&original_delta, |kept| {
         replays += 1;
         let candidate = project_session(target, witness, &baselines, kept);
-        replay_session(target, &candidate, schedule).signature == *signature
+        preserved(&replay_session(target, &candidate, schedule).signature)
     });
-
-    let minimized = project_session(target, witness, &baselines, &delta);
+    let witness = project_session(target, witness, &baselines, &essential);
+    let signature = match signature {
+        Some(signature) => signature.clone(),
+        None => {
+            replays += 1;
+            replay_session(target, &witness, schedule).signature
+        }
+    };
     MinimizedSessionWitness {
-        witness: minimized,
-        essential: delta,
+        witness,
+        essential,
         original_delta,
-        signature: signature.clone(),
+        signature,
         replays,
     }
+}
+
+/// Minimizes a witness to the smallest `(slot, field)` set preserving
+/// `signature` — ddmin over the whole witness's field-difference set
+/// against the per-slot benign baselines, so the essential set names both
+/// *which message of the sequence* matters and *which fields in it*.
+///
+/// `signature` must be the signature of replaying `witness` under
+/// `schedule` (normally a
+/// [`SessionReplayResult::signature`](crate::target::SessionReplayResult));
+/// the returned witness is guaranteed to reproduce it. Runs in
+/// `O(delta²)` replays worst-case, like classic ddmin.
+pub fn minimize_session(
+    target: &dyn ReplayTarget,
+    witness: &SessionWitness,
+    schedule: &FaultSchedule,
+    signature: &CrashSignature,
+) -> MinimizedSessionWitness {
+    minimize_by(
+        target,
+        witness,
+        schedule,
+        |s| s == signature,
+        Some(signature),
+    )
 }
 
 /// Minimizes a session witness to the smallest `(slot, field)` set that
@@ -291,46 +216,13 @@ pub fn minimize_session_divergence(
     schedule: &FaultSchedule,
     divergence: &DivergenceSignature,
 ) -> MinimizedSessionWitness {
-    let baselines: Vec<Vec<u64>> = (0..witness.slots())
-        .map(|s| target.slot_benign_fields(s))
-        .collect();
-    for (slot, (b, w)) in baselines.iter().zip(&witness.fields).enumerate() {
-        assert_eq!(b.len(), w.len(), "slot {slot} baseline arity matches");
-    }
-    let original_delta: Vec<(usize, usize)> = witness
-        .fields
-        .iter()
-        .enumerate()
-        .flat_map(|(slot, fields)| {
-            let baseline = &baselines[slot];
-            fields
-                .iter()
-                .enumerate()
-                .filter(move |&(i, &v)| v != baseline[i])
-                .map(move |(i, _)| (slot, i))
-        })
-        .collect();
-    let mut replays = 0usize;
-
-    let delta = ddmin(&original_delta, |kept| {
-        replays += 1;
-        let candidate = project_session(target, witness, &baselines, kept);
-        replay_session(target, &candidate, schedule)
-            .signature
-            .divergence()
-            .is_some_and(|d| d.same_split(divergence))
-    });
-
-    let minimized = project_session(target, witness, &baselines, &delta);
-    replays += 1;
-    let signature = replay_session(target, &minimized, schedule).signature;
-    MinimizedSessionWitness {
-        witness: minimized,
-        essential: delta,
-        original_delta,
-        signature,
-        replays,
-    }
+    minimize_by(
+        target,
+        witness,
+        schedule,
+        |s| s.divergence().is_some_and(|d| d.same_split(divergence)),
+        None,
+    )
 }
 
 #[cfg(test)]
@@ -339,13 +231,12 @@ mod tests {
     use crate::target::ReplayVerdict;
     use achilles_fsp::{Command, FspMessage, FspServerConfig, FspTarget};
 
-    fn witness_of(msg: &FspMessage) -> ConcreteWitness {
-        let wire = msg.to_wire();
-        ConcreteWitness {
+    fn witness_of(msg: &FspMessage) -> SessionWitness {
+        SessionWitness {
             index: 0,
             server_path_id: 0,
-            fields: msg.field_values(),
-            wire,
+            fields: vec![msg.field_values()],
+            wire: vec![msg.to_wire()],
         }
     }
 
@@ -357,14 +248,15 @@ mod tests {
         // The path bytes around the star are incidental; the star is the bug.
         let msg = FspMessage::request(Command::DelFile, b"x*yz");
         let witness = witness_of(&msg);
-        let full = replay(&target, &witness, &FaultPlan::none());
+        let none = FaultSchedule::none();
+        let full = replay_session(&target, &witness, &none);
         assert_eq!(full.verdict, ReplayVerdict::ConfirmedTrojan);
-        let min = minimize(&target, &witness, &FaultPlan::none(), &full.signature);
+        let min = minimize_session(&target, &witness, &none, &full.signature);
         assert!(min.strictly_shrunk(), "essential {:?}", min.essential);
         // The star byte must survive: field buf[1] = index BUF_BASE + 1.
-        assert!(min.essential.contains(&(achilles_fsp::BUF_BASE + 1)));
+        assert!(min.essential.contains(&(0, achilles_fsp::BUF_BASE + 1)));
         // Re-replay of the minimized witness reproduces the signature.
-        let again = replay(&target, &min.witness, &FaultPlan::none());
+        let again = replay_session(&target, &min.witness, &none);
         assert_eq!(again.signature, min.signature);
     }
 
@@ -375,8 +267,9 @@ mod tests {
         // signature depends on entirely.
         let msg = FspMessage::request(Command::GetDir, b"f1");
         let witness = witness_of(&msg);
-        let full = replay(&target, &witness, &FaultPlan::none());
-        let min = minimize(&target, &witness, &FaultPlan::none(), &full.signature);
+        let none = FaultSchedule::none();
+        let full = replay_session(&target, &witness, &none);
+        let min = minimize_session(&target, &witness, &none, &full.signature);
         assert!(min.essential.is_empty(), "witness equals the baseline");
         assert_eq!(min.replays, 0, "no delta, no replays");
     }

@@ -18,10 +18,10 @@ pub struct CrashSignature {
     pub system: String,
     /// The replay verdict the outcome maps to.
     pub verdict: ReplayVerdict,
-    /// Number of session slots the replayed witness carried (`1` for
-    /// single-message witnesses). Part of the identity: a session failure
-    /// and a single-message failure with the same effects are different
-    /// bugs — one needs the whole sequence to reproduce.
+    /// Number of slots the replayed witness carried (`1` for a single
+    /// message). Part of the identity: a multi-message failure and a
+    /// single-message failure with the same effects are different bugs —
+    /// one needs the whole sequence to reproduce.
     pub slots: usize,
     /// Sorted structural effect notes (reply codes, filesystem mutations,
     /// recovery events, triage families, session slot attributions).
@@ -29,8 +29,9 @@ pub struct CrashSignature {
 }
 
 impl CrashSignature {
-    /// Builds a single-message signature, sorting and deduplicating the
-    /// effect notes so equality is insensitive to observation order.
+    /// Builds the signature of a witness of `slots` messages (`1` for a
+    /// single message), sorting and deduplicating the effect notes so
+    /// equality is insensitive to observation order.
     ///
     /// Effect notes are sanitized *here* — the corpus line format's
     /// delimiters (`|`, `;`, newline) become `_` — so the in-memory
@@ -38,11 +39,6 @@ impl CrashSignature {
     /// flow into effects (an FSP filename can contain `;`), and a
     /// signature that mutates on save/load would break corpus dedup
     /// across runs.
-    pub fn new(system: &str, verdict: ReplayVerdict, effects: Vec<String>) -> CrashSignature {
-        CrashSignature::for_session(system, verdict, 1, effects)
-    }
-
-    /// [`CrashSignature::new`] for a session witness of `slots` messages.
     pub fn for_session(
         system: &str,
         verdict: ReplayVerdict,
@@ -64,8 +60,8 @@ impl CrashSignature {
     }
 
     /// Serializes to the single-line corpus form:
-    /// `system/verdict/effect;effect;…` for single-message signatures,
-    /// `system/verdict@s<N>/…` for session signatures of `N` slots.
+    /// `system/verdict/effect;effect;…` for one-slot signatures,
+    /// `system/verdict@s<N>/…` for signatures of `N > 1` slots.
     pub fn to_line(&self) -> String {
         let verdict = if self.slots == 1 {
             self.verdict.as_str().to_string()
@@ -91,7 +87,7 @@ impl CrashSignature {
     }
 
     /// Parses the [`CrashSignature::to_line`] form (a verdict without the
-    /// `@s<N>` marker is a single-message signature).
+    /// `@s<N>` marker is a one-slot signature).
     pub fn from_line(line: &str) -> Option<CrashSignature> {
         let mut parts = line.splitn(3, '/');
         let system = parts.next()?;
@@ -125,14 +121,16 @@ mod tests {
 
     #[test]
     fn effects_are_order_insensitive() {
-        let a = CrashSignature::new(
+        let a = CrashSignature::for_session(
             "fsp",
             ReplayVerdict::ConfirmedTrojan,
+            1,
             vec!["b".into(), "a".into(), "a".into()],
         );
-        let b = CrashSignature::new(
+        let b = CrashSignature::for_session(
             "fsp",
             ReplayVerdict::ConfirmedTrojan,
+            1,
             vec!["a".into(), "b".into()],
         );
         assert_eq!(a, b);
@@ -140,13 +138,14 @@ mod tests {
 
     #[test]
     fn line_round_trip() {
-        let sig = CrashSignature::new(
+        let sig = CrashSignature::for_session(
             "pbft",
             ReplayVerdict::ConfirmedTrojan,
+            1,
             vec!["outcome:recovered".into(), "bad_macs:1".into()],
         );
         assert_eq!(CrashSignature::from_line(&sig.to_line()), Some(sig));
-        let empty = CrashSignature::new("paxos", ReplayVerdict::Rejected, vec![]);
+        let empty = CrashSignature::for_session("paxos", ReplayVerdict::Rejected, 1, vec![]);
         assert_eq!(CrashSignature::from_line(&empty.to_line()), Some(empty));
     }
 
@@ -171,9 +170,10 @@ mod tests {
             Some(session.clone())
         );
         assert!(session.to_line().contains("@s2"), "{}", session.to_line());
-        let single = CrashSignature::new(
+        let single = CrashSignature::for_session(
             "fsp",
             ReplayVerdict::ConfirmedTrojan,
+            1,
             vec!["family:forged-login".into(), "trojan-slot:0".into()],
         );
         assert_ne!(session, single, "slot count is part of the identity");
@@ -218,9 +218,10 @@ mod tests {
     fn delimiter_bearing_effects_round_trip() {
         // Witness bytes flow into effects (e.g. an FSP filename "d;x"):
         // the signature must equal its serialized round trip anyway.
-        let sig = CrashSignature::new(
+        let sig = CrashSignature::for_session(
             "fsp",
             ReplayVerdict::ConfirmedTrojan,
+            1,
             vec!["fs:+d;x".into(), "fs:+a|b".into()],
         );
         assert_eq!(CrashSignature::from_line(&sig.to_line()), Some(sig.clone()));

@@ -3,36 +3,37 @@
 //! The paper's pipeline does not stop at symbolic discovery — every
 //! candidate was validated by injecting the concrete message into a real
 //! deployment and observing the failure. This module closes that loop for
-//! the reproduction: [`validate_trojans`] concretizes each report, fires
-//! it at a [`ReplayTarget`] (fanning out over
-//! [`achilles_symvm::parallel_map`] when `workers > 1` — replay is a pure
-//! function of the witness, so results are identical for every worker
-//! count), dedups confirmed failures by [`CrashSignature`], and optionally
-//! consults/extends a persistent [`ReplayCorpus`].
+//! the reproduction: [`validate_trojans`] concretizes each report (split
+//! into the target's slots — one for a single message), fires it at a
+//! [`ReplayTarget`] (fanning out over [`achilles_symvm::parallel_map`]
+//! when `workers > 1` — replay is a pure function of the witness, so
+//! results are identical for every worker count), dedups confirmed
+//! failures by [`CrashSignature`], and optionally consults/extends a
+//! persistent [`ReplayCorpus`].
 
 use std::time::{Duration, Instant};
 
-use achilles::{AchillesReport, SessionReport, TrojanReport};
+use achilles::{SessionReport, TrojanReport};
 use achilles_symvm::parallel_map;
 
 use crate::corpus::{CorpusEntry, ReplayCorpus};
-use crate::minimize::{minimize, minimize_session, MinimizedSessionWitness};
+use crate::minimize::{minimize_session, MinimizedSessionWitness};
 use crate::signature::CrashSignature;
 use crate::target::{
-    replay, replay_session, FaultPlan, FaultSchedule, ReplayResult, ReplayTarget, ReplayVerdict,
-    SessionReplayResult,
+    replay_session, FaultSchedule, ReplayTarget, ReplayVerdict, SessionReplayResult,
 };
-use crate::witness::{from_report, session_from_report};
+use crate::witness::session_from_report;
 
 /// Configuration of one validation run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct ValidateConfig {
     /// Worker threads for the witness fan-out (1 = inline).
     pub workers: usize,
-    /// Network faults applied to every injection.
-    pub faults: FaultPlan,
-    /// ddmin-minimize each confirmed witness that is the first of its
-    /// signature (minimization costs `O(delta²)` replays per witness).
+    /// Per-delivery fault schedule applied to every injection.
+    pub schedule: FaultSchedule,
+    /// ddmin-minimize (over slots × fields) each confirmed witness that is
+    /// the first of its signature (minimization costs `O(delta²)` replays
+    /// per witness).
     pub minimize: bool,
 }
 
@@ -40,7 +41,7 @@ impl Default for ValidateConfig {
     fn default() -> ValidateConfig {
         ValidateConfig {
             workers: 1,
-            faults: FaultPlan::none(),
+            schedule: FaultSchedule::none(),
             minimize: false,
         }
     }
@@ -59,15 +60,16 @@ impl ValidateConfig {
 pub struct ValidationSummary {
     /// Per-witness replay results, in report order (skipped witnesses are
     /// absent).
-    pub results: Vec<ReplayResult>,
+    pub results: Vec<SessionReplayResult>,
     /// Distinct confirmed crash signatures, in first-seen order.
     pub confirmed_signatures: Vec<CrashSignature>,
-    /// Minimized witnesses (parallel to `confirmed_signatures` when
+    /// Minimized witnesses (the first witness of each new signature, when
     /// minimization is on; empty otherwise).
-    pub minimized: Vec<crate::minimize::MinimizedWitness>,
+    pub minimized: Vec<MinimizedSessionWitness>,
     /// Witnesses replayed.
     pub replayed: usize,
-    /// Witnesses skipped because the corpus already knew their exact bytes.
+    /// Witnesses skipped because the corpus already knew their exact
+    /// per-slot field values.
     pub skipped_known: usize,
     /// Replays that confirmed a Trojan (accepted and ungenerable).
     pub confirmed: usize,
@@ -94,13 +96,19 @@ impl ValidationSummary {
     }
 }
 
-/// Replays `reports` against `target`, updating `corpus` with newly
-/// confirmed Trojans.
+/// Replays `reports` against `target` under `config.schedule`, updating
+/// `corpus` with newly confirmed Trojans.
 ///
-/// Witnesses whose exact field values the corpus already contains are
-/// skipped (re-analysis of an unchanged system re-validates nothing);
-/// fresh witnesses of *known* signatures replay but do not re-enter the
-/// corpus or the minimization queue.
+/// Each report's witness fields are split by the target's
+/// [`slot_layouts`](ReplayTarget::slot_layouts). Witnesses whose exact
+/// per-slot field values the corpus already contains are skipped
+/// (re-analysis of an unchanged system re-validates nothing); fresh
+/// witnesses of *known* signatures replay but do not re-enter the
+/// minimization queue.
+///
+/// # Panics
+///
+/// Panics if a report's arity does not match the target's slot layouts.
 pub fn validate_trojans(
     target: &dyn ReplayTarget,
     reports: &[TrojanReport],
@@ -108,23 +116,25 @@ pub fn validate_trojans(
     config: &ValidateConfig,
 ) -> ValidationSummary {
     let started = Instant::now();
-    let layout = target.layout();
+    let layouts = target.slot_layouts();
 
     let mut skipped_known = 0usize;
     let witnesses: Vec<_> = reports
         .iter()
         .enumerate()
         .filter_map(|(i, r)| {
-            if corpus.knows_witness(&r.witness_fields) {
+            let witness =
+                session_from_report(&layouts, i, r).expect("analysis layouts are wire-encodable");
+            if corpus.knows_witness(&witness.fields) {
                 skipped_known += 1;
                 return None;
             }
-            Some(from_report(&layout, i, r).expect("analysis layouts are wire-encodable"))
+            Some(witness)
         })
         .collect();
 
-    let results: Vec<ReplayResult> = parallel_map(config.workers, &witnesses, |_, w| {
-        replay(target, w, &config.faults)
+    let results: Vec<SessionReplayResult> = parallel_map(config.workers, &witnesses, |_, w| {
+        replay_session(target, w, &config.schedule)
     });
 
     let mut summary = ValidationSummary {
@@ -147,164 +157,6 @@ pub fn validate_trojans(
             // skips its exact bytes); only the first witness of a signature
             // is worth the O(delta²) minimization.
             let essential = if config.minimize && first_of_signature {
-                let min = minimize(target, &result.witness, &config.faults, &result.signature);
-                let essential = min.essential.clone();
-                summary.minimized.push(min);
-                essential
-            } else {
-                Vec::new()
-            };
-            corpus.insert(CorpusEntry::single(
-                result.signature.clone(),
-                result.witness.fields.clone(),
-                essential,
-            ));
-        }
-        summary.results.push(result);
-    }
-    summary.elapsed = started.elapsed();
-    summary
-}
-
-/// Runs validation as a pipeline phase over a full [`AchillesReport`],
-/// charging the wall-clock to [`PhaseTimes::validate`].
-///
-/// [`PhaseTimes::validate`]: achilles::PhaseTimes
-pub fn validate_pipeline_report(
-    target: &dyn ReplayTarget,
-    report: &mut AchillesReport,
-    corpus: &mut ReplayCorpus,
-    config: &ValidateConfig,
-) -> ValidationSummary {
-    let summary = validate_trojans(target, &report.trojans, corpus, config);
-    report.phase_times.validate = summary.elapsed;
-    summary
-}
-
-/// Replays `reports` against the concrete deployment of a
-/// [`TargetSpec`](achilles::TargetSpec) — the registry-driven form of
-/// [`validate_trojans`]: the spec's
-/// [`replay_target`](achilles::TargetSpec::replay_target) factory supplies
-/// the deployment, so callers never name a protocol.
-pub fn validate_spec(
-    spec: &dyn achilles::TargetSpec,
-    reports: &[TrojanReport],
-    corpus: &mut ReplayCorpus,
-    config: &ValidateConfig,
-) -> ValidationSummary {
-    let target = spec.replay_target();
-    validate_trojans(&*target, reports, corpus, config)
-}
-
-// ---------------------------------------------------------------------------
-// Session (multi-message) validation
-// ---------------------------------------------------------------------------
-
-/// Configuration of one session-validation run.
-#[derive(Clone, Debug, Default)]
-pub struct SessionValidateConfig {
-    /// Worker threads for the witness fan-out (0/1 = inline).
-    pub workers: usize,
-    /// Per-delivery fault schedule applied to every injection.
-    pub schedule: FaultSchedule,
-    /// ddmin-minimize (over slots × fields) each confirmed witness that is
-    /// the first of its signature.
-    pub minimize: bool,
-}
-
-impl SessionValidateConfig {
-    /// Fan the replay out over `n` threads.
-    pub fn with_workers(mut self, n: usize) -> SessionValidateConfig {
-        self.workers = n.max(1);
-        self
-    }
-}
-
-/// Everything one session-validation pass produces.
-#[derive(Debug)]
-pub struct SessionValidationSummary {
-    /// Per-witness replay results, in report order (skipped witnesses are
-    /// absent).
-    pub results: Vec<SessionReplayResult>,
-    /// Distinct confirmed crash signatures, in first-seen order.
-    pub confirmed_signatures: Vec<CrashSignature>,
-    /// Minimized witnesses (first witness of each new signature, when
-    /// minimization is on).
-    pub minimized: Vec<MinimizedSessionWitness>,
-    /// Witnesses replayed.
-    pub replayed: usize,
-    /// Witnesses skipped because the corpus already knew their exact
-    /// per-slot bytes.
-    pub skipped_known: usize,
-    /// Replays that confirmed a session Trojan.
-    pub confirmed: usize,
-    /// Wall-clock time of the whole pass.
-    pub elapsed: Duration,
-}
-
-impl SessionValidationSummary {
-    /// Fraction of replayed witnesses that confirmed, in `[0, 1]`.
-    pub fn confirmation_rate(&self) -> f64 {
-        if self.replayed == 0 {
-            return 1.0;
-        }
-        self.confirmed as f64 / self.replayed as f64
-    }
-}
-
-/// Replays a [`SessionReport`]'s Trojans against `target` under a fault
-/// schedule, updating `corpus` with newly confirmed session witnesses —
-/// the session analogue of [`validate_trojans`], with the same corpus
-/// incrementality (known per-slot byte sequences are skipped) and the same
-/// worker-count-invariant [`parallel_map`] fan-out.
-pub fn validate_session_trojans(
-    target: &dyn ReplayTarget,
-    session: &SessionReport,
-    corpus: &mut ReplayCorpus,
-    config: &SessionValidateConfig,
-) -> SessionValidationSummary {
-    let started = Instant::now();
-
-    let mut skipped_known = 0usize;
-    let witnesses: Vec<_> = session
-        .trojans
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| {
-            let slot_fields = session.split_fields(&r.witness_fields);
-            if corpus.knows_session_witness(&slot_fields) {
-                skipped_known += 1;
-                return None;
-            }
-            Some(
-                session_from_report(&session.layouts, i, r)
-                    .expect("session layouts are wire-encodable"),
-            )
-        })
-        .collect();
-
-    let results: Vec<SessionReplayResult> =
-        parallel_map(config.workers.max(1), &witnesses, |_, w| {
-            replay_session(target, w, &config.schedule)
-        });
-
-    let mut summary = SessionValidationSummary {
-        results: Vec::with_capacity(results.len()),
-        confirmed_signatures: Vec::new(),
-        minimized: Vec::new(),
-        replayed: results.len(),
-        skipped_known,
-        confirmed: 0,
-        elapsed: Duration::ZERO,
-    };
-    for result in results {
-        if result.verdict == ReplayVerdict::ConfirmedTrojan {
-            summary.confirmed += 1;
-            let first_of_signature = !corpus.knows_signature(&result.signature);
-            if first_of_signature {
-                summary.confirmed_signatures.push(result.signature.clone());
-            }
-            let essential: Vec<(usize, usize)> = if config.minimize && first_of_signature {
                 let min =
                     minimize_session(target, &result.witness, &config.schedule, &result.signature);
                 let essential = min.essential.clone();
@@ -325,33 +177,34 @@ pub fn validate_session_trojans(
     summary
 }
 
-/// Replays a [`SessionReport`] against the session deployment of its
+/// Replays single-message `reports` against the concrete deployment of a
 /// [`TargetSpec`](achilles::TargetSpec) — the registry-driven form of
-/// [`validate_session_trojans`]: the spec's
+/// [`validate_trojans`]: the spec's
+/// [`replay_target`](achilles::TargetSpec::replay_target) factory supplies
+/// the deployment, so callers never name a protocol.
+pub fn validate_spec(
+    spec: &dyn achilles::TargetSpec,
+    reports: &[TrojanReport],
+    corpus: &mut ReplayCorpus,
+    config: &ValidateConfig,
+) -> ValidationSummary {
+    let target = spec.replay_target();
+    validate_trojans(&*target, reports, corpus, config)
+}
+
+/// Replays a [`SessionReport`]'s Trojans against the session deployment of
+/// its [`TargetSpec`](achilles::TargetSpec) — the registry-driven session
+/// form of [`validate_trojans`]: the spec's
 /// [`session_replay_target`](achilles::TargetSpec::session_replay_target)
-/// factory supplies the deployment, so callers never name a protocol.
+/// factory supplies the deployment.
 pub fn validate_spec_sessions(
     spec: &dyn achilles::TargetSpec,
     session: &SessionReport,
     corpus: &mut ReplayCorpus,
-    config: &SessionValidateConfig,
-) -> SessionValidationSummary {
-    let target = spec.session_replay_target(&session.session);
-    validate_session_trojans(&*target, session, corpus, config)
-}
-
-/// [`validate_spec`] over a full pipeline report, charging the wall-clock
-/// to [`PhaseTimes::validate`](achilles::PhaseTimes) — the natural tail of
-/// an [`AchillesSession`](achilles::AchillesSession) run.
-pub fn validate_session(
-    spec: &dyn achilles::TargetSpec,
-    report: &mut AchillesReport,
-    corpus: &mut ReplayCorpus,
     config: &ValidateConfig,
 ) -> ValidationSummary {
-    let summary = validate_spec(spec, &report.trojans, corpus, config);
-    report.phase_times.validate = summary.elapsed;
-    summary
+    let target = spec.session_replay_target(&session.session);
+    validate_trojans(&*target, &session.trojans, corpus, config)
 }
 
 #[cfg(test)]
@@ -434,9 +287,13 @@ mod tests {
         };
         let summary = validate_trojans(&target, &reports, &mut corpus, &config);
         assert_eq!(summary.minimized.len(), 1);
-        assert_eq!(
-            corpus.entries()[0].essential,
-            summary.minimized[0].essential
-        );
+        // One slot: essential `(0, field)` pairs are stored as field
+        // indices.
+        let essential: Vec<usize> = summary.minimized[0]
+            .essential
+            .iter()
+            .map(|&(_, field)| field)
+            .collect();
+        assert_eq!(corpus.entries()[0].essential, essential);
     }
 }

@@ -87,30 +87,20 @@ impl ReplayTarget for ShardexecTarget {
         "shardexec"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        write_layout()
+    fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> {
+        vec![write_layout()]
     }
 
-    fn benign_fields(&self) -> Vec<u64> {
+    fn slot_benign_fields(&self, _slot: usize) -> Vec<u64> {
         ShardWrite::correct(0, 1).field_values()
     }
 
-    fn client_generable(&self, fields: &[u64]) -> bool {
+    fn slot_generable(&self, _slot: usize, fields: &[u64]) -> bool {
         write_generable(fields)
     }
 
-    fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
-        let mut session = ShardexecForkSession::boot(self.config);
-        let mut outcome = InjectionOutcome::default();
-        for delivery in deliveries {
-            session.deliver(delivery, &mut outcome);
-        }
-        session.finish(&mut outcome);
-        outcome
-    }
-
-    fn boot_fork(&self) -> Option<Box<dyn SnapshotReplayTarget + '_>> {
-        Some(Box::new(ShardexecForkSession::boot(self.config)))
+    fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+        Box::new(ShardexecForkSession::boot(self.config))
     }
 
     fn reports_state_roots(&self) -> bool {
@@ -118,11 +108,9 @@ impl ReplayTarget for ShardexecTarget {
     }
 }
 
-/// The incremental deployment behind [`ShardexecTarget`]: one live
-/// cluster plus the divergence probe. `inject` is a boot → deliver-each
-/// → finish loop over this struct, so fork-server replay is equivalent
-/// to cold-boot by construction — probe included, because the probe
-/// rides in the snapshot payload.
+/// The booted deployment behind [`ShardexecTarget`]: one live cluster
+/// plus the divergence probe. The probe rides in the snapshot payload, so
+/// a restored session rewinds the observation history with the cluster.
 struct ShardexecForkSession {
     cluster: ShardCluster,
     probe: DivergenceProbe,
@@ -212,18 +200,6 @@ impl ReplayTarget for ShardexecSessionTarget {
         "shardexec"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        write_layout()
-    }
-
-    fn benign_fields(&self) -> Vec<u64> {
-        ShardWrite::correct(0, 1).field_values()
-    }
-
-    fn client_generable(&self, fields: &[u64]) -> bool {
-        write_generable(fields)
-    }
-
     fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> {
         vec![write_layout(), sync_layout(), read_layout()]
     }
@@ -244,18 +220,8 @@ impl ReplayTarget for ShardexecSessionTarget {
         }
     }
 
-    fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
-        let mut session = ShardexecSessionForkSession::boot(self.config);
-        let mut outcome = InjectionOutcome::default();
-        for delivery in deliveries {
-            session.deliver(delivery, &mut outcome);
-        }
-        session.finish(&mut outcome);
-        outcome
-    }
-
-    fn boot_fork(&self) -> Option<Box<dyn SnapshotReplayTarget + '_>> {
-        Some(Box::new(ShardexecSessionForkSession::boot(self.config)))
+    fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+        Box::new(ShardexecSessionForkSession::boot(self.config))
     }
 
     fn reports_state_roots(&self) -> bool {
@@ -614,14 +580,14 @@ mod tests {
         assert_eq!(outcome.accepted_each, vec![true]);
         assert!(outcome.effects.contains(&"family:sender-spoof".to_string()));
         assert!(diverged(&outcome));
-        assert!(!target.client_generable(&forged.field_values()));
+        assert!(!target.slot_generable(0, &forged.field_values()));
 
         // An authentic write stays converged.
         let benign = ShardWrite::correct(1, 40);
         let outcome = target.inject(&[(benign.to_wire(), true)]);
         assert_eq!(outcome.accepted_each, vec![true]);
         assert!(!diverged(&outcome));
-        assert!(target.client_generable(&benign.field_values()));
+        assert!(target.slot_generable(0, &benign.field_values()));
     }
 
     #[test]

@@ -34,9 +34,9 @@ pub struct CampaignConfig {
     /// Worker threads for the per-witness schedule fan-out (and the
     /// session discovery; 0/1 = inline).
     pub workers: usize,
-    /// Replay fresh cells through the snapshot fork-server when the target
-    /// supports it (default). `false` forces cold per-cell boots — the
-    /// `--no-fork` baseline; classifications are bit-identical either way.
+    /// Replay fresh cells through the snapshot fork-server (default).
+    /// `false` forces cold per-cell boots — the `--no-fork` baseline;
+    /// classifications are bit-identical either way.
     pub fork: bool,
 }
 
@@ -178,7 +178,7 @@ pub fn sweep_witness_on(
         }
     }
     stats.replayed += fresh.len();
-    let (replayed, fork_stats) = server.replay(witness, &fresh);
+    let (replayed, fork_stats) = server.replay_schedules(witness, &fresh);
     stats.workers_effective = workers.max(1).min(fork_stats.branches).max(1);
     stats.fork = fork_stats;
 

@@ -1,7 +1,7 @@
 //! # achilles-sweep — fault-schedule campaigns with arming/disarming triage
 //!
 //! The pipeline so far validates each session Trojan under a *single*
-//! fault plan. The interesting question for a session Trojan is *which*
+//! fault schedule. The interesting question for a session Trojan is *which*
 //! delivery faults arm or disarm it: the 2008 S3 outage happened because
 //! one specific corruption in one specific delivery position survived
 //! every other scheduling accident, and arXiv:2006.06045's implicit
@@ -22,10 +22,9 @@
 //!    bit-identical for every worker count — with a persistent
 //!    [`SweepCache`] that makes re-campaigns incremental. Fresh cells go
 //!    through the replay fork-server
-//!    ([`achilles_replay::replay_session_forked`]) when the target is
-//!    snapshottable: schedules sharing a delivery prefix resume from a
-//!    snapshot instead of cold-booting, with classifications pinned
-//!    bit-identical to cold replay (disable via
+//!    ([`achilles_replay::replay_session_forked`]): schedules sharing a
+//!    delivery prefix resume from a snapshot instead of cold-booting, with
+//!    classifications pinned bit-identical to cold replay (disable via
 //!    [`CampaignConfig::without_fork`]).
 //! 3. **Triage** ([`matrix`]): each outcome is classified
 //!    [`Armed`](ScheduleClass::Armed) /

@@ -36,21 +36,18 @@ impl TwopcTarget {
     pub fn new(config: CoordinatorConfig) -> TwopcTarget {
         TwopcTarget { config }
     }
+}
 
-    /// Boots the scenario: every participant has a recorded commit vote on
-    /// every transaction, so any injected vote overwrites one tally slot
-    /// and re-runs the (quorum-complete) decision handler — the injected
-    /// byte decides, and an out-of-domain byte detonates the jump table
-    /// immediately.
-    fn boot(&self) -> Coordinator {
-        let mut coordinator = Coordinator::new(self.config);
-        for txid in 0..MAX_TXID as u16 {
-            for participant in 0..N_PARTICIPANTS as u8 {
-                assert!(coordinator.on_vote(txid, participant, 1));
-            }
-        }
-        coordinator
-    }
+/// A correct participant's vote: a commit/abort byte inside the decision
+/// table, for a known transaction and participant.
+fn vote_generable(fields: &[u64]) -> bool {
+    let [kind, txid, participant, vote] = fields else {
+        return false;
+    };
+    *kind == VOTE_KIND
+        && *txid < MAX_TXID
+        && *participant < N_PARTICIPANTS
+        && *vote < u64::from(DECISION_TABLE_LEN)
 }
 
 impl ReplayTarget for TwopcTarget {
@@ -58,36 +55,20 @@ impl ReplayTarget for TwopcTarget {
         "twopc"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        layout()
+    fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> {
+        vec![layout()]
     }
 
-    fn benign_fields(&self) -> Vec<u64> {
+    fn slot_benign_fields(&self, _slot: usize) -> Vec<u64> {
         TwopcVote::correct(0, (N_PARTICIPANTS - 1) as u8, true).field_values()
     }
 
-    fn client_generable(&self, fields: &[u64]) -> bool {
-        let [kind, txid, participant, vote] = fields else {
-            return false;
-        };
-        *kind == VOTE_KIND
-            && *txid < MAX_TXID
-            && *participant < N_PARTICIPANTS
-            && *vote < u64::from(DECISION_TABLE_LEN)
+    fn slot_generable(&self, _slot: usize, fields: &[u64]) -> bool {
+        vote_generable(fields)
     }
 
-    fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
-        let mut session = TwopcForkSession::boot(self.boot());
-        let mut outcome = InjectionOutcome::default();
-        for delivery in deliveries {
-            session.deliver(delivery, &mut outcome);
-        }
-        session.finish(&mut outcome);
-        outcome
-    }
-
-    fn boot_fork(&self) -> Option<Box<dyn SnapshotReplayTarget + '_>> {
-        Some(Box::new(TwopcForkSession::boot(self.boot())))
+    fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+        Box::new(TwopcForkSession::boot(self.config))
     }
 }
 
@@ -100,7 +81,18 @@ struct TwopcForkSession {
 }
 
 impl TwopcForkSession {
-    fn boot(coordinator: Coordinator) -> TwopcForkSession {
+    /// Boots the scenario: every participant has a recorded commit vote on
+    /// every transaction, so any injected vote overwrites one tally slot
+    /// and re-runs the (quorum-complete) decision handler — the injected
+    /// byte decides, and an out-of-domain byte detonates the jump table
+    /// immediately.
+    fn boot(config: CoordinatorConfig) -> TwopcForkSession {
+        let mut coordinator = Coordinator::new(config);
+        for txid in 0..MAX_TXID as u16 {
+            for participant in 0..N_PARTICIPANTS as u8 {
+                assert!(coordinator.on_vote(txid, participant, 1));
+            }
+        }
         TwopcForkSession {
             coordinator,
             witness_tx: None,
@@ -203,18 +195,6 @@ impl ReplayTarget for TwopcSessionTarget {
         "twopc"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        layout()
-    }
-
-    fn benign_fields(&self) -> Vec<u64> {
-        TwopcVote::correct(0, 0, true).field_values()
-    }
-
-    fn client_generable(&self, fields: &[u64]) -> bool {
-        TwopcTarget::default().client_generable(fields)
-    }
-
     fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> {
         vec![layout(), decide_layout()]
     }
@@ -229,24 +209,14 @@ impl ReplayTarget for TwopcSessionTarget {
 
     fn slot_generable(&self, slot: usize, fields: &[u64]) -> bool {
         if slot == 0 {
-            self.client_generable(fields)
+            vote_generable(fields)
         } else {
             TwopcSessionTarget::decide_generable(fields)
         }
     }
 
-    fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
-        let mut session = TwopcSessionForkSession::boot(self.config);
-        let mut outcome = InjectionOutcome::default();
-        for delivery in deliveries {
-            session.deliver(delivery, &mut outcome);
-        }
-        session.finish(&mut outcome);
-        outcome
-    }
-
-    fn boot_fork(&self) -> Option<Box<dyn SnapshotReplayTarget + '_>> {
-        Some(Box::new(TwopcSessionForkSession::boot(self.config)))
+    fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+        Box::new(TwopcSessionForkSession::boot(self.config))
     }
 }
 
@@ -578,13 +548,13 @@ mod tests {
         assert!(outcome
             .effects
             .contains(&"decision:forged-quorum".to_string()));
-        assert!(!target.client_generable(&trojan.field_values()));
+        assert!(!target.slot_generable(0, &trojan.field_values()));
 
         // A benign final commit vote decides cleanly.
         let benign = TwopcVote::correct(2, 2, true);
         let outcome = target.inject(&[(benign.to_wire(), true)]);
         assert_eq!(outcome.accepted_each, vec![true]);
         assert!(outcome.effects.contains(&"decision:commit".to_string()));
-        assert!(target.client_generable(&benign.field_values()));
+        assert!(target.slot_generable(0, &benign.field_values()));
     }
 }

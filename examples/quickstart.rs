@@ -39,8 +39,7 @@ use achilles::{
     TargetSnapshot, TargetSpec,
 };
 use achilles_replay::{
-    validate_spec, validate_spec_sessions, ReplayCorpus, ReplayVerdict, SessionValidateConfig,
-    ValidateConfig,
+    validate_spec, validate_spec_sessions, ReplayCorpus, ReplayVerdict, ValidateConfig,
 };
 use achilles_solver::{render_conjunction, Width};
 use achilles_symvm::{MessageLayout, NodeProgram, PathResult, SymEnv, SymMessage};
@@ -190,8 +189,8 @@ fn session_server(env: &mut SymEnv<'_>) -> PathResult<()> {
     server(env)
 }
 
-/// The concrete §2 server, bootable per injection: the same checks as the
-/// symbolic program, acting on a real data array.
+/// The concrete §2 deployment: one message slot, its oracles, and a
+/// bootable server (step 2 of the porting guide).
 struct QuickstartTarget;
 
 impl ReplayTarget for QuickstartTarget {
@@ -199,11 +198,11 @@ impl ReplayTarget for QuickstartTarget {
         "quickstart"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        layout()
+    fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> {
+        vec![layout()]
     }
 
-    fn benign_fields(&self) -> Vec<u64> {
+    fn slot_benign_fields(&self, _slot: usize) -> Vec<u64> {
         let (sender, request, address) = (1, READ, 5);
         vec![
             sender,
@@ -214,7 +213,7 @@ impl ReplayTarget for QuickstartTarget {
         ]
     }
 
-    fn client_generable(&self, fields: &[u64]) -> bool {
+    fn slot_generable(&self, _slot: usize, fields: &[u64]) -> bool {
         let [sender, request, address, value, crc] = fields else {
             return false;
         };
@@ -229,38 +228,66 @@ impl ReplayTarget for QuickstartTarget {
         }
     }
 
-    fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
-        let mut data = vec![0u32; DATASIZE as usize];
-        let mut outcome = InjectionOutcome::default();
-        for (wire, _) in deliveries {
-            let Ok(fields) = achilles::wire_to_fields(&layout(), wire) else {
-                outcome.accepted_each.push(false);
-                outcome.effects.push("malformed".to_string());
-                continue;
-            };
-            let (sender, request, address, value) = (fields[0], fields[1], fields[2], fields[3]);
-            let addr = Width::W32.to_signed(address);
-            // The buggy dispatch, concretely.
-            let accepted = sender <= MAX_PEER
-                && match request {
-                    READ => addr < DATASIZE as i64, // missing addr >= 0!
-                    WRITE => (0..DATASIZE as i64).contains(&addr),
-                    _ => false,
-                };
-            outcome.accepted_each.push(accepted);
-            if !accepted {
-                outcome.effects.push("rejected".to_string());
-            } else if request == READ && addr < 0 {
-                // data[addr] reads *before* the array: the privacy leak.
-                outcome.effects.push("leak:out-of-bounds-read".to_string());
-            } else if request == WRITE {
-                data[addr as usize] = value as u32;
-                outcome.effects.push("write:ack".to_string());
-            } else {
-                outcome.effects.push("read:reply".to_string());
-            }
+    fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+        Box::new(QuickstartServer::default())
+    }
+}
+
+/// The booted §2 server: the same checks as the symbolic program, acting
+/// on a real data array — its whole state, so a snapshot (step 7) is a
+/// copy of the array.
+#[derive(Clone)]
+struct QuickstartServer {
+    data: Vec<u32>,
+}
+
+impl Default for QuickstartServer {
+    fn default() -> QuickstartServer {
+        QuickstartServer {
+            data: vec![0; DATASIZE as usize],
         }
-        outcome
+    }
+}
+
+impl SnapshotReplayTarget for QuickstartServer {
+    fn deliver(&mut self, (wire, _): &Delivery, outcome: &mut InjectionOutcome) {
+        let Ok(fields) = achilles::wire_to_fields(&layout(), wire) else {
+            outcome.accepted_each.push(false);
+            outcome.effects.push("malformed".to_string());
+            return;
+        };
+        let (sender, request, address, value) = (fields[0], fields[1], fields[2], fields[3]);
+        let addr = Width::W32.to_signed(address);
+        // The buggy dispatch, concretely.
+        let accepted = sender <= MAX_PEER
+            && match request {
+                READ => addr < DATASIZE as i64, // missing addr >= 0!
+                WRITE => (0..DATASIZE as i64).contains(&addr),
+                _ => false,
+            };
+        outcome.accepted_each.push(accepted);
+        if !accepted {
+            outcome.effects.push("rejected".to_string());
+        } else if request == READ && addr < 0 {
+            // data[addr] reads *before* the array: the privacy leak.
+            outcome.effects.push("leak:out-of-bounds-read".to_string());
+        } else if request == WRITE {
+            self.data[addr as usize] = value as u32;
+            outcome.effects.push("write:ack".to_string());
+        } else {
+            outcome.effects.push("read:reply".to_string());
+        }
+    }
+
+    fn snapshot(&self) -> TargetSnapshot {
+        TargetSnapshot::of(self.clone())
+    }
+
+    fn restore(&mut self, snapshot: &TargetSnapshot) {
+        *self = snapshot
+            .get::<QuickstartServer>()
+            .expect("a quickstart server restores quickstart snapshots")
+            .clone();
     }
 }
 
@@ -273,18 +300,6 @@ impl ReplayTarget for QuickstartSessionTarget {
         "quickstart"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        layout()
-    }
-
-    fn benign_fields(&self) -> Vec<u64> {
-        QuickstartTarget.benign_fields()
-    }
-
-    fn client_generable(&self, fields: &[u64]) -> bool {
-        QuickstartTarget.client_generable(fields)
-    }
-
     fn slot_layouts(&self) -> Vec<Arc<MessageLayout>> {
         vec![hello_layout(), layout()]
     }
@@ -293,7 +308,7 @@ impl ReplayTarget for QuickstartSessionTarget {
         if slot == 0 {
             vec![1, 7]
         } else {
-            QuickstartTarget.benign_fields()
+            QuickstartTarget.slot_benign_fields(0)
         }
     }
 
@@ -302,25 +317,12 @@ impl ReplayTarget for QuickstartSessionTarget {
             let [peer, nonce] = fields else { return false };
             *peer <= MAX_PEER && *nonce < HELLO_CLIENT_NONCE_CAP
         } else {
-            QuickstartTarget.client_generable(fields)
+            QuickstartTarget.slot_generable(0, fields)
         }
     }
 
-    fn inject(&self, deliveries: &[Delivery]) -> InjectionOutcome {
-        let mut session = QuickstartSessionFork::default();
-        let mut outcome = InjectionOutcome::default();
-        for delivery in deliveries {
-            session.deliver(delivery, &mut outcome);
-        }
-        session.finish(&mut outcome);
-        outcome
-    }
-
-    // Step 7 of the porting guide: expose the live session as a
-    // snapshottable deployment, and the sweep's fork-server resumes
-    // prefix-sharing schedules from snapshots instead of cold-booting.
-    fn boot_fork(&self) -> Option<Box<dyn SnapshotReplayTarget + '_>> {
-        Some(Box::new(QuickstartSessionFork::default()))
+    fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+        Box::new(QuickstartSessionFork::default())
     }
 
     // Step 9 of the porting guide: the session deployment observes
@@ -365,18 +367,13 @@ impl QuickstartReplica {
 }
 
 /// The live session state behind [`QuickstartSessionTarget`]: the hello
-/// gate plus the accumulated request prefix on the *primary*, mirrored
-/// onto a *backup* replica that enforces the correct (client-window)
-/// hello check — so a forged hello registers on the primary only, its
-/// writes replicate nowhere, and the state roots silently split.
+/// gate plus the §2 server on the *primary*, mirrored onto a *backup*
+/// replica that enforces the correct (client-window) hello check — so a
+/// forged hello registers on the primary only, its writes replicate
+/// nowhere, and the state roots silently split.
 #[derive(Clone, Default)]
 struct QuickstartSessionFork {
-    greeted: bool,
-    // Request state is replayed through the inner (pure) target: every
-    // new request re-injects the accumulated prefix, and only the
-    // effects past the previous call's count are new.
-    requests: Vec<Delivery>,
-    prior_effects: usize,
+    server: QuickstartServer,
     primary: QuickstartReplica,
     backup: QuickstartReplica,
     probe: DivergenceProbe,
@@ -390,7 +387,7 @@ impl QuickstartSessionFork {
 
 impl SnapshotReplayTarget for QuickstartSessionFork {
     fn deliver(&mut self, delivery: &Delivery, outcome: &mut InjectionOutcome) {
-        let (wire, is_witness) = delivery;
+        let wire = &delivery.0;
         if wire.len() == 4 {
             let Ok(fields) = achilles::wire_to_fields(&hello_layout(), wire) else {
                 outcome.accepted_each.push(false);
@@ -400,7 +397,6 @@ impl SnapshotReplayTarget for QuickstartSessionFork {
             let accepted = fields[0] <= MAX_PEER && fields[1] < HELLO_SERVER_NONCE_CAP;
             outcome.accepted_each.push(accepted);
             if accepted {
-                self.greeted = true;
                 self.primary.greeted = true;
                 self.primary.nonce = fields[1];
                 // The backup validates the nonce against the *client*
@@ -421,25 +417,17 @@ impl SnapshotReplayTarget for QuickstartSessionFork {
             self.probe.observe(&self.roots());
             return;
         }
-        if !self.greeted {
+        if !self.primary.greeted {
             outcome.accepted_each.push(false);
             outcome.effects.push("rejected:no-hello".to_string());
             self.probe.observe(&self.roots());
             return;
         }
-        self.requests.push((wire.clone(), *is_witness));
-        let request_outcome = QuickstartTarget.inject(&self.requests);
-        let accepted = *request_outcome.accepted_each.last().expect("just pushed");
-        outcome.accepted_each.push(accepted);
-        let total_effects = request_outcome.effects.len();
-        outcome
-            .effects
-            .extend(request_outcome.effects.into_iter().skip(self.prior_effects));
-        self.prior_effects = total_effects;
+        self.server.deliver(delivery, outcome);
         // Replicate accepted writes: the primary applies them for its
         // registered session; the backup applies them only for sessions
         // *it* registered.
-        if accepted {
+        if outcome.accepted_each.last() == Some(&true) {
             if let Ok(fields) = achilles::wire_to_fields(&layout(), wire) {
                 let (address, value) = (fields[2], fields[3] as u32);
                 let addr = Width::W32.to_signed(address);
@@ -659,7 +647,7 @@ fn main() {
         &**spec,
         session_report,
         &mut session_corpus,
-        &SessionValidateConfig::default(),
+        &ValidateConfig::default(),
     );
     assert_eq!(session_summary.confirmed, session_report.trojans.len());
     println!(

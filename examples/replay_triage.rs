@@ -5,8 +5,9 @@
 //! it into a real deployment (§6.3); this example does the same against
 //! the concrete FSP server in wildcard mode, then shows what the replay
 //! engine adds on top of raw injection: crash-signature triage, ddmin
-//! witness minimization, fault-plan variations, and the persistent corpus
-//! that makes re-analysis incremental.
+//! witness minimization, fault-schedule variations, and the persistent
+//! corpus that makes re-analysis incremental. Each witness is a one-slot
+//! session: the same replay path serves multi-message sessions.
 //!
 //! ```text
 //! cargo run --release -p achilles-examples --example replay_triage
@@ -14,7 +15,8 @@
 
 use achilles_fsp::{run_analysis, FspAnalysisConfig, FspMessage, FspTarget};
 use achilles_replay::{
-    minimize, replay, validate_trojans, FaultPlan, ReplayCorpus, ValidateConfig,
+    minimize_session, replay_session, validate_trojans, DeliveryFault, FaultSchedule, ReplayCorpus,
+    ValidateConfig,
 };
 
 fn main() {
@@ -58,7 +60,7 @@ fn main() {
         .iter()
         .find(|m| m.strictly_shrunk())
         .expect("some witness carries incidental solver junk");
-    let msg = FspMessage::from_field_values(&shrunk.witness.fields);
+    let msg = FspMessage::from_field_values(&shrunk.witness.fields[0]);
     println!(
         "\nminimized witness: {} of {} differing fields essential ({} replays)",
         shrunk.essential.len(),
@@ -70,27 +72,27 @@ fn main() {
         msg.cmd, msg.bb_len, msg.buf
     );
 
-    // 5. Fault plans: the same witness under network faults. A single
+    // 5. Fault schedules: the same witness under network faults. A single
     //    bit-flip (the paper's S3 motivator) can arm or disarm a Trojan.
     let witness = &summary.results[0].witness;
-    for (label, faults) in [
-        ("fault-free", FaultPlan::none()),
+    for (label, fault) in [
+        ("fault-free", DeliveryFault::none()),
         (
             "duplicated",
-            FaultPlan {
+            DeliveryFault {
                 duplicate: true,
-                ..FaultPlan::none()
+                ..DeliveryFault::none()
             },
         ),
         (
             "dropped",
-            FaultPlan {
+            DeliveryFault {
                 drop: true,
-                ..FaultPlan::none()
+                ..DeliveryFault::none()
             },
         ),
     ] {
-        let r = replay(&target, witness, &faults);
+        let r = replay_session(&target, witness, &FaultSchedule::at(0, fault));
         println!("  witness 0 under {label}: {:?}", r.verdict);
     }
 
@@ -107,10 +109,10 @@ fn main() {
 
     // Bonus: minimization is itself deterministic — re-minimizing the same
     // witness replays the same signature.
-    let again = minimize(
+    let again = minimize_session(
         &target,
         &summary.minimized[0].witness,
-        &FaultPlan::none(),
+        &FaultSchedule::none(),
         &summary.minimized[0].signature,
     );
     assert_eq!(again.essential, summary.minimized[0].essential);

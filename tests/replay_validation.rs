@@ -13,12 +13,13 @@ use achilles_paxos::{analyze_local_state, AcceptorMode, PaxosTarget, ProposerMod
 use achilles_pbft::run_analysis as run_pbft;
 use achilles_pbft::{PbftAnalysisConfig, PbftTarget};
 use achilles_replay::{
-    minimize, replay, validate_trojans, FaultPlan, ReplayCorpus, ReplayTarget, ReplayVerdict,
-    ValidateConfig,
+    minimize_session, replay_session, validate_trojans, FaultSchedule, ReplayCorpus, ReplayTarget,
+    ReplayVerdict, SessionWitness, ValidateConfig,
 };
 
-/// Replay key for byte-level comparison: fields, wire, verdict, signature.
-type ReplayKey = (Vec<u64>, Vec<u8>, ReplayVerdict, String);
+/// Replay key for byte-level comparison: per-slot fields and wire, verdict,
+/// signature.
+type ReplayKey = (Vec<Vec<u64>>, Vec<Vec<u8>>, ReplayVerdict, String);
 
 fn replay_keys(
     target: &dyn ReplayTarget,
@@ -57,7 +58,7 @@ fn fsp_trojans_replay_to_predicted_verdicts_deterministically() {
     // Every witness confirms, and the concrete oracle agrees.
     for (fields, _, verdict, _) in &keys1 {
         assert_eq!(*verdict, ReplayVerdict::ConfirmedTrojan);
-        let msg = FspMessage::from_field_values(fields);
+        let msg = FspMessage::from_field_values(&fields[0]);
         // The runtime speaks the full protocol (Install added), so mirror
         // its effective configuration for the oracle.
         let mut effective = config.server.clone();
@@ -137,15 +138,16 @@ fn minimizer_strictly_shrinks_and_preserves_signature() {
     let mut msg = FspMessage::request(Command::Stat, b"a");
     msg.bb_len = 4;
     msg.buf = [b'a', 0, b'X', b'Y'];
-    let witness = achilles_replay::ConcreteWitness {
+    let witness = SessionWitness {
         index: 0,
         server_path_id: 0,
-        fields: msg.field_values(),
-        wire: msg.to_wire(),
+        fields: vec![msg.field_values()],
+        wire: vec![msg.to_wire()],
     };
-    let full = replay(&target, &witness, &FaultPlan::none());
+    let none = FaultSchedule::none();
+    let full = replay_session(&target, &witness, &none);
     assert_eq!(full.verdict, ReplayVerdict::ConfirmedTrojan);
-    let min = minimize(&target, &witness, &FaultPlan::none(), &full.signature);
+    let min = minimize_session(&target, &witness, &none, &full.signature);
     assert!(
         min.strictly_shrunk(),
         "{} of {} fields essential",
@@ -153,7 +155,7 @@ fn minimizer_strictly_shrinks_and_preserves_signature() {
         min.original_delta.len()
     );
     // The minimized witness reproduces the signature exactly.
-    let again = replay(&target, &min.witness, &FaultPlan::none());
+    let again = replay_session(&target, &min.witness, &none);
     assert_eq!(again.signature, full.signature);
     assert_eq!(again.verdict, ReplayVerdict::ConfirmedTrojan);
 }

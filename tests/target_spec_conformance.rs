@@ -16,7 +16,9 @@
 //!    makes re-validation fully incremental (everything skipped).
 //! 4. **Codec coherence** — every witness encodes to wire bytes and
 //!    decodes back to the same field values through the spec's codec
-//!    hooks, and spec/target metadata agree.
+//!    hooks, and every replay target's per-slot metadata agrees with the
+//!    spec: one slot layout per declared slot (one for the single-message
+//!    target), each with a client-generable benign message.
 //!
 //! Specs that declare [`TargetSpec::sessions`] additionally clear the
 //! session contract: ≥ 1 session Trojan discovered through
@@ -37,23 +39,63 @@
 //! schedule, and every schedule that drops an arming slot restores
 //! agreement — removing the poison removes the split.
 //!
-//! Specs whose replay targets are **snapshottable**
-//! ([`ReplayTarget::boot_fork`](achilles::ReplayTarget::boot_fork)) also
-//! clear the snapshot contract: snapshot → mutate via one delivery →
-//! restore → re-deliver must yield the identical outcome and
-//! [`CrashSignature`] as a fresh boot — the law the sweep fork-server's
-//! correctness rests on.
+//! Every replay target — the single-message one and one per declared
+//! session — also clears the snapshot contract: on the session
+//! [`ReplayTarget::boot`](achilles::ReplayTarget::boot) returns,
+//! snapshot → mutate via the benign sequence → restore → re-deliver must
+//! yield the identical outcome and [`CrashSignature`] as a fresh boot —
+//! the law the sweep fork-server's correctness rests on.
 //!
 //! Adding a protocol crate + one registry registration automatically puts
 //! it under this contract — that is the point of the API.
 
-use achilles::{fields_to_wire, AchillesSession, InjectionOutcome, TargetSpec};
+use achilles::{fields_to_wire, AchillesSession, InjectionOutcome, ReplayTarget, TargetSpec};
 use achilles_replay::{
-    replay, replay_session, validate_spec, validate_spec_sessions, ConcreteWitness, CrashSignature,
-    FaultPlan, FaultSchedule, ReplayCorpus, ReplayVerdict, SessionValidateConfig, SessionWitness,
-    ValidateConfig,
+    replay_session, validate_spec, validate_spec_sessions, CrashSignature, FaultSchedule,
+    ReplayCorpus, ReplayVerdict, SessionWitness, ValidateConfig,
 };
 use achilles_targets::builtin_registry;
+
+/// Every replay target of `spec` — its `replay_target()` plus one
+/// `session_replay_target()` per declared session — labelled, with the
+/// per-slot field counts the spec declares for it.
+fn replay_targets(spec: &dyn TargetSpec) -> Vec<(String, Box<dyn ReplayTarget>, Vec<usize>)> {
+    let mut targets = vec![(
+        spec.name().to_string(),
+        spec.replay_target(),
+        vec![spec.layout().num_fields()],
+    )];
+    for declared in spec.sessions() {
+        targets.push((
+            format!("{}/{}", spec.name(), declared.name),
+            spec.session_replay_target(&declared.name),
+            declared.slot_field_counts(),
+        ));
+    }
+    targets
+}
+
+/// The all-benign witness of `target`: every slot's benign message.
+fn benign_witness(label: &str, target: &dyn ReplayTarget) -> SessionWitness {
+    let layouts = target.slot_layouts();
+    let fields: Vec<Vec<u64>> = (0..layouts.len())
+        .map(|slot| target.slot_benign_fields(slot))
+        .collect();
+    let wire: Vec<Vec<u8>> = fields
+        .iter()
+        .zip(&layouts)
+        .map(|(f, layout)| {
+            fields_to_wire(layout, f)
+                .unwrap_or_else(|e| panic!("{label}: benign slot encodes: {e:?}"))
+        })
+        .collect();
+    SessionWitness {
+        index: 0,
+        server_path_id: 0,
+        fields,
+        wire,
+    }
+}
 
 #[test]
 fn registry_contains_the_shipped_protocols() {
@@ -94,109 +136,35 @@ fn every_declared_session_meets_the_session_contract() {
 
 #[test]
 fn every_snapshottable_target_honors_the_snapshot_contract() {
-    // Snapshot → mutate via one delivery → restore → re-deliver must be
-    // indistinguishable from a fresh boot, for outcome and signature
-    // alike. The benign message doubles as the probe witness so the
-    // contract costs no symbolic discovery.
+    // Snapshot → mutate via the whole benign sequence → restore →
+    // re-deliver must be indistinguishable from a fresh boot, for outcome
+    // and signature alike, on every replay target — single-message and
+    // session. The per-slot benign messages stand in for the witness so
+    // the contract costs no symbolic discovery.
     let registry = builtin_registry();
-    let mut snapshottable = 0usize;
+    let mut checked = 0usize;
     for spec in registry.iter() {
-        let name = spec.name();
-        let target = spec.replay_target();
-        let Some(mut session) = target.boot_fork() else {
-            continue;
-        };
-        snapshottable += 1;
-        let fields = target.benign_fields();
-        let wire = fields_to_wire(&target.layout(), &fields)
-            .unwrap_or_else(|e| panic!("{name}: benign message encodes: {e:?}"));
-        let witness = ConcreteWitness {
-            index: 0,
-            server_path_id: 0,
-            fields,
-            wire: wire.clone(),
-        };
-        let fresh = replay(&*target, &witness, &FaultPlan::none());
-
-        let snap = session.snapshot();
-        let mut scratch = InjectionOutcome::default();
-        session.deliver(&(wire.clone(), true), &mut scratch);
-        session.finish(&mut scratch);
-        session.restore(&snap);
-        let mut outcome = InjectionOutcome::default();
-        session.deliver(&(wire, true), &mut outcome);
-        session.finish(&mut outcome);
-        assert_eq!(
-            outcome, fresh.outcome,
-            "{name}: restored delivery must match a fresh boot's outcome"
-        );
-        assert_eq!(
-            CrashSignature::new(target.name(), fresh.verdict, outcome.effects.clone()),
-            fresh.signature,
-            "{name}: restored delivery must reproduce the fresh signature"
-        );
-    }
-    assert!(
-        snapshottable >= 6,
-        "all six shipped protocols expose snapshottable replay targets \
-         (found {snapshottable})"
-    );
-}
-
-#[test]
-fn every_snapshottable_session_target_honors_the_snapshot_contract() {
-    // The session form of the contract: per-slot benign messages stand in
-    // for the witness, compared against replay_session under the
-    // fault-free schedule.
-    let registry = builtin_registry();
-    let mut snapshottable = 0usize;
-    for spec in registry.iter() {
-        let name = spec.name();
-        for declared in spec.sessions() {
-            let sname = format!("{name}/{}", declared.name);
-            let target = spec.session_replay_target(&declared.name);
-            let Some(mut session) = target.boot_fork() else {
-                continue;
-            };
-            snapshottable += 1;
-            let layouts = target.slot_layouts();
-            let fields: Vec<Vec<u64>> = (0..layouts.len())
-                .map(|slot| target.slot_benign_fields(slot))
-                .collect();
-            let wire: Vec<Vec<u8>> = fields
-                .iter()
-                .zip(&layouts)
-                .map(|(f, layout)| {
-                    fields_to_wire(layout, f)
-                        .unwrap_or_else(|e| panic!("{sname}: benign slot encodes: {e:?}"))
-                })
-                .collect();
-            let witness = SessionWitness {
-                index: 0,
-                server_path_id: 0,
-                fields,
-                wire: wire.clone(),
-            };
+        for (label, target, _) in replay_targets(&**spec) {
+            checked += 1;
+            let witness = benign_witness(&label, &*target);
             let fresh = replay_session(&*target, &witness, &FaultSchedule::none());
 
-            // Mutate the booted session through the whole benign
-            // sequence, then restore to boot state and replay it for
-            // real.
+            let mut session = target.boot();
             let snap = session.snapshot();
             let mut scratch = InjectionOutcome::default();
-            for slot_wire in &wire {
+            for slot_wire in &witness.wire {
                 session.deliver(&(slot_wire.clone(), true), &mut scratch);
             }
             session.finish(&mut scratch);
             session.restore(&snap);
             let mut outcome = InjectionOutcome::default();
-            for slot_wire in &wire {
+            for slot_wire in &witness.wire {
                 session.deliver(&(slot_wire.clone(), true), &mut outcome);
             }
             session.finish(&mut outcome);
             assert_eq!(
                 outcome, fresh.outcome,
-                "{sname}: restored session must match a fresh boot's outcome"
+                "{label}: restored delivery must match a fresh boot's outcome"
             );
             let mut effects = outcome.effects.clone();
             effects.extend(
@@ -208,14 +176,13 @@ fn every_snapshottable_session_target_honors_the_snapshot_contract() {
             assert_eq!(
                 CrashSignature::for_session(target.name(), fresh.verdict, witness.slots(), effects),
                 fresh.signature,
-                "{sname}: restored session must reproduce the fresh signature"
+                "{label}: restored delivery must reproduce the fresh signature"
             );
         }
     }
     assert!(
-        snapshottable >= 3,
-        "fsp, twopc, and shardexec session targets are snapshottable \
-         (found {snapshottable})"
+        checked >= 10,
+        "six single-message and four session replay targets (found {checked})"
     );
 }
 
@@ -245,24 +212,7 @@ fn every_root_reporting_session_target_honors_the_divergence_contract() {
         for session in &reporting {
             let sname = format!("{name}/{session}");
             let target = spec.session_replay_target(session);
-            let layouts = target.slot_layouts();
-            let fields: Vec<Vec<u64>> = (0..layouts.len())
-                .map(|slot| target.slot_benign_fields(slot))
-                .collect();
-            let wire: Vec<Vec<u8>> = fields
-                .iter()
-                .zip(&layouts)
-                .map(|(f, layout)| {
-                    fields_to_wire(layout, f)
-                        .unwrap_or_else(|e| panic!("{sname}: benign slot encodes: {e:?}"))
-                })
-                .collect();
-            let witness = SessionWitness {
-                index: 0,
-                server_path_id: 0,
-                fields,
-                wire,
-            };
+            let witness = benign_witness(&sname, &*target);
             let benign = replay_session(&*target, &witness, &FaultSchedule::none());
             assert!(
                 !benign.signature.diverged(),
@@ -355,15 +305,7 @@ fn session_conformance(spec: &dyn TargetSpec) {
 
         // --- Concrete confirmation under the fault-free schedule. ----------
         let mut corpus = ReplayCorpus::new();
-        let summary = validate_spec_sessions(
-            spec,
-            report,
-            &mut corpus,
-            &SessionValidateConfig {
-                schedule: FaultSchedule::none(),
-                ..SessionValidateConfig::default()
-            },
-        );
+        let summary = validate_spec_sessions(spec, report, &mut corpus, &ValidateConfig::default());
         assert_eq!(
             summary.replayed,
             report.trojans.len(),
@@ -397,12 +339,8 @@ fn session_conformance(spec: &dyn TargetSpec) {
             corpus.entries(),
             "{sname}: session corpus text round-trip"
         );
-        let second = validate_spec_sessions(
-            spec,
-            report,
-            &mut reloaded,
-            &SessionValidateConfig::default(),
-        );
+        let second =
+            validate_spec_sessions(spec, report, &mut reloaded, &ValidateConfig::default());
         assert_eq!(second.replayed, 0, "{sname}: reloaded corpus skips all");
         assert_eq!(
             second.skipped_known,
@@ -464,17 +402,21 @@ fn conformance(spec: &dyn TargetSpec) {
     assert!(!name.is_empty());
     assert!(!spec.local_state_modes().is_empty(), "{name}: no modes");
     assert!(!spec.clients().is_empty(), "{name}: no client programs");
-    let target = spec.replay_target();
-    assert_eq!(target.name(), name, "{name}: spec/target name mismatch");
-    assert_eq!(
-        target.layout().fields().len(),
-        spec.layout().fields().len(),
-        "{name}: spec/target layout mismatch"
-    );
-    assert!(
-        target.client_generable(&target.benign_fields()),
-        "{name}: the benign message must be client-generable"
-    );
+    for (label, target, field_counts) in replay_targets(spec) {
+        assert_eq!(target.name(), name, "{label}: spec/target name mismatch");
+        let layouts = target.slot_layouts();
+        assert_eq!(
+            layouts.iter().map(|l| l.num_fields()).collect::<Vec<_>>(),
+            field_counts,
+            "{label}: target slot layouts must match the spec's"
+        );
+        for slot in 0..layouts.len() {
+            assert!(
+                target.slot_generable(slot, &target.slot_benign_fields(slot)),
+                "{label}: slot {slot}'s benign message must be client-generable"
+            );
+        }
+    }
 
     // --- 1. Discovery. -----------------------------------------------------
     let report = AchillesSession::new(spec).run();

@@ -42,8 +42,8 @@
 //! count, the effective worker count, fork-server savings
 //! (`boots_saved`, `snapshot_restores`, `mean_shared_prefix_depth`,
 //! `fork_wall_s` vs `cold_wall_s`), and parallel `efficiency`
-//! (speedup ÷ effective workers) of each row, so multicore measurements
-//! stay interpretable.
+//! (speedup ÷ min(effective workers, host cores)) of each row, so
+//! multicore measurements stay interpretable.
 //!
 //! With `--check-proofs` (or `ACHILLES_CHECK_PROOFS=1`), the independent
 //! certificate checker audits every unsat verdict the discovery produces;
@@ -430,7 +430,9 @@ fn main() {
             } else {
                 1.0
             };
-            let efficiency = speedup / r.par.workers_effective.max(1) as f64;
+            // Scaling efficiency: only as many workers as the host has
+            // cores can run at once, so the divisor is capped there.
+            let efficiency = speedup / r.par.workers_effective.min(cores).max(1) as f64;
             json.push_str(&format!(
                 "    {{\"system\": \"{}\", \"session\": \"{}\", \"discovered\": {}, \
                  \"confirmed_fault_free\": {}, \"cells\": {}, \"armed\": {}, \

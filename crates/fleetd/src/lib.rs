@@ -22,15 +22,17 @@
 //!
 //! Embed the service in-process via [`Fleetd::start`] +
 //! [`Fleetd::handle_line`], or run the `achilles-fleetd` binary for the
-//! localhost-TCP / unix-socket transports (same lines either way — the
-//! transport is ~100 lines of socket plumbing over `handle_line`).
+//! localhost-TCP / unix-socket transports (same lines either way — each
+//! connection runs [`serve_stream`], bounded lines over `handle_line`).
 
 pub mod protocol;
 pub mod queue;
 pub mod service;
 pub mod store;
+mod transport;
 
-pub use protocol::{parse_request, Reply, Request};
+pub use protocol::{parse_request, Reply, Request, MAX_LINE_BYTES};
 pub use queue::{WorkItem, WorkQueue};
 pub use service::{Fleetd, FleetdConfig, ServiceStats};
 pub use store::{SessionShard, StoredWitness, TargetShard, WitnessResult, WitnessStore};
+pub use transport::serve_stream;

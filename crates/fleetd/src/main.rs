@@ -5,9 +5,11 @@
 //! `127.0.0.1:7177`) and optionally a unix socket (`--uds PATH`).
 //! Listeners run non-blocking and poll a shutdown flag, so a `SHUTDOWN`
 //! request (from either transport) drains the queue, persists the state
-//! dir, and exits the process cleanly.
+//! dir, and exits the process cleanly. Each connection runs
+//! [`serve_stream`], which answers a request line longer than
+//! `MAX_LINE_BYTES` with `ERR` instead of buffering it.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{ErrorKind, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
@@ -16,7 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use achilles_fleetd::{Fleetd, FleetdConfig};
+use achilles_fleetd::{serve_stream, Fleetd, FleetdConfig};
 use achilles_targets::builtin_registry;
 
 const USAGE: &str = "usage: achilles-fleetd [--listen ADDR] [--uds PATH] [--state DIR] \
@@ -84,33 +86,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         }
     }
     Ok(options)
-}
-
-/// Serves one connection: a line in, a reply out, until EOF or shutdown.
-fn serve<S: std::io::Read + Write>(service: &Fleetd, stop: &AtomicBool, stream: S) {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let shutdown = line.trim().eq_ignore_ascii_case("SHUTDOWN");
-        let reply = service.handle_line(&line);
-        let stream = reader.get_mut();
-        if stream.write_all(reply.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
-            return;
-        }
-        let _ = stream.flush();
-        if shutdown {
-            stop.store(true, Ordering::SeqCst);
-            return;
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -192,7 +167,7 @@ where
                     let service = Arc::clone(&service);
                     let stop = Arc::clone(&stop);
                     handlers.push(std::thread::spawn(move || {
-                        serve(&service, &stop, stream);
+                        serve_stream(&service, &stop, stream);
                     }));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -208,7 +183,7 @@ where
 }
 
 /// The two listener flavors behind one accept shape (their streams only
-/// need `Read + Write`, which `serve` is generic over).
+/// need `Read + Write`, which `serve_stream` is generic over).
 trait Acceptor {
     type Stream: std::io::Read + Write + Send + 'static;
     fn set_nonblocking(&self);
@@ -239,8 +214,6 @@ impl Acceptor for UnixListener {
     }
 }
 
-// `serve` needs the generic bound spelled once; a type assertion that the
-// two stream flavors satisfy it keeps the bound honest at compile time.
 #[cfg(test)]
 mod tests {
     use super::parse_options;

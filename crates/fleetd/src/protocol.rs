@@ -29,8 +29,21 @@
 //! corpus and sweep cache already speak (`"3,150/68,0,1"`): the wire
 //! protocol introduces no new serialization of witnesses, so a record cut
 //! from a corpus file or a `QUERY` reply pastes straight into `INGEST`.
+//!
+//! A request line is at most [`MAX_LINE_BYTES`] long, newline included.
+//! The transport discards a longer line unparsed and answers `ERR`, counted
+//! under the `oversize` error class.
 
 use achilles_sweep::ScheduleClass;
+
+/// The longest request line a transport reads, newline included.
+///
+/// The longest `INGEST` line the built-in registry's session witnesses
+/// produce is 56 bytes (fsp's `login-command`); with every one of its 12
+/// fields at `u64::MAX` it would be 277. 4 KiB leaves over 14× headroom on
+/// that, and bounds what a client that never sends a newline can make a
+/// connection buffer.
+pub const MAX_LINE_BYTES: usize = 4096;
 
 /// A parsed control request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -139,10 +152,10 @@ fn split_scope(s: &str) -> Option<(&str, &str)> {
 }
 
 /// A classed parse failure. `class` is a small closed vocabulary of
-/// malformation kinds (`empty`, `unknown-verb`, `arity`, `scope`,
-/// `witness-id`, `schedule-class`) that the service counts per class in
-/// its `achilles_fleetd_errors_total{class=...}` metric; `reason` is the
-/// human-readable text sent back as the `ERR` reply.
+/// malformation kinds (`oversize`, `empty`, `unknown-verb`, `arity`,
+/// `scope`, `witness-id`, `schedule-class`) that the service counts per
+/// class in its `achilles_fleetd_errors_total{class=...}` metric; `reason`
+/// is the human-readable text sent back as the `ERR` reply.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
     /// Malformation class (stable label for the error counter).
@@ -157,6 +170,14 @@ impl ParseError {
             class,
             reason: reason.into(),
         }
+    }
+
+    /// A request line longer than [`MAX_LINE_BYTES`], discarded unparsed.
+    pub(crate) fn oversize() -> ParseError {
+        ParseError::new(
+            "oversize",
+            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+        )
     }
 }
 

@@ -39,7 +39,7 @@ use achilles_sweep::{
     sweep_witness_on, SchedulePlanner, SweepCache, SweepConfig, WitnessSweepStats,
 };
 
-use crate::protocol::{parse_request, Reply, Request};
+use crate::protocol::{parse_request, ParseError, Reply, Request};
 use crate::queue::{WorkItem, WorkQueue};
 use crate::store::{SessionShard, WitnessResult, WitnessStore};
 
@@ -272,11 +272,15 @@ impl Fleetd {
     pub fn handle_line(&self, line: &str) -> String {
         match parse_request(line) {
             Ok(request) => self.handle(request).render(),
-            Err(error) => {
-                self.count_error(error.class);
-                Reply::Err(error.reason).render()
-            }
+            Err(error) => self.reject(error),
         }
+    }
+
+    /// Counts a malformed line under its class in
+    /// `achilles_fleetd_errors_total{class=...}` and renders its `ERR` reply.
+    pub(crate) fn reject(&self, error: ParseError) -> String {
+        self.count_error(error.class);
+        Reply::Err(error.reason).render()
     }
 
     /// Serves one parsed request: counts it, times it into the per-verb

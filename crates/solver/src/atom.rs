@@ -83,8 +83,15 @@ impl Literal {
 /// ```
 pub fn nnf(pool: &mut TermPool, t: TermId, positive: bool) -> Formula {
     debug_assert_eq!(pool.width(t), Width::BOOL, "nnf needs a boolean term");
-    let node = pool.node(t).clone();
-    match node.op {
+    let node = pool.node(t);
+    let (op, width) = (node.op, node.width);
+    // Connectives and comparisons have at most three operands. Copy them
+    // out, so the recursion below can take the pool mutably.
+    let mut args = [t; 3];
+    for (slot, &a) in args.iter_mut().zip(&node.args) {
+        *slot = a;
+    }
+    match op {
         Op::Const(v) => {
             if (v != 0) == positive {
                 Formula::True
@@ -92,9 +99,9 @@ pub fn nnf(pool: &mut TermPool, t: TermId, positive: bool) -> Formula {
                 Formula::False
             }
         }
-        Op::Not => nnf(pool, node.args[0], !positive),
+        Op::Not => nnf(pool, args[0], !positive),
         Op::And => {
-            let parts: Vec<Formula> = node.args.iter().map(|&a| nnf(pool, a, positive)).collect();
+            let parts = vec![nnf(pool, args[0], positive), nnf(pool, args[1], positive)];
             if positive {
                 mk_and(parts)
             } else {
@@ -102,7 +109,7 @@ pub fn nnf(pool: &mut TermPool, t: TermId, positive: bool) -> Formula {
             }
         }
         Op::Or => {
-            let parts: Vec<Formula> = node.args.iter().map(|&a| nnf(pool, a, positive)).collect();
+            let parts = vec![nnf(pool, args[0], positive), nnf(pool, args[1], positive)];
             if positive {
                 mk_or(parts)
             } else {
@@ -114,7 +121,7 @@ pub fn nnf(pool: &mut TermPool, t: TermId, positive: bool) -> Formula {
                 Formula::Lit(Literal::pos(t))
             } else {
                 // not (a <u b)  =>  b <=u a
-                let dual = pool.ule(node.args[1], node.args[0]);
+                let dual = pool.ule(args[1], args[0]);
                 nnf(pool, dual, true)
             }
         }
@@ -123,13 +130,13 @@ pub fn nnf(pool: &mut TermPool, t: TermId, positive: bool) -> Formula {
                 Formula::Lit(Literal::pos(t))
             } else {
                 // not (a <=u b)  =>  b <u a
-                let dual = pool.ult(node.args[1], node.args[0]);
+                let dual = pool.ult(args[1], args[0]);
                 nnf(pool, dual, true)
             }
         }
-        Op::Ite if node.width == Width::BOOL => {
+        Op::Ite if width == Width::BOOL => {
             // ite(c, a, b)  =>  (c and a) or (not c and b)
-            let (c, a, b) = (node.args[0], node.args[1], node.args[2]);
+            let [c, a, b] = args;
             let ca = nnf_pair(pool, c, true, a, positive);
             let cb = nnf_pair(pool, c, false, b, positive);
             mk_or(vec![ca, cb])

@@ -23,14 +23,24 @@
 //! never inserted. This is what turns the dominant `pathS ∧ pathC` drop
 //! checks into cache hits across witnesses that share only a path prefix.
 //!
+//! The subsumption index files each core under its smallest fingerprint,
+//! and a lookup probes the bucket of every fingerprint in the key. Cores
+//! pile up under common path-prefix conjuncts, so each entry also carries
+//! a 64-bit *signature*: bit `fp mod 64` is set for every fingerprint `fp`
+//! of the core. A lookup computes the key's signature once and runs the
+//! exact subset test only on entries whose signature the key's covers — a
+//! core with a bit the key lacks cannot be a subset. The filter only skips
+//! entries that would fail the subset test, so the first matching core,
+//! and the certificate returned, are the same as with a full scan.
+//!
 //! The map is sharded by key hash behind `RwLock`s, so concurrent readers
 //! never contend and writers only lock one shard.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use crate::certificate::Certificate;
+use crate::hash::FastMap;
 use crate::model::Model;
 use crate::search::SatResult;
 use crate::term::{TermId, TermPool};
@@ -55,12 +65,19 @@ struct Entry {
     epoch: u64,
 }
 
-/// One core-index entry: a sorted, deduplicated unsat core plus the
-/// certificate that proves it.
+/// One core-index entry: a sorted, deduplicated unsat core, its
+/// [`signature`], and the certificate that proves it.
 #[derive(Clone, Debug)]
 struct CoreEntry {
     core: Box<[u128]>,
+    signature: u64,
     cert: Arc<Certificate>,
+}
+
+/// Bit `fp mod 64` for every fingerprint: if `a ⊆ b` then
+/// `signature(a) & !signature(b) == 0`.
+fn signature(fps: &[u128]) -> u64 {
+    fps.iter().fold(0, |sig, &fp| sig | 1 << (fp % 64))
 }
 
 /// Counters of one [`SharedCache`].
@@ -149,10 +166,10 @@ impl SharedCacheStats {
 /// ```
 #[derive(Debug)]
 pub struct SharedCache {
-    shards: Vec<RwLock<HashMap<Box<[u128]>, Entry>>>,
+    shards: Vec<RwLock<FastMap<Box<[u128]>, Entry>>>,
     /// Subsumption index: minimum core fingerprint → cores starting there.
     /// Sharded by that fingerprint so a reader probes one shard per key fp.
-    cores: Vec<RwLock<HashMap<u128, Vec<CoreEntry>>>>,
+    cores: Vec<RwLock<FastMap<u128, Vec<CoreEntry>>>>,
     /// Whether [`lookup_subsumed`](SharedCache::lookup_subsumed) answers.
     /// The index is always maintained; only lookups are gated, so the
     /// toggle can be flipped per run for differential testing.
@@ -178,8 +195,8 @@ impl SharedCache {
     /// Creates an empty cache (subsumption lookups enabled).
     pub fn new() -> SharedCache {
         SharedCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            cores: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
+            cores: (0..SHARDS).map(|_| RwLock::default()).collect(),
             subsumption: AtomicBool::new(true),
             epoch: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -304,6 +321,7 @@ impl SharedCache {
         }
         // A subsumed core's minimum fingerprint is some element of `key`,
         // so probing the index at every key fp finds all candidates.
+        let key_signature = signature(key);
         for &fp in key {
             let bucket = self.cores[Self::shard_of_fp(fp)]
                 .read()
@@ -312,7 +330,7 @@ impl SharedCache {
                 continue;
             };
             for entry in entries {
-                if is_subset(&entry.core, key) {
+                if entry.signature & !key_signature == 0 && is_subset(&entry.core, key) {
                     let cert = Arc::clone(&entry.cert);
                     drop(bucket);
                     self.core_hits.fetch_add(1, Ordering::Relaxed);
@@ -369,6 +387,7 @@ impl SharedCache {
             return;
         }
         entries.push(CoreEntry {
+            signature: signature(&core),
             core,
             cert: Arc::clone(cert),
         });

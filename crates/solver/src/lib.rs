@@ -79,6 +79,14 @@
 //!   the core-subsumption index
 //! * [`pretty`] — human-readable rendering ([`render`])
 //! * [`smtlib`] — SMT-LIB 2 export for external cross-checking ([`to_smtlib`])
+//!
+//! The solver's own maps — the term interner and variable-fingerprint
+//! index, [`Model`] values, the search's domains, the [`Solver`] cache and
+//! the [`SharedCache`] shards and core index — hash with a fixed
+//! multiplicative hasher instead of SipHash. Every key in them is built by
+//! the solver from terms that symbolic execution of in-repo programs
+//! produced, so there is no outside input to defend against, and SipHash
+//! cost about a fifth of a discovery pass.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -86,6 +94,7 @@
 pub mod atom;
 pub mod cache;
 pub mod certificate;
+mod hash;
 pub mod interval;
 pub mod model;
 pub mod pretty;

@@ -1,8 +1,8 @@
 //! Satisfying assignments produced by the solver.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use crate::hash::FastMap;
 use crate::term::{TermId, TermPool, VarId};
 
 /// A concrete assignment of values to symbolic variables.
@@ -27,7 +27,7 @@ use crate::term::{TermId, TermPool, VarId};
 /// ```
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Model {
-    values: HashMap<VarId, u64>,
+    values: FastMap<VarId, u64>,
 }
 
 impl Model {

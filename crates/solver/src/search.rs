@@ -23,7 +23,6 @@
 //! `achilles-proofcheck` crate — so *both* verdict kinds are trustworthy
 //! even if a propagation rule were buggy.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -31,6 +30,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::atom::{affine_view_with, nnf, Formula, Literal};
 use crate::certificate::{Certificate, ProofNode, ProofStep};
+use crate::hash::FastMap;
 use crate::interval::IntervalSet;
 use crate::model::Model;
 use crate::term::{Op, TermId, TermPool, VarId};
@@ -149,7 +149,7 @@ struct Clause {
 #[derive(Clone)]
 struct State {
     parent: Vec<u32>,
-    dom: HashMap<u32, IntervalSet>,
+    dom: FastMap<u32, IntervalSet>,
     deferred: Vec<(Literal, u32)>,
     clauses: Vec<Clause>,
     /// The checker's context length at this point of the search: refs of
@@ -207,7 +207,7 @@ impl State {
     fn new(num_vars: usize) -> State {
         State {
             parent: (0..num_vars as u32).collect(),
-            dom: HashMap::new(),
+            dom: FastMap::default(),
             deferred: Vec::new(),
             clauses: Vec::new(),
             next_ref: 0,
@@ -687,46 +687,24 @@ impl Engine<'_> {
             };
         }
 
-        let node = self.pool.node(lit.term).clone();
-        match node.op {
+        let node = self.pool.node(lit.term);
+        let kind = match node.op {
             Op::Var(v) if node.width == Width::BOOL => {
                 let want = u64::from(lit.positive);
                 let set = IntervalSet::singleton(Width::BOOL, want);
                 let step = state.restrict(self.pool, v, &set);
-                self.apply_step(trail, just, step, Applied::Restrict(v))
+                return self.apply_step(trail, just, step, Applied::Restrict(v));
             }
-            Op::Eq => self.assert_cmp(
-                state,
-                lit,
-                just,
-                trail,
-                CmpKind::Eq,
-                node.args[0],
-                node.args[1],
-            ),
-            Op::Ult => self.assert_cmp(
-                state,
-                lit,
-                just,
-                trail,
-                CmpKind::Ult,
-                node.args[0],
-                node.args[1],
-            ),
-            Op::Ule => self.assert_cmp(
-                state,
-                lit,
-                just,
-                trail,
-                CmpKind::Ule,
-                node.args[0],
-                node.args[1],
-            ),
+            Op::Eq => CmpKind::Eq,
+            Op::Ult => CmpKind::Ult,
+            Op::Ule => CmpKind::Ule,
             _ => {
                 state.deferred.push((lit, just));
-                Ok(false)
+                return Ok(false);
             }
-        }
+        };
+        let (a, b) = (node.args[0], node.args[1]);
+        self.assert_cmp(state, lit, just, trail, kind, a, b)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -808,13 +786,13 @@ impl Engine<'_> {
         c: u64,
         positive: bool,
     ) -> Option<(Step, VarId)> {
-        let node = self.pool.node(term).clone();
+        let node = self.pool.node(term);
         let Op::Extract { lo } = node.op else {
             return None;
         };
-        let var = self.pool.as_var(node.args[0])?;
-        let ew = node.width; // extract width
-        let vw = self.pool.width(node.args[0]); // variable width
+        let (inner, ew) = (node.args[0], node.width); // ew: extract width
+        let var = self.pool.as_var(inner)?;
+        let vw = self.pool.width(inner); // variable width
         let high_bits = vw.bits() - u32::from(lo) - ew.bits();
 
         // Allowed slice values for the comparison.
@@ -930,7 +908,7 @@ impl Engine<'_> {
     fn pick_deferred_var(&self, state: &State) -> Option<VarId> {
         let mut best: Option<(u64, VarId)> = None;
         for (lit, _) in &state.deferred {
-            for v in self.pool.vars_of(lit.term) {
+            for &v in self.pool.var_list(lit.term) {
                 if state.value_of(v).is_some() {
                     continue;
                 }
@@ -1020,7 +998,7 @@ impl Engine<'_> {
             let value = state.domain_of(self.pool, v).min().unwrap_or(0);
             model.assign(v, value);
         }
-        for &a in &self.assertions.clone() {
+        for &a in &self.assertions {
             if model.eval(self.pool, a) != Some(1) {
                 self.stats.verification_failures += 1;
                 return SearchOut::Unknown;

@@ -7,12 +7,12 @@
 //! assertion set pays for itself immediately. Terms are immutable and
 //! interned, which makes the cache sound.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::cache::SharedCache;
 use crate::certificate::{proof_audit, Certificate};
+use crate::hash::FastMap;
 use crate::model::Model;
 use crate::search::{solve, SatResult, SearchStats, SolverConfig};
 use crate::term::{TermId, TermPool};
@@ -178,7 +178,7 @@ impl Cached {
 pub struct Solver {
     config: SolverConfig,
     stats: SolverStats,
-    cache: HashMap<Vec<TermId>, Cached>,
+    cache: FastMap<Vec<TermId>, Cached>,
     shared: Option<Arc<SharedCache>>,
 }
 

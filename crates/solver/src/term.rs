@@ -11,6 +11,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::hash::FastMap;
 use crate::width::Width;
 
 /// Handle to an interned term. Obtained from [`TermPool`] constructors.
@@ -157,6 +158,13 @@ impl fmt::Debug for FunInfo {
 /// identity elimination) so that trivially true/false conditions never reach
 /// the search engine.
 ///
+/// Next to each node's structural fingerprint the pool stores, once, the
+/// node's *variable list*: the distinct variables of the term in the order
+/// [`TermPool::collect_vars`] documents. The lists live in one flat arena
+/// (a node whose operands with variables all have the same list shares
+/// that list's slice), so [`TermPool::fork`] stays a plain copy and
+/// reading a term's variables never walks the DAG.
+///
 /// # Examples
 ///
 /// ```
@@ -175,12 +183,17 @@ pub struct TermPool {
     /// Structural fingerprint per node (parallel to `nodes`): equal across
     /// pools for structurally equal terms, regardless of `TermId` numbering.
     fps: Vec<u128>,
-    intern: HashMap<TermData, TermId>,
+    /// Variable list per node (parallel to `nodes`): `(start, len)` into
+    /// `var_arena`.
+    var_spans: Vec<(u32, u32)>,
+    /// Every stored variable list, back to back.
+    var_arena: Vec<VarId>,
+    intern: FastMap<TermData, TermId>,
     vars: Vec<VarInfo>,
     /// Identity fingerprint per variable (parallel to `vars`).
     var_fps: Vec<u128>,
     /// Reverse map used when importing terms or models from another pool.
-    var_fp_index: HashMap<u128, VarId>,
+    var_fp_index: FastMap<u128, VarId>,
     funs: Vec<FunInfo>,
     /// Distinguishes *untagged* variables created after a [`TermPool::fork`]
     /// so independent workers never alias each other's ad-hoc variables.
@@ -245,10 +258,47 @@ impl TermPool {
         }
         let id = TermId(self.nodes.len() as u32);
         let fp = self.node_fp(&data);
+        let span = self.node_var_span(&data);
         self.nodes.push(data.clone());
         self.fps.push(fp);
+        self.var_spans.push(span);
         self.intern.insert(data, id);
         id
+    }
+
+    /// The variable list of a new node, as a span of `var_arena`: the
+    /// node's own variable for a leaf, else the operands' lists from the
+    /// last operand to the first, each variable kept at its first
+    /// occurrence. When every operand that has variables has the same
+    /// list, the node shares it instead of copying.
+    fn node_var_span(&mut self, data: &TermData) -> (u32, u32) {
+        if let Op::Var(v) = data.op {
+            self.var_arena.push(v);
+            return (self.var_arena.len() as u32 - 1, 1);
+        }
+        let mut spans = data
+            .args
+            .iter()
+            .rev()
+            .map(|a| self.var_spans[a.0 as usize])
+            .filter(|&(_, len)| len > 0);
+        let Some(first) = spans.next() else {
+            return (0, 0);
+        };
+        if spans.all(|span| span == first) {
+            return first;
+        }
+        let start = self.var_arena.len();
+        for a in data.args.iter().rev() {
+            let (from, len) = self.var_spans[a.0 as usize];
+            for i in from as usize..(from + len) as usize {
+                let v = self.var_arena[i];
+                if !self.var_arena[start..].contains(&v) {
+                    self.var_arena.push(v);
+                }
+            }
+        }
+        (start as u32, (self.var_arena.len() - start) as u32)
     }
 
     /// Structural fingerprint of a node: a pure function of the operator, the
@@ -979,39 +1029,39 @@ impl TermPool {
     ///
     /// Returns `None` if any required variable is unassigned.
     pub fn eval_with(&self, t: TermId, lookup: &dyn Fn(VarId) -> Option<u64>) -> Option<u64> {
-        let node = self.node(t).clone();
+        let node = self.node(t);
         let w = node.width;
         let v = match node.op {
             Op::Const(v) => v,
             Op::Var(x) => lookup(x)?,
             Op::Add => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 a.wrapping_add(b)
             }
             Op::Sub => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 a.wrapping_sub(b)
             }
             Op::Mul => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 a.wrapping_mul(b)
             }
             Op::Neg => self.eval_with(node.args[0], lookup)?.wrapping_neg(),
             Op::BitAnd => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 a & b
             }
             Op::BitOr => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 a | b
             }
             Op::BitXor => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 a ^ b
             }
             Op::BitNot => !self.eval_with(node.args[0], lookup)?,
             Op::Shl => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 if b >= 64 {
                     0
                 } else {
@@ -1019,7 +1069,7 @@ impl TermPool {
                 }
             }
             Op::Lshr => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 if b >= 64 {
                     0
                 } else {
@@ -1041,24 +1091,24 @@ impl TermPool {
                 (hi << wl.bits()) | lo
             }
             Op::Eq => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 u64::from(a == b)
             }
             Op::Ult => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 u64::from(a < b)
             }
             Op::Ule => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 u64::from(a <= b)
             }
             Op::Not => u64::from(self.eval_with(node.args[0], lookup)? == 0),
             Op::And => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 u64::from(a != 0 && b != 0)
             }
             Op::Or => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 u64::from(a != 0 || b != 0)
             }
             Op::Ite => {
@@ -1175,30 +1225,33 @@ impl TermPool {
         }
     }
 
-    /// Collects the set of variables occurring in `t` into `out`
-    /// (deduplicated, in first-occurrence order).
+    /// The distinct variables of `t`, as stored when `t` was interned.
+    pub(crate) fn var_list(&self, t: TermId) -> &[VarId] {
+        let (start, len) = self.var_spans[t.0 as usize];
+        &self.var_arena[start as usize..(start + len) as usize]
+    }
+
+    /// Appends the variables occurring in `t` that `out` does not hold yet.
+    ///
+    /// The order is a depth-first preorder over the term DAG that visits a
+    /// node's operands from the *last* to the first and each shared subterm
+    /// once: for `x + y` it is `[y, x]`. The order is part of the contract,
+    /// not an accident of the walk: when the search engine must enumerate a
+    /// variable, it takes the first one in this order among those with the
+    /// smallest domain, so another order would give other, equally valid,
+    /// models — and other Trojan witnesses. The list is read from the pool,
+    /// not recomputed.
     pub fn collect_vars(&self, t: TermId, out: &mut Vec<VarId>) {
-        let mut stack = vec![t];
-        let mut seen_terms = std::collections::HashSet::new();
-        while let Some(id) = stack.pop() {
-            if !seen_terms.insert(id) {
-                continue;
+        for &v in self.var_list(t) {
+            if !out.contains(&v) {
+                out.push(v);
             }
-            let node = self.node(id);
-            if let Op::Var(v) = node.op {
-                if !out.contains(&v) {
-                    out.push(v);
-                }
-            }
-            stack.extend(node.args.iter().copied());
         }
     }
 
-    /// The set of variables occurring in `t`.
+    /// The variables occurring in `t`, in [`TermPool::collect_vars`] order.
     pub fn vars_of(&self, t: TermId) -> Vec<VarId> {
-        let mut out = Vec::new();
-        self.collect_vars(t, &mut out);
-        out
+        self.var_list(t).to_vec()
     }
 
     // ------------------------------------------------------------------

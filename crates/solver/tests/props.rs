@@ -3,12 +3,17 @@
 //! The central property: for small widths the engine must agree with a
 //! brute-force enumeration of all assignments — `Sat` models must satisfy
 //! the query, and `Unsat` answers must have no satisfying assignment at all.
+//! Two more pin bookkeeping that must never change an answer: the variable
+//! lists the pool stores per node equal a walk of the term, and the shared
+//! cache's signature filter returns the certificate a full scan would.
 
 use achilles_solver::{
-    solve, IntervalSet, SatResult, SolverConfig, TermId, TermPool, VarId, Width,
+    solve, Certificate, IntervalSet, Op, ProofNode, SatResult, SharedCache, SolverConfig, TermId,
+    TermPool, VarId, Width,
 };
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
 const W4: Width = Width::W8; // variables are 8-bit but constants small
 
@@ -196,5 +201,149 @@ proptest! {
         let model = result.model().expect("x == k is sat");
         let xv: VarId = pool.as_var(x).unwrap();
         prop_assert_eq!(model.value(xv), Some(u64::from(k)));
+    }
+}
+
+/// The variable walk `TermPool::collect_vars` is specified by, kept here as
+/// the reference: a stack-based depth-first walk that pushes a node's
+/// operands first to last (so visits them last to first), visits each term
+/// once, and appends each variable `out` does not hold yet.
+fn reference_collect_vars(pool: &TermPool, t: TermId, out: &mut Vec<VarId>) {
+    let mut stack = vec![t];
+    let mut seen_terms = HashSet::new();
+    while let Some(id) = stack.pop() {
+        if !seen_terms.insert(id) {
+            continue;
+        }
+        let node = pool.node(id);
+        if let Op::Var(v) = node.op {
+            if !out.contains(&v) {
+                out.push(v);
+            }
+        }
+        stack.extend(node.args.iter().copied());
+    }
+}
+
+/// Builds a random term DAG from a recipe: each step picks an operator and
+/// up to four operands among the terms built so far (so subterms are
+/// shared), over five 8-bit variables, two constants and three boolean
+/// variables. Returns every term built.
+fn build_terms(pool: &mut TermPool, recipe: &[(u8, u8, u8, u8, u8)]) -> Vec<TermId> {
+    let mut bvs: Vec<TermId> = (0..5)
+        .map(|i| pool.fresh(&format!("x{i}"), Width::W8))
+        .collect();
+    bvs.push(pool.constant(0, Width::W8));
+    bvs.push(pool.constant(0x80, Width::W8));
+    let mut bools: Vec<TermId> = (0..3)
+        .map(|i| pool.fresh(&format!("b{i}"), Width::BOOL))
+        .collect();
+    let mix = pool.register_fun("mix4", Width::W8, |args| {
+        args.iter().fold(7, |h, &a| h.wrapping_mul(31) ^ a)
+    });
+    for &(op, i, j, k, l) in recipe {
+        let pick = |terms: &[TermId], at: u8| terms[usize::from(at) % terms.len()];
+        let (a, b, c, d) = (pick(&bvs, i), pick(&bvs, j), pick(&bvs, k), pick(&bvs, l));
+        let (p, q) = (pick(&bools, i), pick(&bools, j));
+        match op % 16 {
+            0 => bvs.push(pool.add(a, b)),
+            1 => bvs.push(pool.sub(a, b)),
+            2 => bvs.push(pool.mul(a, b)),
+            3 => bvs.push(pool.bit_and(a, b)),
+            4 => bvs.push(pool.bit_xor(a, b)),
+            5 => bvs.push(pool.neg(a)),
+            6 => bvs.push(pool.ite(p, a, b)),
+            7 => bvs.push(pool.apply(mix, vec![a, b, c, d])),
+            8 => {
+                let hi = pool.extract(a, 4, Width::new(4));
+                let lo = pool.extract(b, 0, Width::new(4));
+                bvs.push(pool.concat(hi, lo));
+            }
+            9 => bools.push(pool.eq(a, b)),
+            10 => bools.push(pool.ult(a, b)),
+            11 => bools.push(pool.slt(a, b)),
+            12 => bools.push(pool.and(p, q)),
+            13 => bools.push(pool.or(p, q)),
+            14 => bools.push(pool.not(p)),
+            _ => bools.push(pool.ite(p, q, bools[usize::from(k) % bools.len()])),
+        }
+    }
+    bvs.into_iter().chain(bools).collect()
+}
+
+/// Fingerprint `i` of a 24-member universe. `fp mod 64` is `i mod 8`, so
+/// the members collide mod 64 in threes: the signature filter sees one bit
+/// for three distinct fingerprints.
+fn universe_fp(i: u8) -> u128 {
+    (u128::from(i) << 70) | u128::from(i % 8)
+}
+
+fn sorted_fps(ids: &[u8]) -> Vec<u128> {
+    let fps: BTreeSet<u128> = ids.iter().map(|&i| universe_fp(i % 24)).collect();
+    fps.into_iter().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn stored_var_lists_equal_the_reference_walk(
+        recipe in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 1..40),
+        prefix in prop::collection::vec(any::<u8>(), 0..4),
+    ) {
+        let mut pool = TermPool::new();
+        let terms = build_terms(&mut pool, &recipe);
+        let all_vars: Vec<VarId> = terms.iter().filter_map(|&t| pool.as_var(t)).collect();
+        for &t in &terms {
+            let mut expected = Vec::new();
+            reference_collect_vars(&pool, t, &mut expected);
+            prop_assert_eq!(pool.vars_of(t), expected);
+
+            // Appending into a non-empty `out` keeps what is there and
+            // skips the variables it already holds.
+            let start: Vec<VarId> = prefix
+                .iter()
+                .map(|&i| all_vars[usize::from(i) % all_vars.len()])
+                .collect();
+            let mut expected = start.clone();
+            reference_collect_vars(&pool, t, &mut expected);
+            let mut got = start;
+            pool.collect_vars(t, &mut got);
+            prop_assert_eq!(got, expected);
+        }
+    }
+
+    #[test]
+    fn signature_filter_returns_the_full_scan_certificate(
+        cores in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..5), 1..24),
+        keys in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..10), 1..24),
+    ) {
+        let pool = TermPool::new();
+        let cache = SharedCache::new();
+        // The index keeps the first certificate per distinct core, filed
+        // under the core's smallest fingerprint, in insertion order.
+        let mut indexed: Vec<(Vec<u128>, u64)> = Vec::new();
+        for (id, ids) in cores.iter().enumerate() {
+            let core = sorted_fps(ids);
+            let cert = Certificate { core: core.clone(), proof: ProofNode::Admitted, steps: id as u64 };
+            cache.insert(&pool, core.clone().into_boxed_slice(), &SatResult::Unsat(Arc::new(cert)));
+            if !indexed.iter().any(|(c, _)| *c == core) {
+                indexed.push((core, id as u64));
+            }
+        }
+        for ids in &keys {
+            let key = sorted_fps(ids);
+            // Full scan: probe each key fp in order, then every core filed
+            // under it, and take the first core contained in the key.
+            let expected = key.iter().find_map(|&fp| {
+                indexed
+                    .iter()
+                    .filter(|(core, _)| core[0] == fp)
+                    .find(|(core, _)| core.iter().all(|c| key.binary_search(c).is_ok()))
+                    .map(|&(_, id)| id)
+            });
+            let got = cache.lookup_subsumed(&key).map(|cert| cert.steps);
+            prop_assert_eq!(got, expected);
+        }
     }
 }

@@ -10,11 +10,12 @@
 
 use achilles::export::session_witness_record;
 use achilles::{AchillesSession, SessionReport, TargetRegistry, TargetSpec};
-use achilles_fleetd::{Fleetd, FleetdConfig, WitnessStore};
+use achilles_fleetd::{serve_stream, Fleetd, FleetdConfig, WitnessStore, MAX_LINE_BYTES};
 use achilles_replay::session_from_report;
 use achilles_sweep::{sweep_report, CampaignConfig, SchedulePlanner, SweepCache, SweepConfig};
 use achilles_targets::builtin_registry;
 use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 const TARGET: &str = "gossip";
@@ -504,4 +505,93 @@ fn metrics_snapshot_is_framed_sectioned_and_covers_the_stack() {
     let stats = service.handle_line("STATS");
     assert!(stats.starts_with("OK targets="), "{stats}");
     assert_eq!(stats.lines().count(), 1, "STATS is one line");
+}
+
+/// An in-memory connection: reads come from `input`, replies collect in
+/// `output`.
+struct MemStream {
+    input: std::io::Cursor<Vec<u8>>,
+    output: Vec<u8>,
+}
+
+impl std::io::Read for MemStream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.input.read(buf)
+    }
+}
+
+impl std::io::Write for MemStream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.output.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn oversize_line_is_rejected_counted_and_the_stream_keeps_serving() {
+    let (registry, _spec) = gossip_spec();
+    let service = Fleetd::start(registry, FleetdConfig::default().quick()).expect("service starts");
+    let stop = AtomicBool::new(false);
+    let oversize = format!(
+        "INGEST gossip/seed-sync-read {}\n",
+        "1,".repeat(MAX_LINE_BYTES)
+    );
+    // A line of exactly the bound (newline included) is still read whole.
+    let at_bound = format!("{:<width$}\n", "HELLO", width = MAX_LINE_BYTES - 1);
+    let mut stream = MemStream {
+        input: std::io::Cursor::new(format!("{oversize}HELLO\n{at_bound}METRICS\n").into_bytes()),
+        output: Vec::new(),
+    };
+    serve_stream(&service, &stop, &mut stream);
+
+    let output = String::from_utf8(stream.output).expect("replies are UTF-8");
+    let mut lines = output.lines();
+    let first = lines.next().expect("a reply to the oversize line");
+    assert!(
+        first.starts_with("ERR ") && first.contains(&MAX_LINE_BYTES.to_string()),
+        "{first}"
+    );
+    for _ in 0..2 {
+        let hello = lines.next().expect("the following lines are served");
+        assert!(hello.starts_with("OK achilles-fleetd"), "{hello}");
+    }
+    let metrics = lines.collect::<Vec<_>>().join("\n");
+    assert!(
+        metrics.contains("achilles_fleetd_errors_total{class=\"oversize\"} 1"),
+        "{metrics}"
+    );
+    assert!(!stop.load(std::sync::atomic::Ordering::SeqCst));
+}
+
+#[test]
+fn registry_ingest_lines_fit_the_line_bound_with_headroom() {
+    // The widest line each witness's layout can produce: every field at
+    // u64::MAX.
+    let widest = u64::MAX.to_string();
+    let mut longest = 0;
+    for spec in builtin_registry().iter() {
+        for (report, records) in discover(&**spec) {
+            for record in records {
+                let wide: Vec<String> = record
+                    .split('/')
+                    .map(|slot| vec![widest.as_str(); slot.split(',').count()].join(","))
+                    .collect();
+                let line = format!(
+                    "INGEST {}/{} {}\n",
+                    spec.name(),
+                    report.session,
+                    wide.join("/")
+                );
+                longest = longest.max(line.len());
+            }
+        }
+    }
+    assert!(longest > 0, "the registry declares session witnesses");
+    assert!(
+        longest * 10 <= MAX_LINE_BYTES,
+        "widest INGEST line {longest} bytes leaves under 10x headroom below {MAX_LINE_BYTES}"
+    );
 }

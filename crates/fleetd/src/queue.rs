@@ -1,11 +1,11 @@
 //! The sharded campaign work queue.
 //!
 //! The unit of queued work is one *witness* — a [`WorkItem`] carrying the
-//! witness, its scope, and the mini-cache of already-known cells — but
-//! the unit of *depth accounting* is the cell: backpressure must bound
-//! replay debt, and one FSP witness is hundreds of cells while one gossip
-//! witness is a hundred, so counting items would let the debt vary by
-//! orders of magnitude under one bound.
+//! witness, its scope, its planned schedules and the mini-cache of
+//! already-known cells — but the unit of *depth accounting* is the cell:
+//! backpressure must bound replay debt, and one FSP witness is hundreds
+//! of cells while one gossip witness is a hundred, so counting items
+//! would let the debt vary by orders of magnitude under one bound.
 //!
 //! Items land on shards round-robin; executor `i` drains shard `i` and
 //! steals from siblings when its own runs dry (the same discipline as the
@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use achilles_replay::SessionWitness;
+use achilles_replay::{FaultSchedule, SessionWitness};
 use achilles_sweep::SweepCache;
 
 /// Longest same-scope batch one claim hands an executor: bounds how long
@@ -42,8 +42,12 @@ pub struct WorkItem {
     pub id: usize,
     /// The witness to sweep.
     pub witness: SessionWitness,
+    /// The witness's planned schedule space, planned once at enqueue time
+    /// (where it also sized [`WorkItem::cells`]).
+    pub schedules: Vec<FaultSchedule>,
     /// Cells already classified (extracted from the shared cache at
-    /// enqueue time); the sweep replays exactly what is missing here.
+    /// enqueue time); the sweep replays exactly what is missing here,
+    /// and the publish moves the completed cells into the shared cache.
     pub seed: SweepCache,
     /// Fresh cells this item will replay — the depth the item holds.
     pub cells: usize,
@@ -183,11 +187,23 @@ impl WorkQueue {
         }
     }
 
-    /// Parks the calling executor until work (or close) is signaled. The
-    /// wait is timed, so a missed wakeup costs latency, never liveness.
+    /// Parks the calling executor until work (or close) is signaled, and
+    /// returns at once if a lane already holds an item. An executor's
+    /// [`WorkQueue::claim`] runs outside the signal lock, so an item
+    /// enqueued between a failed claim and this call notified nobody; the
+    /// check under the lock sees it, because [`WorkQueue::enqueue`] pushes
+    /// the item before it takes the lock to notify. The wait is also
+    /// timed, as a backstop for liveness.
     pub fn wait_for_work(&self) {
         let guard = self.signal.lock().expect("queue signal lock");
         if self.is_idle() && self.is_closed() {
+            return;
+        }
+        if self
+            .shards
+            .iter()
+            .any(|shard| !shard.lock().expect("queue shard lock").is_empty())
+        {
             return;
         }
         let _unused = self
@@ -225,10 +241,32 @@ mod tests {
                 fields: vec![vec![1]],
                 wire: vec![vec![1]],
             },
+            schedules: Vec::new(),
             seed: SweepCache::new(),
             cells,
             epoch: 0,
         }
+    }
+
+    #[test]
+    fn waiting_after_an_unseen_enqueue_returns_at_once() {
+        // The executor's order: a claim that finds nothing, then a park.
+        // An enqueue landing between the two notified no one; the park
+        // must see the queued item instead of sleeping out its timeout.
+        let queue = WorkQueue::new(2);
+        let started = std::time::Instant::now();
+        for _ in 0..10 {
+            assert!(queue.claim(0).is_none());
+            queue.enqueue(item("a/s", 1));
+            queue.wait_for_work();
+            let batch = queue.claim(0).expect("the enqueued item");
+            queue.complete(batch[0].cells);
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(100),
+            "ten enqueue/park/claim rounds took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -5,25 +5,33 @@
 //! - the **witness store** ([`WitnessStore`]) and the **sweep cache**
 //!   behind a single state mutex — handlers and executors hold it only
 //!   for validation and publication, never across a replay;
-//! - the **work queue** ([`WorkQueue`]): ingest extracts a per-witness
-//!   mini-cache ([`SweepCache::extract_witness`]) and enqueues a
-//!   self-contained [`WorkItem`], so executors replay without touching
-//!   shared state until the one short publish lock at the end;
+//! - the **work queue** ([`WorkQueue`]): ingest extracts the witness's
+//!   own cells into a mini-cache ([`SweepCache::extract_witness`]),
+//!   plans the witness once, and enqueues a self-contained [`WorkItem`]
+//!   carrying both, so executors replay without touching shared state or
+//!   planning again until the one short publish lock at the end, where
+//!   the mini-cache's cells are moved, not copied, into the store
+//!   ([`SweepCache::merge`]);
 //! - the **campaign executors**: `shards` threads, each draining its
 //!   queue lane (stealing from siblings) in same-scope batches served by
 //!   one persistent [`ForkServer`] — per-target fork-server affinity, one
 //!   boot per batch instead of one per witness;
 //! - the **incremental layer**: every unit of work is keyed by the sweep
-//!   cache's `cell_key`, so a no-op re-ingest is answered inline with
-//!   zero replays, a single-witness ingest replays exactly that witness's
-//!   missing cells, and an `EPOCH` bump invalidates exactly the bumped
-//!   target's scopes (results derived against an older epoch are dropped
-//!   on publish, never mixed in).
+//!   cache's (scope, witness record, schedule token) key, so a no-op
+//!   re-ingest is answered inline with zero replays, a single-witness
+//!   ingest replays exactly that witness's missing cells, and an `EPOCH`
+//!   bump invalidates exactly the bumped target's scopes (results derived
+//!   against an older epoch are dropped on publish, never mixed in).
+//!
+//! The store is nested by scope and witness, so extracting or evicting a
+//! witness and publishing its result cost that witness's cells, not the
+//! store's size; `STATS` reports the cells those operations visited
+//! (`cells_visited`).
 //!
 //! Service answers are bit-identical to the batch pipeline by
 //! construction: handlers and executors call the same
 //! [`sweep_witness_on`] body `sweep_campaign` runs, against the same
-//! planner and cache keys.
+//! plan and cache keys.
 
 use std::io;
 use std::path::PathBuf;
@@ -145,6 +153,9 @@ pub struct ServiceStats {
     /// Completed campaigns dropped because their epoch was stale or
     /// their witness was evicted mid-flight.
     pub stale_results: usize,
+    /// Stored sweep cells the store's bulk operations visited (extract,
+    /// invalidate, merge, save): [`SweepCache::cells_visited`].
+    pub cells_visited: u64,
 }
 
 impl ServiceStats {
@@ -158,7 +169,7 @@ impl ServiceStats {
         format!(
             "targets={} witnesses={} results={} pending_cells={} peak_cells={} \
              ingested={} dup={} replays={} cache_hits={} plans={} boots={} \
-             boots_saved={} restores={} busy={} stale={}",
+             boots_saved={} restores={} busy={} stale={} cells_visited={}",
             self.targets,
             self.witnesses,
             self.results,
@@ -174,6 +185,7 @@ impl ServiceStats {
             self.snapshot_restores,
             self.busy_rejections,
             self.stale_results,
+            self.cells_visited,
         )
     }
 }
@@ -382,6 +394,7 @@ impl Fleetd {
             snapshot_restores: c.snapshot_restores.load(Ordering::SeqCst),
             busy_rejections: c.busy_rejections.load(Ordering::SeqCst),
             stale_results: c.stale_results.load(Ordering::SeqCst),
+            cells_visited: state.cache.cells_visited(),
         }
     }
 
@@ -399,8 +412,10 @@ impl Fleetd {
     /// service registry. Deterministic series are those fixed by the
     /// request sequence alone (store sizes, ingest/replay/cache-hit
     /// totals — per-item replay sets are pinned at enqueue time by the
-    /// extracted seed cache); anything shaped by executor scheduling
-    /// (boots per batch, queue depths, busy/stale races) is wall-classed.
+    /// extracted seed cache — and the store's visited cells, which each
+    /// operation fixes by the witness or scope it addresses); anything
+    /// shaped by executor scheduling (boots per batch, queue depths,
+    /// busy/stale races) is wall-classed.
     fn record_metrics(&self) {
         let stats = self.stats();
         let m = &self.shared.metrics;
@@ -417,6 +432,12 @@ impl Fleetd {
         for (name, value) in det {
             m.set(Class::Deterministic, name, &[], as_u64(value));
         }
+        m.set(
+            Class::Deterministic,
+            "achilles_fleetd_cells_visited_total",
+            &[],
+            stats.cells_visited,
+        );
         let wall: [(&str, usize); 8] = [
             ("achilles_fleetd_pending_cells", stats.pending_cells),
             ("achilles_fleetd_peak_cells", stats.peak_cells),
@@ -568,7 +589,6 @@ impl Fleetd {
         let Some(spec) = self.shared.registry.get(target).cloned() else {
             return Reply::Err(format!("unknown target {target:?}"));
         };
-        let planner = SchedulePlanner::new(self.shared.config.sweep.clone());
         let mut guard = self.shared.state.lock().expect("fleetd state lock");
         let state = &mut *guard;
         let Some(tshard) = state.store.target_mut(target) else {
@@ -590,8 +610,9 @@ impl Fleetd {
             return Reply::Ok(format!("dup id={id}"));
         }
         let scope = format!("{target}/{session}");
-        let seed = state.cache.extract_witness(&scope, &witness);
-        let fresh = fresh_cells(&seed, &scope, &witness, &planner);
+        let mut seed = state.cache.extract_witness(&scope, &witness);
+        let schedules = SchedulePlanner::new(self.shared.config.sweep.clone()).plan(&witness);
+        let fresh = seed.missing(&scope, &witness, &schedules);
         if fresh > 0
             && enforce_backpressure
             && self.shared.queue.depth_cells() + fresh > self.shared.config.max_queued_cells
@@ -611,15 +632,14 @@ impl Fleetd {
         if fresh == 0 {
             // Every cell is already in the cache: complete inline with
             // zero replays — the no-op re-ingest contract.
-            let mut seed = seed;
             let stats = complete_warm(
                 &self.shared,
                 &spec,
                 shard,
-                &planner,
                 &scope,
                 id,
                 &witness,
+                &schedules,
                 &mut seed,
             );
             return Reply::Ok(format!("id={id} cells=0 warm={}", stats.cache_hits));
@@ -630,6 +650,7 @@ impl Fleetd {
             scope,
             id,
             witness,
+            schedules,
             seed,
             cells: fresh,
             epoch,
@@ -695,16 +716,17 @@ impl Fleetd {
             for id in 0..shard.witnesses.len() {
                 let witness = shard.witnesses[id].witness.clone();
                 let mut seed = state.cache.extract_witness(&scope, &witness);
-                let fresh = fresh_cells(&seed, &scope, &witness, &planner);
+                let schedules = planner.plan(&witness);
+                let fresh = seed.missing(&scope, &witness, &schedules);
                 if fresh == 0 {
                     complete_warm(
                         &self.shared,
                         &spec,
                         shard,
-                        &planner,
                         &scope,
                         id,
                         &witness,
+                        &schedules,
                         &mut seed,
                     );
                     warm += 1;
@@ -716,6 +738,7 @@ impl Fleetd {
                         scope: scope.clone(),
                         id,
                         witness,
+                        schedules,
                         seed,
                         cells: fresh,
                         epoch,
@@ -801,7 +824,7 @@ impl Fleetd {
                     .lock()
                     .expect("fleetd state lock")
                     .cache
-                    .merge(&cache);
+                    .merge(cache);
             }
         }
         let specs: Vec<Arc<dyn TargetSpec>> = self.shared.registry.iter().cloned().collect();
@@ -864,24 +887,6 @@ fn verb_names(request: &Request) -> (&'static str, &'static str) {
     }
 }
 
-/// Fresh (un-cached) cells a witness's campaign will replay: the
-/// baseline plus every planned schedule missing from `seed`.
-fn fresh_cells(
-    seed: &SweepCache,
-    scope: &str,
-    witness: &SessionWitness,
-    planner: &SchedulePlanner,
-) -> usize {
-    let fault_free = FaultSchedule::none();
-    let mut fresh = usize::from(seed.get(scope, witness, &fault_free).is_none());
-    fresh += planner
-        .plan(witness)
-        .iter()
-        .filter(|schedule| seed.get(scope, witness, schedule).is_none())
-        .count();
-    fresh
-}
-
 /// Completes a fully-cached witness inline (zero replays) and publishes
 /// its result. Caller holds the state lock (`shard` borrows it).
 #[allow(clippy::too_many_arguments)]
@@ -889,15 +894,15 @@ fn complete_warm(
     shared: &Shared,
     spec: &Arc<dyn TargetSpec>,
     shard: &mut SessionShard,
-    planner: &SchedulePlanner,
     scope: &str,
     id: usize,
     witness: &SessionWitness,
+    schedules: &[FaultSchedule],
     seed: &mut SweepCache,
 ) -> WitnessSweepStats {
     let target_impl = spec.session_replay_target(&shard.session);
     let mut server = ForkServer::detached(&*target_impl, 1, shared.config.fork);
-    let (matrix, stats) = sweep_witness_on(&mut server, scope, witness, planner, seed);
+    let (matrix, stats) = sweep_witness_on(&mut server, scope, witness, schedules, seed);
     debug_assert_eq!(stats.replayed, 0, "warm completion must not replay");
     shared
         .counters
@@ -941,7 +946,6 @@ fn process_batch(shared: &Shared, batch: Vec<WorkItem>) {
         }
         return;
     };
-    let planner = SchedulePlanner::new(shared.config.sweep.clone());
     let target_impl = spec.session_replay_target(&batch[0].session);
     let mut server = if shared.config.fork {
         ForkServer::new(&*target_impl)
@@ -950,9 +954,13 @@ fn process_batch(shared: &Shared, batch: Vec<WorkItem>) {
     };
     for mut item in batch {
         let before = server.lifetime_stats();
-        let mut seed = std::mem::replace(&mut item.seed, SweepCache::new());
-        let (matrix, stats) =
-            sweep_witness_on(&mut server, &item.scope, &item.witness, &planner, &mut seed);
+        let (matrix, stats) = sweep_witness_on(
+            &mut server,
+            &item.scope,
+            &item.witness,
+            &item.schedules,
+            &mut item.seed,
+        );
         // Persistent-mode baselines replay through the server but are
         // folded into its lifetime stats only; credit the per-item delta
         // (everything absorbed beyond the published replay call) before
@@ -973,15 +981,17 @@ fn process_batch(shared: &Shared, batch: Vec<WorkItem>) {
                 .saturating_sub(stats.fork.snapshot_restores),
             Ordering::SeqCst,
         );
-        publish(shared, &item, &seed, matrix, &stats);
-        shared.queue.complete(item.cells);
+        let cells = item.cells;
+        publish(shared, item, matrix, &stats);
+        shared.queue.complete(cells);
     }
 }
 
+/// Publishes one completed item under the state lock: its matrix becomes
+/// the witness's result, and its mini-cache's cells move into the store.
 fn publish(
     shared: &Shared,
-    item: &WorkItem,
-    seed: &SweepCache,
+    item: WorkItem,
     matrix: achilles_sweep::SensitivityMatrix,
     stats: &WitnessSweepStats,
 ) {
@@ -1012,7 +1022,7 @@ fn publish(
                 replayed: stats.replayed,
                 cache_hits: stats.cache_hits,
             });
-            state.cache.merge(seed);
+            state.cache.merge(item.seed);
         }
         // Epoch bumped or witness evicted while we replayed: the result
         // describes a spec state the store no longer holds — drop it.

@@ -19,7 +19,7 @@
 //! the paper's annotations bypass them: correct clients write the
 //! predefined constant [`BYPASS_VALUE`] and the server checks for it.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use achilles_netsim::bytes::{decode_fields, encode_fields, WireError};
 use achilles_solver::{TermPool, Width};
@@ -125,15 +125,19 @@ pub const FIELD_WIDTHS: [u32; 6 + MAX_PATH] = {
 
 /// The bounded FSP message layout.
 pub fn layout() -> Arc<MessageLayout> {
-    MessageLayout::builder("fsp")
-        .field("cmd", Width::W8)
-        .field("sum", Width::W8)
-        .field("bb_key", Width::W16)
-        .field("bb_seq", Width::W16)
-        .field("bb_len", Width::W16)
-        .field("bb_pos", Width::W32)
-        .byte_array("buf", MAX_PATH)
-        .build()
+    // Built once, like every registry layout: immutable, and replay asks for it per delivery.
+    static LAYOUT: OnceLock<Arc<MessageLayout>> = OnceLock::new();
+    Arc::clone(LAYOUT.get_or_init(|| {
+        MessageLayout::builder("fsp")
+            .field("cmd", Width::W8)
+            .field("sum", Width::W8)
+            .field("bb_key", Width::W16)
+            .field("bb_seq", Width::W16)
+            .field("bb_len", Width::W16)
+            .field("bb_pos", Width::W32)
+            .byte_array("buf", MAX_PATH)
+            .build()
+    }))
 }
 
 /// Index of the first payload byte within the layout.

@@ -18,11 +18,11 @@
 //! tests use to show the corresponding Trojans disappear.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use achilles_netsim::SimFs;
 use achilles_solver::Width;
-use achilles_symvm::{NodeProgram, PathResult, SymEnv, SymMessage};
+use achilles_symvm::{MessageLayout, NodeProgram, PathResult, SymEnv, SymMessage};
 
 use crate::protocol::{
     layout, Command, BYPASS_VALUE, MAX_PATH, PRINTABLE_MAX, PRINTABLE_MIN, WILDCARD,
@@ -38,11 +38,14 @@ pub enum ReplyCode {
 }
 
 /// The reply message layout (code + up to four data bytes).
-pub fn reply_layout() -> std::sync::Arc<achilles_symvm::MessageLayout> {
-    achilles_symvm::MessageLayout::builder("fsp_reply")
-        .field("code", Width::W8)
-        .byte_array("data", MAX_PATH)
-        .build()
+pub fn reply_layout() -> Arc<MessageLayout> {
+    static LAYOUT: OnceLock<Arc<MessageLayout>> = OnceLock::new();
+    Arc::clone(LAYOUT.get_or_init(|| {
+        MessageLayout::builder("fsp_reply")
+            .field("code", Width::W8)
+            .byte_array("data", MAX_PATH)
+            .build()
+    }))
 }
 
 /// Server configuration.

@@ -17,7 +17,7 @@
 //! ([`FspSessionTarget`]) replays whole sessions: a login gate in front of
 //! the stateful [`FspServerRuntime`](crate::runtime::FspServerRuntime).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use achilles::{ReplayTarget, SnapshotReplayTarget};
 use achilles_solver::Width;
@@ -41,10 +41,13 @@ pub const LOGIN_SERVER_TOKEN_CAP: u64 = 1000;
 
 /// The login message layout (slot 0 of the session).
 pub fn login_layout() -> Arc<MessageLayout> {
-    MessageLayout::builder("fsp_login")
-        .field("user", Width::W8)
-        .field("token", Width::W16)
-        .build()
+    static LAYOUT: OnceLock<Arc<MessageLayout>> = OnceLock::new();
+    Arc::clone(LAYOUT.get_or_init(|| {
+        MessageLayout::builder("fsp_login")
+            .field("user", Width::W8)
+            .field("token", Width::W16)
+            .build()
+    }))
 }
 
 /// Expected session-Trojan count for a login→command session over

@@ -15,7 +15,7 @@
 //! [`crate::engine`]), which is the Trojan window the whole crate exists
 //! to model.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use achilles::{fields_to_wire, wire_to_fields, WireError};
 use achilles_solver::Width;
@@ -47,28 +47,37 @@ pub const N_PEERS: u64 = 5;
 
 /// The `SEED` message layout.
 pub fn seed_layout() -> Arc<MessageLayout> {
-    MessageLayout::builder("gossip_seed")
-        .field("kind", Width::W8)
-        .field("key", Width::W8)
-        .field("version", Width::W16)
-        .field("status", Width::W8)
-        .build()
+    static LAYOUT: OnceLock<Arc<MessageLayout>> = OnceLock::new();
+    Arc::clone(LAYOUT.get_or_init(|| {
+        MessageLayout::builder("gossip_seed")
+            .field("kind", Width::W8)
+            .field("key", Width::W8)
+            .field("version", Width::W16)
+            .field("status", Width::W8)
+            .build()
+    }))
 }
 
 /// The `SYNC` message layout (slot 1 of the seed→sync→read session).
 pub fn sync_layout() -> Arc<MessageLayout> {
-    MessageLayout::builder("gossip_sync")
-        .field("kind", Width::W8)
-        .field("key", Width::W8)
-        .build()
+    static LAYOUT: OnceLock<Arc<MessageLayout>> = OnceLock::new();
+    Arc::clone(LAYOUT.get_or_init(|| {
+        MessageLayout::builder("gossip_sync")
+            .field("kind", Width::W8)
+            .field("key", Width::W8)
+            .build()
+    }))
 }
 
 /// The `READ` message layout (slot 2 of the seed→sync→read session).
 pub fn read_layout() -> Arc<MessageLayout> {
-    MessageLayout::builder("gossip_read")
-        .field("kind", Width::W8)
-        .field("key", Width::W8)
-        .build()
+    static LAYOUT: OnceLock<Arc<MessageLayout>> = OnceLock::new();
+    Arc::clone(LAYOUT.get_or_init(|| {
+        MessageLayout::builder("gossip_read")
+            .field("kind", Width::W8)
+            .field("key", Width::W8)
+            .build()
+    }))
 }
 
 /// One concrete `SEED` message.

@@ -18,7 +18,7 @@
 //!   acceptor's `promised` state is replaced by an annotated symbolic value
 //!   (the paper's `make_symbolic` on local state).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use achilles_solver::Width;
 use achilles_symvm::{MessageLayout, NodeProgram, PathResult, SymEnv, SymMessage};
@@ -34,11 +34,14 @@ pub const MAX_PROPOSABLE_VALUE: u64 = 1000;
 
 /// The `Accept` message layout.
 pub fn accept_layout() -> Arc<MessageLayout> {
-    MessageLayout::builder("paxos_accept")
-        .field("kind", Width::W8)
-        .field("ballot", Width::W16)
-        .field("value", Width::W32)
-        .build()
+    static LAYOUT: OnceLock<Arc<MessageLayout>> = OnceLock::new();
+    Arc::clone(LAYOUT.get_or_init(|| {
+        MessageLayout::builder("paxos_accept")
+            .field("kind", Width::W8)
+            .field("ballot", Width::W16)
+            .field("value", Width::W32)
+            .build()
+    }))
 }
 
 /// How the proposer (the client side) obtains the value it proposes.

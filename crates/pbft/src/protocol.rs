@@ -19,7 +19,7 @@
 //! the symbolic analysis (the paper's annotation approximation); the
 //! concrete cluster simulation uses the real toy MAC from [`crate::mac`].
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use achilles_netsim::bytes::{decode_fields, encode_fields, WireError};
 use achilles_solver::{TermPool, Width};
@@ -67,20 +67,23 @@ pub const MAC_BASE: usize = 8 + COMMAND_LEN;
 
 /// The bounded request layout.
 pub fn layout() -> Arc<MessageLayout> {
-    let mut b = MessageLayout::builder("pbft_req")
-        .field("tag", Width::W16)
-        .field("extra", Width::W16)
-        .field("size", Width::W32)
-        .field("od", Width::W64)
-        .field("replier", Width::W16)
-        .field("command_size", Width::W16)
-        .field("cid", Width::W16)
-        .field("rid", Width::W16)
-        .byte_array("command", COMMAND_LEN);
-    for r in 0..N_REPLICAS {
-        b = b.field(&format!("mac[{r}]"), Width::W32);
-    }
-    b.build()
+    static LAYOUT: OnceLock<Arc<MessageLayout>> = OnceLock::new();
+    Arc::clone(LAYOUT.get_or_init(|| {
+        let mut b = MessageLayout::builder("pbft_req")
+            .field("tag", Width::W16)
+            .field("extra", Width::W16)
+            .field("size", Width::W32)
+            .field("od", Width::W64)
+            .field("replier", Width::W16)
+            .field("command_size", Width::W16)
+            .field("cid", Width::W16)
+            .field("rid", Width::W16)
+            .byte_array("command", COMMAND_LEN);
+        for r in 0..N_REPLICAS {
+            b = b.field(&format!("mac[{r}]"), Width::W32);
+        }
+        b.build()
+    }))
 }
 
 /// A concrete PBFT client request.

@@ -19,6 +19,8 @@
 //! *over-approximated with unconstrained symbolic values*, exactly as the
 //! paper does for PBFT's request-history structure (§6.1).
 
+use std::sync::{Arc, OnceLock};
+
 use achilles_solver::Width;
 use achilles_symvm::{MessageLayout, NodeProgram, PathResult, SymEnv, SymMessage};
 
@@ -28,12 +30,15 @@ use crate::protocol::{
 };
 
 /// The Pre_prepare message layout (enough structure for the accept marker).
-pub fn preprepare_layout() -> std::sync::Arc<MessageLayout> {
-    MessageLayout::builder("pre_prepare")
-        .field("view", Width::W16)
-        .field("seq", Width::W32)
-        .field("od", Width::W64)
-        .build()
+pub fn preprepare_layout() -> Arc<MessageLayout> {
+    static LAYOUT: OnceLock<Arc<MessageLayout>> = OnceLock::new();
+    Arc::clone(LAYOUT.get_or_init(|| {
+        MessageLayout::builder("pre_prepare")
+            .field("view", Width::W16)
+            .field("seq", Width::W32)
+            .field("od", Width::W64)
+            .build()
+    }))
 }
 
 /// Replica configuration.

@@ -14,7 +14,7 @@
 //! it — the sender-identity window the whole crate exists to model (see
 //! [`crate::engine`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use achilles::{fields_to_wire, wire_to_fields, WireError};
 use achilles_solver::Width;
@@ -42,29 +42,38 @@ pub const MAX_VALUE: u64 = 256;
 
 /// The `WRITE` message layout (slot 0 of the write→sync→read session).
 pub fn write_layout() -> Arc<MessageLayout> {
-    MessageLayout::builder("shardexec_write")
-        .field("kind", Width::W8)
-        .field("sender", Width::W8)
-        .field("key", Width::W8)
-        .field("value", Width::W16)
-        .build()
+    static LAYOUT: OnceLock<Arc<MessageLayout>> = OnceLock::new();
+    Arc::clone(LAYOUT.get_or_init(|| {
+        MessageLayout::builder("shardexec_write")
+            .field("kind", Width::W8)
+            .field("sender", Width::W8)
+            .field("key", Width::W8)
+            .field("value", Width::W16)
+            .build()
+    }))
 }
 
 /// The `SYNC` message layout (slot 1).
 pub fn sync_layout() -> Arc<MessageLayout> {
-    MessageLayout::builder("shardexec_sync")
-        .field("kind", Width::W8)
-        .field("sender", Width::W8)
-        .field("key", Width::W8)
-        .build()
+    static LAYOUT: OnceLock<Arc<MessageLayout>> = OnceLock::new();
+    Arc::clone(LAYOUT.get_or_init(|| {
+        MessageLayout::builder("shardexec_sync")
+            .field("kind", Width::W8)
+            .field("sender", Width::W8)
+            .field("key", Width::W8)
+            .build()
+    }))
 }
 
 /// The `READ` message layout (slot 2).
 pub fn read_layout() -> Arc<MessageLayout> {
-    MessageLayout::builder("shardexec_read")
-        .field("kind", Width::W8)
-        .field("key", Width::W8)
-        .build()
+    static LAYOUT: OnceLock<Arc<MessageLayout>> = OnceLock::new();
+    Arc::clone(LAYOUT.get_or_init(|| {
+        MessageLayout::builder("shardexec_read")
+            .field("kind", Width::W8)
+            .field("key", Width::W8)
+            .build()
+    }))
 }
 
 /// One concrete `WRITE` broadcast.

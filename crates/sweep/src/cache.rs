@@ -3,10 +3,21 @@
 //!
 //! A campaign's cost is `witnesses × schedules` replays, and re-running an
 //! unchanged system re-derives exactly the same cells. The cache remembers
-//! each cell under a `witness-record@schedule-token` key, so a later run
-//! replays only genuinely new (witness, schedule) pairs — the same
-//! incrementality contract [`ReplayCorpus`](achilles_replay::ReplayCorpus)
+//! each cell under its `scope::witness-record@schedule-token` key, so a
+//! later run replays only genuinely new (witness, schedule) pairs — the
+//! same incrementality contract [`ReplayCorpus`](achilles_replay::ReplayCorpus)
 //! gives validation.
+//!
+//! In memory the key is split into its three parts and the store is
+//! nested, scope → witness record → schedule token → cell, because a
+//! service works on one witness or one scope at a time: that work never
+//! walks the whole store ([`SweepCache`] lists what each operation
+//! touches, and [`SweepCache::cells_visited`] counts it).
+//!
+//! The text form is unchanged by the nesting: one line per cell under its
+//! full key, the lines sorted by that key string. A nested walk would
+//! order them differently (`a/b2::…` sorts before `a/b::…` as a string,
+//! after it as a scope), so [`SweepCache::to_text`] sorts the full keys.
 //!
 //! The text format is versioned at least as fast as the replay corpus's
 //! witness-record format (`/`-separated per-slot records since corpus
@@ -19,8 +30,10 @@
 //! or foreign header is rejected with a line-1 error naming the expected
 //! version; only an absent (or zero-byte) file loads empty.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use achilles::export::session_witness_record;
 use achilles_replay::{CrashSignature, FaultSchedule, ReplayVerdict, SessionWitness};
@@ -69,23 +82,49 @@ pub struct CachedCell {
     pub signature: CrashSignature,
 }
 
-/// A persistent map from (witness, schedule) to sweep classification.
-#[derive(Clone, Debug, Default)]
-pub struct SweepCache {
-    cells: HashMap<String, CachedCell>,
-}
+/// One witness's cells, keyed by schedule token.
+pub(crate) type WitnessCells = HashMap<String, CachedCell>;
 
-/// The cache key of one (witness, schedule) pair within `scope` — the
-/// `target/session` namespace. The scope is part of the identity: two
+/// A persistent map from (witness, schedule) to sweep classification.
+///
+/// Cells live under scope (the `target/session` namespace) → witness
+/// record → schedule token. The scope is part of a cell's identity: two
 /// sessions (or targets) whose witnesses serialize to the same field
 /// record are still replayed against different deployments, so their
-/// cells must never answer for each other.
-pub fn cell_key(scope: &str, witness: &SessionWitness, schedule: &FaultSchedule) -> String {
-    format!(
-        "{scope}::{}@{}",
-        session_witness_record(&witness.fields),
-        schedule_token(schedule)
-    )
+/// cells never answer for each other. A lookup or insert hashes the three
+/// parts, never a joined key string. [`SweepCache::extract_witness`] and
+/// [`SweepCache::invalidate_witness`] touch one witness's cells,
+/// [`SweepCache::invalidate_scope`] one scope's, and
+/// [`SweepCache::merge`] moves whole witness maps where the receiver has
+/// none yet. Only [`SweepCache::to_text`] (and
+/// [`SweepCache::extract_scope_prefix`] for the scopes it selects) walks
+/// every cell, and it sorts the full keys so the file keeps its order.
+#[derive(Clone, Debug, Default)]
+pub struct SweepCache {
+    scopes: HashMap<String, HashMap<String, WitnessCells>>,
+    visited: Visits,
+}
+
+/// The running count behind [`SweepCache::cells_visited`]: atomic, so the
+/// read-only extract and render operations can count their work while
+/// the cache stays `Sync`.
+#[derive(Debug, Default)]
+struct Visits(AtomicU64);
+
+impl Visits {
+    fn add(&self, cells: usize) {
+        self.0.fetch_add(cells as u64, Ordering::Relaxed);
+    }
+
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+impl Clone for Visits {
+    fn clone(&self) -> Visits {
+        Visits(AtomicU64::new(self.get()))
+    }
 }
 
 impl SweepCache {
@@ -96,12 +135,26 @@ impl SweepCache {
 
     /// Number of cached cells.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.scopes
+            .values()
+            .flat_map(HashMap::values)
+            .map(HashMap::len)
+            .sum()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.len() == 0
+    }
+
+    /// Stored cells this cache's bulk operations have visited so far: each
+    /// extract, invalidate, merge and render adds the cells it copies,
+    /// drops, moves or writes. Point lookups and inserts are not counted.
+    /// The count is a pure function of the operations applied, so it is
+    /// how a caller checks that work stays proportional to the witness or
+    /// scope it addresses rather than to the store's size.
+    pub fn cells_visited(&self) -> u64 {
+        self.visited.get()
     }
 
     /// The cached cell for a (witness, schedule) pair in `scope`, if any.
@@ -111,7 +164,10 @@ impl SweepCache {
         witness: &SessionWitness,
         schedule: &FaultSchedule,
     ) -> Option<&CachedCell> {
-        self.cells.get(&cell_key(scope, witness, schedule))
+        self.scopes
+            .get(scope)?
+            .get(&session_witness_record(&witness.fields))?
+            .get(&schedule_token(schedule))
     }
 
     /// Caches a cell; later inserts under the same key win (replay is a
@@ -124,24 +180,70 @@ impl SweepCache {
         schedule: &FaultSchedule,
         cell: CachedCell,
     ) {
-        self.cells.insert(cell_key(scope, witness, schedule), cell);
+        self.witness_cells(scope, session_witness_record(&witness.fields))
+            .insert(schedule_token(schedule), cell);
+    }
+
+    /// The cells of one witness `record` within `scope`, created empty if
+    /// absent — how a sweep formats its witness's record once and then
+    /// keys each schedule by its token alone.
+    pub(crate) fn witness_cells(&mut self, scope: &str, record: String) -> &mut WitnessCells {
+        self.scopes
+            .entry(scope.to_string())
+            .or_default()
+            .entry(record)
+            .or_default()
+    }
+
+    /// The cells a sweep of `witness` over `schedules` would replay
+    /// against this cache: the fault-free baseline and every schedule
+    /// with no cached cell.
+    pub fn missing(
+        &self,
+        scope: &str,
+        witness: &SessionWitness,
+        schedules: &[FaultSchedule],
+    ) -> usize {
+        let Some(cells) = self
+            .scopes
+            .get(scope)
+            .and_then(|witnesses| witnesses.get(&session_witness_record(&witness.fields)))
+        else {
+            return 1 + schedules.len();
+        };
+        let baseline = usize::from(!cells.contains_key(&schedule_token(&FaultSchedule::none())));
+        baseline
+            + schedules
+                .iter()
+                .filter(|schedule| !cells.contains_key(&schedule_token(schedule)))
+                .count()
     }
 
     /// Serializes to the line-oriented cache text form (keys sorted, so
     /// the file is reproducible).
     pub fn to_text(&self) -> String {
-        let mut keys: Vec<&String> = self.cells.keys().collect();
-        keys.sort();
+        let mut rows: Vec<(String, &CachedCell)> = Vec::new();
+        for (scope, witnesses) in &self.scopes {
+            for (record, cells) in witnesses {
+                rows.extend(
+                    cells
+                        .iter()
+                        .map(|(token, cell)| (format!("{scope}::{record}@{token}"), cell)),
+                );
+            }
+        }
+        self.visited.add(rows.len());
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut out = String::from(HEADER);
         out.push('\n');
-        for key in keys {
-            let cell = &self.cells[key];
-            out.push_str(&format!(
-                "{key}|{}|{}|{}\n",
+        for (key, cell) in rows {
+            let _ = writeln!(
+                out,
+                "{key}|{}|{}|{}",
                 cell.class,
                 cell.verdict.as_str(),
                 cell.signature.to_line()
-            ));
+            );
         }
         out
     }
@@ -155,13 +257,17 @@ impl SweepCache {
     /// well-versioned file a malformed cell line is equally hard — a
     /// results store must not quietly shed cells.
     ///
+    /// Each key splits at its first `::` (scope) and at the first `@`
+    /// after that (witness record, then schedule token): neither a scope
+    /// nor a record contains those separators.
+    ///
     /// # Errors
     ///
     /// Returns a [`CacheParseError`] for the first malformed line: a
     /// missing or outdated version header, a truncated
     /// `key|class|verdict|signature` record, a key without the `::` scope
-    /// or `@` schedule separators, or an unparsable class / verdict /
-    /// signature.
+    /// separator or without an `@` schedule separator after it, or an
+    /// unparsable class / verdict / signature.
     pub fn from_text(text: &str) -> Result<SweepCache, CacheParseError> {
         let mut cache = SweepCache::new();
         let mut lines = text.lines().enumerate();
@@ -197,19 +303,22 @@ impl SweepCache {
                     "truncated cell (expected key|class|verdict|signature): {line:?}"
                 )));
             };
-            if !key.contains("::") || !key.contains('@') {
+            let Some((scope, (record, token))) = key
+                .split_once("::")
+                .and_then(|(scope, rest)| Some((scope, rest.split_once('@')?)))
+            else {
                 return Err(err(format!(
                     "malformed cell key (expected scope::witness@schedule): {key:?}"
                 )));
-            }
+            };
             let class = ScheduleClass::parse(class)
                 .ok_or_else(|| err(format!("unknown schedule class {class:?}")))?;
             let verdict = ReplayVerdict::parse(verdict)
                 .ok_or_else(|| err(format!("unknown replay verdict {verdict:?}")))?;
             let signature = CrashSignature::from_line(sig)
                 .ok_or_else(|| err(format!("unparsable crash signature {sig:?}")))?;
-            cache.cells.insert(
-                key.to_string(),
+            cache.witness_cells(scope, record.to_string()).insert(
+                token.to_string(),
                 CachedCell {
                     class,
                     verdict,
@@ -257,17 +366,22 @@ impl SweepCache {
         }
     }
 
-    /// Iterates the cached cells as `(key, cell)` pairs, in arbitrary
-    /// order (keys sort in [`SweepCache::to_text`]).
-    pub fn cells(&self) -> impl Iterator<Item = (&str, &CachedCell)> {
-        self.cells.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Absorbs every cell of `other`; later inserts win (replay is a pure
-    /// function of the scoped pair, so they can only re-assert).
-    pub fn merge(&mut self, other: &SweepCache) {
-        for (key, cell) in &other.cells {
-            self.cells.insert(key.clone(), cell.clone());
+    /// Moves every cell of `other` into this cache; later inserts win
+    /// (replay is a pure function of the scoped pair, so they can only
+    /// re-assert). A witness this cache holds no cells for takes over
+    /// `other`'s map whole.
+    pub fn merge(&mut self, other: SweepCache) {
+        for (scope, witnesses) in other.scopes {
+            let mine = self.scopes.entry(scope).or_default();
+            for (record, cells) in witnesses {
+                self.visited.add(cells.len());
+                match mine.entry(record) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(cells);
+                    }
+                    Entry::Occupied(mut slot) => slot.get_mut().extend(cells),
+                }
+            }
         }
     }
 
@@ -276,10 +390,12 @@ impl SweepCache {
     /// changed spec invalidates exactly its own scope's cells, nobody
     /// else's.
     pub fn invalidate_scope(&mut self, scope: &str) -> usize {
-        let prefix = format!("{scope}::");
-        let before = self.cells.len();
-        self.cells.retain(|key, _| !key.starts_with(&prefix));
-        before - self.cells.len()
+        let dropped = self
+            .scopes
+            .remove(scope)
+            .map_or(0, |witnesses| witnesses.values().map(HashMap::len).sum());
+        self.visited.add(dropped);
+        dropped
     }
 
     /// Drops every cell of one witness within `scope` (the baseline cell
@@ -287,10 +403,13 @@ impl SweepCache {
     /// lever: re-deriving one changed witness record touches exactly that
     /// witness's cells.
     pub fn invalidate_witness(&mut self, scope: &str, witness: &SessionWitness) -> usize {
-        let prefix = witness_prefix(scope, witness);
-        let before = self.cells.len();
-        self.cells.retain(|key, _| !key.starts_with(&prefix));
-        before - self.cells.len()
+        let dropped = self
+            .scopes
+            .get_mut(scope)
+            .and_then(|witnesses| witnesses.remove(&session_witness_record(&witness.fields)))
+            .map_or(0, |cells| cells.len());
+        self.visited.add(dropped);
+        dropped
     }
 
     /// Clones every cell of one witness within `scope` into a fresh
@@ -298,15 +417,17 @@ impl SweepCache {
     /// sweeping against the extract replays exactly the cells missing
     /// from it, with no lock on the shared store.
     pub fn extract_witness(&self, scope: &str, witness: &SessionWitness) -> SweepCache {
-        let prefix = witness_prefix(scope, witness);
-        SweepCache {
-            cells: self
-                .cells
-                .iter()
-                .filter(|(key, _)| key.starts_with(&prefix))
-                .map(|(key, cell)| (key.clone(), cell.clone()))
-                .collect(),
+        let record = session_witness_record(&witness.fields);
+        let mut extract = SweepCache::new();
+        if let Some(cells) = self.scopes.get(scope).and_then(|w| w.get(&record)) {
+            self.visited.add(cells.len());
+            extract
+                .scopes
+                .entry(scope.to_string())
+                .or_default()
+                .insert(record, cells.clone());
         }
+        extract
     }
 
     /// Clones every cell whose scope starts with `prefix` (e.g. a
@@ -314,25 +435,19 @@ impl SweepCache {
     /// fresh cache — how a service shards one store into per-target
     /// durable files.
     pub fn extract_scope_prefix(&self, prefix: &str) -> SweepCache {
-        SweepCache {
-            cells: self
-                .cells
-                .iter()
-                .filter(|(key, _)| {
-                    key.split_once("::")
-                        .is_some_and(|(scope, _)| scope.starts_with(prefix))
-                })
-                .map(|(key, cell)| (key.clone(), cell.clone()))
-                .collect(),
-        }
+        let scopes: HashMap<_, _> = self
+            .scopes
+            .iter()
+            .filter(|(scope, _)| scope.starts_with(prefix))
+            .map(|(scope, witnesses)| (scope.clone(), witnesses.clone()))
+            .collect();
+        let extract = SweepCache {
+            scopes,
+            ..SweepCache::default()
+        };
+        self.visited.add(extract.len());
+        extract
     }
-}
-
-/// The shared key prefix of every cell of one witness within `scope`
-/// (baseline and schedule cells alike) — what witness-level invalidation
-/// and extraction match on.
-fn witness_prefix(scope: &str, witness: &SessionWitness) -> String {
-    format!("{scope}::{}@", session_witness_record(&witness.fields))
 }
 
 #[cfg(test)]
@@ -461,6 +576,13 @@ mod tests {
         let err = SweepCache::from_text(&bad_key).expect_err("key without :: or @ must error");
         assert_eq!(err.line, 2);
 
+        // The schedule's `@` must follow the scope's `::`: no writer puts
+        // one before it, and such a key could never be looked up.
+        let misplaced = format!("{HEADER}\ns@none::w|armed|confirmed|g/confirmed/\n");
+        let err = SweepCache::from_text(&misplaced).expect_err("@ before :: must error");
+        assert_eq!(err.line, 2);
+        assert!(err.reason.contains("malformed cell key"), "{err}");
+
         let bad_class = format!("{HEADER}\ns::w@none|bogus|confirmed|g/confirmed/\n");
         let err = SweepCache::from_text(&bad_class).expect_err("unknown class must error");
         assert!(err.reason.contains("bogus"), "{err}");
@@ -536,7 +658,79 @@ mod tests {
 
         // Merge re-absorbs an extract.
         let mut merged = bumped;
-        merged.merge(&extracted);
+        merged.merge(extracted);
         assert_eq!(merged.len(), 3);
+    }
+
+    #[test]
+    fn text_sorts_full_keys_not_scopes() {
+        // As strings `a/b2::` sorts before `a/b::` (`2` < `:`), while a
+        // scope-by-scope walk would put `a/b` first: the text form keeps
+        // the full-key order every earlier writer produced.
+        let mut cache = SweepCache::new();
+        for scope in ["a/b", "a/b2"] {
+            cache.insert(
+                scope,
+                &witness(),
+                &drop0(),
+                CachedCell {
+                    class: ScheduleClass::Disarmed,
+                    verdict: ReplayVerdict::Dropped,
+                    signature: CrashSignature::for_session("a", ReplayVerdict::Dropped, 2, vec![]),
+                },
+            );
+        }
+        let text = cache.to_text();
+        let scopes: Vec<&str> = text
+            .lines()
+            .skip(1)
+            .filter_map(|line| line.split_once("::").map(|(scope, _)| scope))
+            .collect();
+        assert_eq!(scopes, ["a/b2", "a/b"]);
+        let back = SweepCache::from_text(&text).expect("round-trip text parses");
+        assert_eq!(back.to_text(), text);
+        assert!(back.get("a/b2", &witness(), &drop0()).is_some());
+    }
+
+    #[test]
+    fn bulk_operations_visit_only_the_addressed_cells() {
+        let cell = || CachedCell {
+            class: ScheduleClass::Armed,
+            verdict: ReplayVerdict::ConfirmedTrojan,
+            signature: CrashSignature::for_session("g", ReplayVerdict::ConfirmedTrojan, 2, vec![]),
+        };
+        let mut cache = SweepCache::new();
+        cache.insert("g/a", &witness(), &drop0(), cell());
+        cache.insert("g/a", &witness(), &FaultSchedule::none(), cell());
+        // Unrelated cells: other scopes, and other witnesses of this one.
+        for i in 0..50u64 {
+            let other = SessionWitness {
+                index: 1,
+                server_path_id: 0,
+                fields: vec![vec![i], vec![i]],
+                wire: vec![vec![0], vec![0]],
+            };
+            cache.insert("g/a", &other, &drop0(), cell());
+            cache.insert(&format!("h/{i}"), &witness(), &drop0(), cell());
+        }
+        assert_eq!(cache.cells_visited(), 0, "inserts are point operations");
+        let _ = cache.get("g/a", &witness(), &drop0());
+        assert_eq!(cache.cells_visited(), 0, "lookups are point operations");
+
+        let extract = cache.extract_witness("g/a", &witness());
+        assert_eq!(cache.cells_visited(), 2);
+        assert_eq!(cache.invalidate_witness("g/a", &witness()), 2);
+        assert_eq!(cache.cells_visited(), 4);
+        assert_eq!(
+            cache.missing("g/a", &witness(), &[drop0()]),
+            2,
+            "an evicted witness misses its baseline and every schedule"
+        );
+        cache.merge(extract);
+        assert_eq!(cache.cells_visited(), 6);
+        assert_eq!(cache.missing("g/a", &witness(), &[drop0()]), 0);
+        assert_eq!(cache.invalidate_scope("h/7"), 1);
+        assert_eq!(cache.cells_visited(), 7);
+        assert_eq!(cache.len(), 101);
     }
 }

@@ -17,13 +17,16 @@
 
 use std::time::{Duration, Instant};
 
+use achilles::export::session_witness_record;
 use achilles::{AchillesSession, ReplayTarget, SessionReport, TargetSpec};
 use achilles_replay::{
     session_from_report, FaultSchedule, ForkServer, ForkStats, ReplayVerdict, SessionWitness,
 };
 
 use crate::cache::{CachedCell, SweepCache};
-use crate::matrix::{classify, Baseline, ScheduleClass, SensitivityCell, SensitivityMatrix};
+use crate::matrix::{
+    classify, schedule_token, Baseline, ScheduleClass, SensitivityCell, SensitivityMatrix,
+};
 use crate::planner::{SchedulePlanner, SweepConfig};
 
 /// Configuration of one sweep campaign.
@@ -88,11 +91,11 @@ pub struct WitnessSweepStats {
 /// classified [`SensitivityCell`] per schedule — all cache-assisted,
 /// the baseline included.
 ///
-/// One-shot form: builds a detached [`ForkServer`] reproducing the batch
-/// executor exactly and delegates to [`sweep_witness_on`]. Callers that
-/// sweep a *stream* of witnesses against one target (the fleetd campaign
-/// executors) hold a persistent server instead and pay one boot for the
-/// whole stream.
+/// One-shot form: plans the witness and builds a detached [`ForkServer`]
+/// reproducing the batch executor exactly, then delegates to
+/// [`sweep_witness_on`]. Callers that sweep a *stream* of witnesses
+/// against one target (the fleetd campaign executors) hold a persistent
+/// server instead and pay one boot for the whole stream.
 pub fn sweep_witness(
     target: &dyn ReplayTarget,
     scope: &str,
@@ -102,31 +105,38 @@ pub fn sweep_witness(
     fork: bool,
     cache: &mut SweepCache,
 ) -> (SensitivityMatrix, WitnessSweepStats) {
+    let schedules = planner.plan(witness);
     let mut server = ForkServer::detached(target, workers, fork);
-    sweep_witness_on(&mut server, scope, witness, planner, cache)
+    sweep_witness_on(&mut server, scope, witness, &schedules, cache)
 }
 
-/// Sweeps one witness through an existing [`ForkServer`] — the shared
-/// body behind [`sweep_witness`] and the fleetd campaign executors, so
-/// service answers are bit-identical to batch answers by construction:
-/// same baseline, same planner, same replay entry points, same
-/// classification.
+/// Sweeps one witness over its planned `schedules` through an existing
+/// [`ForkServer`] — the shared body behind [`sweep_witness`] and the
+/// fleetd campaign executors, so service answers are bit-identical to
+/// batch answers by construction: same baseline, same plan, same replay
+/// entry points, same classification. `schedules` is what
+/// [`SchedulePlanner::plan`] returned for `witness`; a caller that
+/// already planned (to size the work, say) passes that plan on instead of
+/// planning twice.
 pub fn sweep_witness_on(
     server: &mut ForkServer<'_>,
     scope: &str,
     witness: &SessionWitness,
-    planner: &SchedulePlanner,
+    schedules: &[FaultSchedule],
     cache: &mut SweepCache,
 ) -> (SensitivityMatrix, WitnessSweepStats) {
     let _span = achilles_obs::span("sweep:witness", "sweep");
     let mut stats = WitnessSweepStats::default();
     let workers = server.workers();
+    // The witness's record is formatted once; each of its cells is then
+    // keyed by the schedule token alone.
+    let known = cache.witness_cells(scope, session_witness_record(&witness.fields));
 
     // The baseline is a (witness, schedule) cell like any other — cached
     // under the `none` schedule token, with the slot attribution riding in
     // the signature's `trojan-slot:<N>` markers.
-    let fault_free = FaultSchedule::none();
-    let baseline = match cache.get(scope, witness, &fault_free) {
+    let baseline_token = schedule_token(&FaultSchedule::none());
+    let baseline = match known.get(&baseline_token) {
         Some(cell) => {
             stats.cache_hits += 1;
             Baseline::from_signature(cell.verdict, cell.signature.clone())
@@ -135,10 +145,8 @@ pub fn sweep_witness_on(
             stats.replayed += 1;
             let result = server.replay_baseline(witness);
             let baseline = Baseline::of(&result);
-            cache.insert(
-                scope,
-                witness,
-                &fault_free,
+            known.insert(
+                baseline_token,
                 CachedCell {
                     // The baseline judged against itself: armed — or
                     // diverged, when its own detonation is a silent
@@ -162,20 +170,17 @@ pub fn sweep_witness_on(
         }
     };
 
-    let schedules = planner.plan(witness);
-    let mut cached: Vec<Option<CachedCell>> = Vec::with_capacity(schedules.len());
+    // Per schedule: its token, and its cached cell when there is one.
+    let mut lookups: Vec<(String, Option<CachedCell>)> = Vec::with_capacity(schedules.len());
     let mut fresh: Vec<&FaultSchedule> = Vec::new();
-    for schedule in &schedules {
-        match cache.get(scope, witness, schedule) {
-            Some(cell) => {
-                stats.cache_hits += 1;
-                cached.push(Some(cell.clone()));
-            }
-            None => {
-                fresh.push(schedule);
-                cached.push(None);
-            }
+    for schedule in schedules {
+        let token = schedule_token(schedule);
+        let hit = known.get(&token).cloned();
+        match hit {
+            Some(_) => stats.cache_hits += 1,
+            None => fresh.push(schedule),
         }
+        lookups.push((token, hit));
     }
     stats.replayed += fresh.len();
     let (replayed, fork_stats) = server.replay_schedules(witness, &fresh);
@@ -185,8 +190,8 @@ pub fn sweep_witness_on(
     let mut replayed = replayed.into_iter();
     let cells: Vec<SensitivityCell> = schedules
         .iter()
-        .zip(cached)
-        .map(|(schedule, hit)| match hit {
+        .zip(lookups)
+        .map(|(schedule, (token, hit))| match hit {
             Some(cell) => SensitivityCell {
                 schedule: schedule.clone(),
                 class: cell.class,
@@ -196,10 +201,8 @@ pub fn sweep_witness_on(
             None => {
                 let result = replayed.next().expect("one replay per fresh schedule");
                 let class = classify(&baseline, &result);
-                cache.insert(
-                    scope,
-                    witness,
-                    schedule,
+                known.insert(
+                    token,
                     CachedCell {
                         class,
                         verdict: result.verdict,
@@ -426,7 +429,6 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::schedule_token;
     use achilles_gossip::GossipSpec;
 
     fn matrix_key(sweep: &SessionSweep) -> Vec<Vec<(String, ScheduleClass, String)>> {

@@ -66,7 +66,7 @@ pub mod campaign;
 pub mod matrix;
 pub mod planner;
 
-pub use cache::{cell_key, CacheParseError, CachedCell, SweepCache};
+pub use cache::{CacheParseError, CachedCell, SweepCache};
 pub use campaign::{
     run_campaign, sweep_report, sweep_witness, sweep_witness_on, CampaignConfig, SessionSweep,
     WitnessSweepStats,

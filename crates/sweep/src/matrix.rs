@@ -18,6 +18,8 @@
 //! for the witness line), so sweep artifacts round-trip with the same
 //! records the replay corpus uses.
 
+use std::fmt::Write;
+
 use achilles::export::session_witness_record;
 use achilles_replay::{
     CrashSignature, DeliveryFault, FaultSchedule, ReplayVerdict, SessionReplayResult,
@@ -203,30 +205,41 @@ pub fn classify(baseline: &Baseline, faulted: &SessionReplayResult) -> ScheduleC
 /// joined by `,` (`"drop@s0,dup+flip17@s2"`), or `"none"` for the
 /// fault-free schedule — the schedule half of a sweep-cache key.
 pub fn schedule_token(schedule: &FaultSchedule) -> String {
-    let mut parts = Vec::new();
+    let mut token = String::new();
     for (slot, fault) in schedule.slots.iter().enumerate() {
-        let mut names = Vec::new();
-        if fault.drop {
-            names.push("drop".to_string());
+        let part_start = token.len();
+        if part_start > 0 {
+            token.push(',');
         }
-        if fault.duplicate {
-            names.push("dup".to_string());
-        }
-        if fault.benign_before {
-            names.push("benign".to_string());
+        let names_start = token.len();
+        for (on, name) in [
+            (fault.drop, "drop"),
+            (fault.duplicate, "dup"),
+            (fault.benign_before, "benign"),
+        ] {
+            if on {
+                if token.len() > names_start {
+                    token.push('+');
+                }
+                token.push_str(name);
+            }
         }
         if let Some(bit) = fault.flip_bit {
-            names.push(format!("flip{bit}"));
+            if token.len() > names_start {
+                token.push('+');
+            }
+            let _ = write!(token, "flip{bit}");
         }
-        if !names.is_empty() {
-            parts.push(format!("{}@s{slot}", names.join("+")));
+        if token.len() == names_start {
+            token.truncate(part_start);
+        } else {
+            let _ = write!(token, "@s{slot}");
         }
     }
-    if parts.is_empty() {
-        "none".to_string()
-    } else {
-        parts.join(",")
+    if token.is_empty() {
+        token.push_str("none");
     }
+    token
 }
 
 /// Parses the [`schedule_token`] form back into a schedule.

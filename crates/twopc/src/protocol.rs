@@ -6,7 +6,7 @@
 //! paper's bounded-protocol methodology): a kind tag, a transaction id, the
 //! participant id, and the one-byte vote.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use achilles::{fields_to_wire, wire_to_fields, WireError};
 use achilles_solver::Width;
@@ -34,23 +34,29 @@ pub const MAX_TXID: u64 = 8;
 
 /// The `VOTE` message layout.
 pub fn layout() -> Arc<MessageLayout> {
-    MessageLayout::builder("twopc_vote")
-        .field("kind", Width::W8)
-        .field("txid", Width::W16)
-        .field("participant", Width::W8)
-        .field("vote", Width::W8)
-        .build()
+    static LAYOUT: OnceLock<Arc<MessageLayout>> = OnceLock::new();
+    Arc::clone(LAYOUT.get_or_init(|| {
+        MessageLayout::builder("twopc_vote")
+            .field("kind", Width::W8)
+            .field("txid", Width::W16)
+            .field("participant", Width::W8)
+            .field("vote", Width::W8)
+            .build()
+    }))
 }
 
 /// The `DECIDE` message layout (slot 1 of the VOTE→DECIDE session): the
 /// transaction manager asks the coordinator to finalize `txid` with an
 /// expected `outcome` byte (0 = abort, 1 = commit).
 pub fn decide_layout() -> Arc<MessageLayout> {
-    MessageLayout::builder("twopc_decide")
-        .field("kind", Width::W8)
-        .field("txid", Width::W16)
-        .field("outcome", Width::W8)
-        .build()
+    static LAYOUT: OnceLock<Arc<MessageLayout>> = OnceLock::new();
+    Arc::clone(LAYOUT.get_or_init(|| {
+        MessageLayout::builder("twopc_decide")
+            .field("kind", Width::W8)
+            .field("txid", Width::W16)
+            .field("outcome", Width::W8)
+            .build()
+    }))
 }
 
 /// One concrete `DECIDE` message.

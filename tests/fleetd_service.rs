@@ -12,7 +12,10 @@ use achilles::export::session_witness_record;
 use achilles::{AchillesSession, SessionReport, TargetRegistry, TargetSpec};
 use achilles_fleetd::{serve_stream, Fleetd, FleetdConfig, WitnessStore, MAX_LINE_BYTES};
 use achilles_replay::session_from_report;
-use achilles_sweep::{sweep_report, CampaignConfig, SchedulePlanner, SweepCache, SweepConfig};
+use achilles_sweep::{
+    sweep_report, sweep_witness, CachedCell, CampaignConfig, SchedulePlanner, SweepCache,
+    SweepConfig,
+};
 use achilles_targets::builtin_registry;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
@@ -593,5 +596,88 @@ fn registry_ingest_lines_fit_the_line_bound_with_headroom() {
     assert!(
         longest * 10 <= MAX_LINE_BYTES,
         "widest INGEST line {longest} bytes leaves under 10x headroom below {MAX_LINE_BYTES}"
+    );
+}
+
+/// Cells the store visits loading `state_dir`, and across one `EVICT` +
+/// `INGEST` + `DRAIN` of `record` (after a first ingest stored it), on a
+/// pump-driven service.
+fn fresh_ingest_visits(state_dir: Option<PathBuf>, scope: &str, record: &str) -> (u64, u64) {
+    let mut config = FleetdConfig::default().shards(0);
+    if let Some(dir) = state_dir {
+        config = config.state_dir(dir);
+    }
+    let service = Fleetd::start(builtin_registry(), config).expect("service starts");
+    let loaded = service.stats().cells_visited;
+    let target = scope.split('/').next().expect("target/session scope");
+    assert!(service
+        .handle_line(&format!("REGISTER {target}"))
+        .starts_with("OK "));
+    let ingest = format!("INGEST {scope} {record}");
+    assert!(service.handle_line(&ingest).starts_with("OK id=0 "));
+    assert_eq!(service.handle_line("DRAIN"), "OK drained");
+    let before = service.stats().cells_visited;
+    let evict = service.handle_line(&format!("EVICT {scope} {record}"));
+    assert!(evict.starts_with("OK evicted id=0 "), "{evict}");
+    assert!(service.handle_line(&ingest).starts_with("OK id=0 "));
+    assert_eq!(service.handle_line("DRAIN"), "OK drained");
+    assert_eq!(service.stats().results, 1);
+    (loaded, service.stats().cells_visited - before)
+}
+
+#[test]
+fn fresh_ingest_store_work_ignores_unrelated_cells() {
+    let registry = builtin_registry();
+    let spec = registry.get("fsp").expect("fsp is built in").clone();
+    let report = AchillesSession::new(&*spec)
+        .run_sessions()
+        .into_iter()
+        .next()
+        .expect("fsp declares a session");
+    let witness =
+        session_from_report(&report.layouts, 0, &report.trojans[0]).expect("wire-encodable");
+    let scope = format!("fsp/{}", report.session);
+    let record = session_witness_record(&witness.fields);
+
+    // The witness's schedule cells, re-filed under ten unrelated scopes:
+    // about ten times the cells the store holds for the witness itself.
+    let target = spec.session_replay_target(&report.session);
+    let planner = SchedulePlanner::new(SweepConfig::default());
+    let mut own = SweepCache::new();
+    let (matrix, _) = sweep_witness(&*target, &scope, &witness, &planner, 1, true, &mut own);
+    let witness_cells = own.len();
+    assert_eq!(witness_cells, 1 + matrix.cells.len(), "baseline + plan");
+    let mut unrelated = SweepCache::new();
+    for k in 0..10 {
+        for cell in &matrix.cells {
+            unrelated.insert(
+                &format!("fsp/unrelated-{k}"),
+                &witness,
+                &cell.schedule,
+                CachedCell {
+                    class: cell.class,
+                    verdict: cell.verdict,
+                    signature: cell.signature.clone(),
+                },
+            );
+        }
+    }
+    assert_eq!(unrelated.len(), 10 * matrix.cells.len());
+    let dir = temp_dir("visits");
+    std::fs::create_dir_all(&dir).expect("state dir");
+    unrelated
+        .save(&dir.join("fsp.sweep"))
+        .expect("seed the state dir");
+
+    let (_, alone) = fresh_ingest_visits(None, &scope, &record);
+    let (loaded, crowded) = fresh_ingest_visits(Some(dir.clone()), &scope, &record);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(loaded, unrelated.len() as u64, "the state dir was loaded");
+    // EVICT drops the witness's cells and the publish moves them back;
+    // the extract of an evicted witness finds nothing to copy.
+    assert_eq!(alone, 2 * witness_cells as u64);
+    assert_eq!(
+        crowded, alone,
+        "a fresh ingest's store work must not grow with unrelated scopes"
     );
 }

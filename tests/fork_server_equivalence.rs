@@ -180,8 +180,9 @@ fn persistent_fork_server_reuse_across_witnesses_is_bit_identical() {
             let mut shared_cache = SweepCache::new();
             let mut shared_matrices = Vec::new();
             for witness in &witnesses {
+                let schedules = planner.plan(witness);
                 let (matrix, _) =
-                    sweep_witness_on(&mut shared, &scope, witness, &planner, &mut shared_cache);
+                    sweep_witness_on(&mut shared, &scope, witness, &schedules, &mut shared_cache);
                 shared_matrices.push(matrix.to_text());
             }
             assert_eq!(
@@ -197,7 +198,7 @@ fn persistent_fork_server_reuse_across_witnesses_is_bit_identical() {
                     &mut detached,
                     &scope,
                     witness,
-                    &planner,
+                    &planner.plan(witness),
                     &mut SweepCache::new(),
                 );
                 assert_eq!(

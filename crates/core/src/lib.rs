@@ -314,10 +314,9 @@
 //! | [`predicate`] | §3.1 | `P_C`, path predicates, masks, combination |
 //! | [`negate`] | §3.2, §4 | the under-approximate negate operator |
 //! | [`diff_matrix`] | §3.3 | the `differentFrom` pre-computation |
-//! | [`search`] | §3.2–3.3 | the incremental Trojan search observer + parallel driver |
+//! | [`search`] | §3.2–3.3, §7 | the incremental Trojan search: one observer + parallel driver for a single message and for multi-message sessions (one slot per message; registry-driven via [`TargetSpec::sessions`]) |
 //! | [`pipeline`] | §3, §3.4 | the three-phase driver and local-state modes |
 //! | [`refine`] | §4.1 | CEGAR-style witness refinement (the paper's future work) |
-//! | [`sequence`] | §7 | multi-message session Trojans (beyond the paper; registry-driven via [`TargetSpec::sessions`]) |
 //! | [`baseline`] | §6.2, §6.4 | classic symex and a-posteriori differencing |
 //! | [`report`] | §3.2 | symbolic + concrete Trojan reports |
 //!
@@ -326,17 +325,19 @@
 //! The server analysis scales across cores when
 //! [`ExploreConfig::workers`](achilles_symvm::ExploreConfig::workers) is
 //! raised above one (`AchillesConfig::server_explore.workers`, or
-//! `with_workers` on the FSP/PBFT analysis configs). The design, bottom to
-//! top:
+//! `with_workers` on the FSP/PBFT analysis configs). Single-message and
+//! session discovery share it: both run [`run_trojan_search`] with the
+//! [`TrojanObserver`], over one slot or over a session's slots. The design,
+//! bottom to top:
 //!
 //! * **Unit of work.** The executor schedules paths as *decision prefixes*
 //!   and re-executes the node program from the start for each one. Each
 //!   item also carries the [`TrojanObserver`]'s per-path state from its
-//!   fork point (which client path predicates are still active), so every
-//!   worklist item is self-contained — the natural grain for a
-//!   work-stealing pool (`achilles_symvm::parallel`). Workers keep their own
-//!   deque LIFO (depth-first, hot caches) and steal the oldest item from a
-//!   victim (shallow prefix = biggest subtree).
+//!   fork point (which client path predicates of each slot are still
+//!   active), so every worklist item is self-contained — the natural grain
+//!   for a work-stealing pool (`achilles_symvm::parallel`). Workers keep
+//!   their own deque LIFO (depth-first, hot caches) and steal the oldest
+//!   item from a victim (shallow prefix = biggest subtree).
 //! * **Ownership.** Each worker owns a fork of the base
 //!   [`TermPool`](achilles_solver::TermPool) (snapshot ids stay valid; new
 //!   terms intern worker-locally), its own
@@ -420,7 +421,6 @@ pub mod predicate;
 pub mod refine;
 pub mod report;
 pub mod search;
-pub mod sequence;
 pub mod session;
 pub mod target;
 
@@ -447,7 +447,6 @@ pub use search::{
     MatchSample, Optimizations, PreparedClient, TrojanObserver, TrojanSearchOutcome,
     TrojanSearchStats, WorkerSummary,
 };
-pub use sequence::{analyze_sequence, analyze_sequence_with, SequenceObserver};
 pub use session::{AchillesSession, SessionReport, TargetRegistry};
 pub use target::{
     fields_to_wire, layout_widths, wire_to_fields, Delivery, InjectionOutcome, LocalStateMode,

@@ -224,7 +224,8 @@ impl Achilles {
         )
     }
 
-    /// Phase 2: analyzes the server with the Trojan observer installed.
+    /// Phase 2: analyzes the server with the Trojan observer installed,
+    /// over one slot: the server's one received message.
     ///
     /// Sequential when `config.server_explore.workers <= 1`; otherwise the
     /// exploration fans out over a work-stealing pool with per-worker
@@ -237,14 +238,13 @@ impl Achilles {
         config: &AchillesConfig,
     ) -> TrojanSearchOutcome {
         let mut explore = config.server_explore.clone();
-        explore.recv_script = vec![prepared.server_msg.clone()];
         if let LocalState::Constructed { constraints } = &config.local_state {
             explore.initial_constraints.extend_from_slice(constraints);
         }
         run_trojan_search(
             &mut self.pool,
             &mut self.solver,
-            prepared,
+            &[prepared],
             server,
             explore,
             config.optimizations,

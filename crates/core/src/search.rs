@@ -1,28 +1,37 @@
-//! The incremental Trojan search (§3.2, §3.3 — Figure 7).
+//! The incremental Trojan search (§3.2, §3.3 — Figure 7), for one message
+//! or for a session of several (§7's message ordering).
 //!
 //! Achilles does not materialize the server predicate `P_S` and difference
 //! it against `P_C` a posteriori. Instead it installs a [`TrojanObserver`]
-//! into the server exploration:
+//! into the server exploration. The observer holds one prepared client
+//! predicate per message the server receives (a *slot*): a single-message
+//! analysis is the one-slot case, and a session (login → command, vote →
+//! decide) has one slot per message, in `recv` order.
 //!
-//! * per path, it tracks the set of client path predicates that can still
-//!   trigger the path (`pathS ∧ pathC_i` satisfiable); predicates that no
-//!   longer match are **dropped** and their negations leave the Trojan query
-//!   (if `pathS ∧ pathC_i` is unsat, `pathS ⇒ negate(pathC_i)` holds
-//!   implicitly). That set is the observer's per-path state: a scheduled
-//!   path resumes from the set at its fork point, so the checks below run
+//! * per path and slot, it tracks the set of client path predicates that
+//!   can still trigger the path (`pathS ∧ pathC_i` satisfiable once the
+//!   slot's message was received); predicates that no longer match are
+//!   **dropped** and their negations leave the Trojan query (if
+//!   `pathS ∧ pathC_i` is unsat, `pathS ⇒ negate(pathC_i)` holds
+//!   implicitly). Those sets are the observer's per-path state: a scheduled
+//!   path resumes from the sets at its fork point, so the checks below run
 //!   once per conjunct of the server path tree, never again for a replayed
 //!   prefix;
-//! * when a drop was caused by a branch that depends on a single message
-//!   field, the pre-computed [`DiffMatrix`] drops whole groups of related
-//!   predicates without solver calls;
+//! * when a drop was caused by a branch that depends on a single field of
+//!   the slot's message, the slot's pre-computed [`DiffMatrix`] drops whole
+//!   groups of related predicates without solver calls;
 //! * after every conjunct it checks whether *any* Trojan message can still
-//!   trigger the path (`pathS ∧ ⋀ negate(pathC_i)` for the active `i`);
-//!   as soon as the answer is no, the path is pruned from the exploration;
-//! * at every accepting path end, the same query's model is concretized into
-//!   a witness message and (optionally) re-verified against every client
-//!   path predicate.
+//!   trigger the path (`pathS ∧ ⋀ negate(pathC_i)` over the active `i`; a
+//!   session is Trojan when any one slot is, so with several slots the
+//!   query is `pathS ∧ ⋁ₛ ⋀ negate(pathC_{s,i})`); as soon as the answer
+//!   is no, the path is pruned from the exploration;
+//! * at every accepting path end, each slot's query names the slots that
+//!   host a Trojan; the first one's model is concretized into a witness
+//!   (every received message) and (optionally) its message re-verified
+//!   against every client path predicate of that slot.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -93,6 +102,25 @@ pub struct PreparedClient {
     /// Map from server message field variables to field indices (used to
     /// detect single-field branches for matrix propagation).
     field_of_var: HashMap<VarId, usize>,
+}
+
+impl PreparedClient {
+    /// If `vars` (one conjunct's variables) are all server message fields
+    /// and name exactly one unmasked field, returns that field's index.
+    fn single_field_of(&self, vars: &[VarId]) -> Option<usize> {
+        let mut field = None;
+        for v in vars {
+            match self.field_of_var.get(v) {
+                Some(&f) => match field {
+                    None => field = Some(f),
+                    Some(prev) if prev == f => {}
+                    Some(_) => return None, // two different fields
+                },
+                None => return None, // non-message variable involved
+            }
+        }
+        field.filter(|f| !self.mask.contains(*f))
+    }
 }
 
 /// Pre-processes a client predicate against the server message (§3 phase 1½:
@@ -277,7 +305,7 @@ pub fn prepare_client_workers(
 pub struct MatchSample {
     /// Length of the (partial) server path, counted in conjuncts.
     pub path_len: usize,
-    /// Client path predicates still matching.
+    /// Client path predicates still matching, summed over slots.
     pub matching: usize,
 }
 
@@ -338,15 +366,26 @@ impl TrojanSearchStats {
 }
 
 /// The [`PathObserver`] implementing Achilles' incremental search.
+///
+/// The server receives one message per *slot*, and each slot has its own
+/// prepared client predicate (slot order is the server's `recv` order). A
+/// single-message analysis is the one-slot case; a session declares one
+/// slot per message it receives.
 #[derive(Debug)]
 pub struct TrojanObserver<'p> {
-    prepared: &'p PreparedClient,
+    slots: &'p [&'p PreparedClient],
     opts: Optimizations,
     verify_witnesses: bool,
+    /// Every slot's client-path flags, slot after slot: the per-path state.
     active: Vec<bool>,
-    active_count: usize,
+    /// Each slot's span of `active`.
+    ranges: Vec<Range<usize>>,
+    /// Active client paths per slot.
+    active_counts: Vec<usize>,
     /// Trojans found so far (one per accepting server path with Trojans).
     pub reports: Vec<TrojanReport>,
+    /// For each report, the slots whose message is un-generable.
+    pub trojan_slots: Vec<Vec<usize>>,
     /// Figure 11 samples: (path length, matching predicates).
     pub samples: Vec<MatchSample>,
     /// Search counters.
@@ -355,55 +394,81 @@ pub struct TrojanObserver<'p> {
 }
 
 impl<'p> TrojanObserver<'p> {
-    /// Creates an observer over a prepared client predicate.
-    pub fn new(prepared: &'p PreparedClient, opts: Optimizations, verify_witnesses: bool) -> Self {
-        let n = prepared.client.len();
+    /// Creates an observer over per-slot prepared client predicates.
+    pub fn new(
+        slots: &'p [&'p PreparedClient],
+        opts: Optimizations,
+        verify_witnesses: bool,
+    ) -> Self {
+        let active_counts: Vec<usize> = slots.iter().map(|p| p.client.len()).collect();
+        let mut ranges = Vec::with_capacity(slots.len());
+        let mut end = 0;
+        for &n in &active_counts {
+            ranges.push(end..end + n);
+            end += n;
+        }
         TrojanObserver {
-            prepared,
+            slots,
             opts,
             verify_witnesses,
-            active: vec![true; n],
-            active_count: n,
+            active: vec![true; end],
+            ranges,
+            active_counts,
             reports: Vec::new(),
+            trojan_slots: Vec::new(),
             samples: Vec::new(),
             stats: TrojanSearchStats::default(),
             started: Instant::now(),
         }
     }
 
-    /// The Trojan-existence query for the current path: `pc ∧ ⋀ negate_i`
-    /// over the active client paths. `None` when some active negation is
-    /// empty (its under-approximation is `false`, so no Trojan is provable).
-    fn trojan_query(&self, pc: &[TermId]) -> Option<Vec<TermId>> {
-        let mut query = pc.to_vec();
-        for (i, neg) in self.prepared.negations.iter().enumerate() {
-            if !self.active[i] {
-                continue;
-            }
-            match neg.disjunction {
-                Some(d) => query.push(d),
-                None => return None,
-            }
-        }
-        Some(query)
+    /// The negations of slot `s`'s active client paths, in client order.
+    fn active_negations(&self, s: usize) -> impl Iterator<Item = &'p NegatedPath> + '_ {
+        self.slots[s]
+            .negations
+            .iter()
+            .zip(&self.active[self.ranges[s].clone()])
+            .filter(|&(_, &active)| active)
+            .map(|(neg, _)| neg)
     }
 
-    /// If the newest conjunct depends on exactly one unmasked server message
-    /// field (and nothing else), returns that field's index.
-    fn single_field_of(&self, pool: &TermPool, constraint: TermId) -> Option<usize> {
-        let vars = pool.vars_of(constraint);
-        let mut field = None;
-        for v in vars {
-            match self.prepared.field_of_var.get(&v) {
-                Some(&f) => match field {
-                    None => field = Some(f),
-                    Some(prev) if prev == f => {}
-                    Some(_) => return None, // two different fields
-                },
-                None => return None, // non-message variable involved
-            }
-        }
-        field.filter(|f| !self.prepared.mask.contains(*f))
+    /// Whether slot `s` can still host a provable Trojan: none of its
+    /// active negations is empty (an empty one under-approximates to
+    /// `false`).
+    fn feasible(&self, s: usize) -> bool {
+        self.active_negations(s)
+            .all(|neg| neg.disjunction.is_some())
+    }
+
+    /// `pc ∧ ⋀ negate_i` over a feasible slot's active client paths, one
+    /// assertion per negation.
+    fn slot_query(&self, pc: &[TermId], s: usize) -> Vec<TermId> {
+        let mut query = pc.to_vec();
+        query.extend(self.active_negations(s).filter_map(|neg| neg.disjunction));
+        query
+    }
+
+    /// The Trojan-existence query for the current path, or `None` when no
+    /// slot is feasible. A lone feasible slot asks its [`slot_query`];
+    /// several ask `pc ∧ ⋁ₛ ⋀ negate_{s,i}`, since a session is Trojan
+    /// when any one of its messages is: `¬(gen₁(m₁) ∧ … ∧ genₖ(mₖ)) =
+    /// ⋁ₛ ¬genₛ(mₛ)`.
+    ///
+    /// [`slot_query`]: TrojanObserver::slot_query
+    fn trojan_query(&self, pool: &mut TermPool, pc: &[TermId]) -> Option<Vec<TermId>> {
+        let mut feasible = (0..self.slots.len()).filter(|&s| self.feasible(s));
+        let first = feasible.next()?;
+        let Some(second) = feasible.next() else {
+            return Some(self.slot_query(pc, first));
+        };
+        let per_slot: Vec<TermId> = [first, second]
+            .into_iter()
+            .chain(feasible)
+            .map(|s| pool.and_all(self.active_negations(s).filter_map(|neg| neg.disjunction)))
+            .collect();
+        let mut query = pc.to_vec();
+        query.push(pool.or_all(per_slot));
+        Some(query)
     }
 
     fn drop_pass(&mut self, cx: &mut ObserverCx<'_>) {
@@ -414,89 +479,113 @@ impl<'p> TrojanObserver<'p> {
         // If the newest branch constrains a single message field, drops can
         // be propagated through the differentFrom matrix *before* paying for
         // the solver check on related predicates — the §3.3 optimization.
-        let single_field = if self.opts.use_diff_matrix {
-            self.single_field_of(cx.pool, newest)
+        let newest_vars = if self.opts.use_diff_matrix {
+            cx.pool.vars_of(newest)
         } else {
-            None
+            Vec::new()
         };
-        for i in 0..self.active.len() {
-            if !self.active[i] {
-                continue;
-            }
-            let q = combine(
-                cx.pool,
-                &self.prepared.server_msg,
-                cx.pc,
-                &self.prepared.client.paths[i],
-                self.prepared.mask.indices(),
-            );
-            if !cx.solver.is_unsat(cx.pool, &q) {
-                continue;
-            }
-            self.active[i] = false;
-            self.active_count -= 1;
-            self.stats.direct_drops += 1;
-            // The drop was caused by the new single-field check: every
-            // predicate with no extra values for that field dies with it,
-            // without consulting the solver.
-            if let (Some(diff), Some(field)) = (self.prepared.diff.as_ref(), single_field) {
-                for j in 0..self.active.len() {
-                    if !self.active[j] {
-                        continue;
-                    }
-                    if diff.different(j, i, field) == Some(false) {
-                        self.active[j] = false;
-                        self.active_count -= 1;
-                        self.stats.matrix_drops += 1;
+        // A slot constrains nothing before its message is received.
+        for (s, msg) in cx.received.iter().enumerate().take(self.slots.len()) {
+            let prepared = self.slots[s];
+            let single_field = prepared.single_field_of(&newest_vars);
+            let base = self.ranges[s].start;
+            for i in 0..prepared.client.len() {
+                if !self.active[base + i] {
+                    continue;
+                }
+                let q = combine(
+                    cx.pool,
+                    msg,
+                    cx.pc,
+                    &prepared.client.paths[i],
+                    prepared.mask.indices(),
+                );
+                if !cx.solver.is_unsat(cx.pool, &q) {
+                    continue;
+                }
+                self.active[base + i] = false;
+                self.active_counts[s] -= 1;
+                self.stats.direct_drops += 1;
+                // The drop was caused by the new single-field check: every
+                // predicate with no extra values for that field dies with it,
+                // without consulting the solver.
+                if let (Some(diff), Some(field)) = (prepared.diff.as_ref(), single_field) {
+                    for j in 0..prepared.client.len() {
+                        if self.active[base + j] && diff.different(j, i, field) == Some(false) {
+                            self.active[base + j] = false;
+                            self.active_counts[s] -= 1;
+                            self.stats.matrix_drops += 1;
+                        }
                     }
                 }
             }
         }
     }
 
-    /// Searches for a verified Trojan witness on an accepting path.
-    fn witness(&mut self, cx: &mut ObserverCx<'_>, record: &PathRecord) -> Option<TrojanReport> {
-        let mut query = self.trojan_query(&record.constraints)?;
+    /// Concretizes and verifies a Trojan witness for `slot` on an accepting
+    /// path, starting from the `result` of the slot's `query`.
+    fn witness(
+        &mut self,
+        cx: &mut ObserverCx<'_>,
+        record: &PathRecord,
+        slot: usize,
+        mut query: Vec<TermId>,
+        mut result: SatResult,
+    ) -> Option<TrojanReport> {
         const MAX_RETRIES: usize = 4;
-        for _ in 0..=MAX_RETRIES {
-            self.stats.trojan_checks += 1;
-            let model = match cx.solver.check(cx.pool, &query) {
-                SatResult::Sat(m) => m,
-                SatResult::Unsat(_) | SatResult::Unknown => return None,
+        // The witness is every received message, in order; the slot's own
+        // message is the segment that gets verified. A path that accepted
+        // before receiving the slot has no such segment, and an empty
+        // message never verifies.
+        let exprs: Vec<TermId> = record
+            .received
+            .iter()
+            .flat_map(|msg| msg.values().iter().copied())
+            .collect();
+        let start: usize = self.slots[..slot]
+            .iter()
+            .map(|p| p.server_msg.values().len())
+            .sum();
+        let segment = start..start + self.slots[slot].server_msg.values().len();
+        for retry in 0..=MAX_RETRIES {
+            let SatResult::Sat(model) = result else {
+                return None;
             };
-            let fields = canonical_witness_fields(
-                cx.pool,
-                cx.solver,
-                &query,
-                self.prepared.server_msg.values(),
-                &model,
-            );
-            let verified = !self.verify_witnesses || self.verify(cx, &fields);
-            if verified || !self.verify_witnesses {
+            let fields = canonical_witness_fields(cx.pool, cx.solver, &query, &exprs, &model);
+            let message = fields.get(segment.clone()).unwrap_or_default();
+            let verified = !self.verify_witnesses || self.verify(cx, slot, message);
+            if verified {
                 return Some(TrojanReport {
                     server_path_id: record.id,
                     constraints: record.constraints.clone(),
                     witness_fields: fields,
-                    active_clients: self.active_count,
+                    active_clients: self.active_counts[slot],
                     verified,
                     found_at: self.started.elapsed(),
                     notes: record.notes.clone(),
                 });
             }
-            // Exclude this witness and try again.
+            // Exclude this message and try again.
             self.stats.witness_retries += 1;
-            let exclusion = self.exclude_witness(cx.pool, &fields);
+            let exclusion = self.exclude_message(cx.pool, slot, message);
             query.push(exclusion);
+            if retry == MAX_RETRIES {
+                break;
+            }
+            self.stats.trojan_checks += 1;
+            result = cx.solver.check(cx.pool, &query);
         }
         None
     }
 
-    /// Confirms that no client path predicate can generate the witness.
-    fn verify(&self, cx: &mut ObserverCx<'_>, fields: &[u64]) -> bool {
-        for path in &self.prepared.client.paths {
+    /// Confirms that no client path predicate of `slot` can generate
+    /// `message`.
+    fn verify(&self, cx: &mut ObserverCx<'_>, slot: usize, message: &[u64]) -> bool {
+        let prepared = self.slots[slot];
+        for path in &prepared.client.paths {
             let mut q = path.constraints.clone();
-            for (fi, (&expr, &value)) in path.message.values().iter().zip(fields).enumerate() {
-                if self.prepared.mask.contains(fi) {
+            for (fi, (&expr, &value)) in path.message.values().iter().zip(message).enumerate() {
+                if prepared.mask.contains(fi) {
                     continue;
                 }
                 let w = cx.pool.width(expr);
@@ -511,18 +600,13 @@ impl<'p> TrojanObserver<'p> {
         true
     }
 
-    /// A constraint excluding the exact witness (differs in ≥ 1 unmasked field).
-    fn exclude_witness(&self, pool: &mut TermPool, fields: &[u64]) -> TermId {
+    /// A constraint excluding `message` from `slot` (differs in ≥ 1
+    /// unmasked field).
+    fn exclude_message(&self, pool: &mut TermPool, slot: usize, message: &[u64]) -> TermId {
+        let prepared = self.slots[slot];
         let mut diffs = Vec::new();
-        for (fi, (&sv, &value)) in self
-            .prepared
-            .server_msg
-            .values()
-            .iter()
-            .zip(fields)
-            .enumerate()
-        {
-            if self.prepared.mask.contains(fi) {
+        for (fi, (&sv, &value)) in prepared.server_msg.values().iter().zip(message).enumerate() {
+            if prepared.mask.contains(fi) {
                 continue;
             }
             let w = pool.width(sv);
@@ -557,6 +641,9 @@ pub struct TrojanSearchOutcome {
     /// Trojan reports in canonical path order (terms valid in the caller's
     /// pool, including for parallel runs).
     pub reports: Vec<TrojanReport>,
+    /// For each report, the slots whose message is un-generable (`[0]` for
+    /// every single-message report).
+    pub trojan_slots: Vec<Vec<usize>>,
     /// Figure 11 samples.
     pub samples: Vec<MatchSample>,
     /// Search counters, summed over workers.
@@ -631,22 +718,28 @@ const SERVER_SYM_SALT: u64 = 0x5352_5600; // "SRV\0"
 /// Runs the incremental Trojan search over `server`, sequentially or on
 /// [`ExploreConfig::workers`] work-stealing threads.
 ///
-/// This is the shared driver behind
+/// `slots` holds one prepared client predicate per message the server
+/// receives, in `recv` order; the receive script is set from their
+/// symbolic messages. This is the one driver behind
 /// [`Achilles::analyze_server`](crate::pipeline::Achilles::analyze_server)
-/// and the FSP/PBFT/Paxos analyses. In parallel mode every worker runs its own [`TrojanObserver`]
-/// over a fork of `pool`; afterwards reports are imported back into `pool`,
-/// their path ids remapped to the canonical depth-first numbering, and the
-/// result sorted by path id — which makes the report *set* identical to a
-/// sequential run's (timestamps and per-worker statistics aside).
+/// (one slot),
+/// [`AchillesSession::run_sessions`](crate::session::AchillesSession::run_sessions)
+/// (a session's slots) and the FSP/Paxos analyses. In parallel mode every
+/// worker runs its own [`TrojanObserver`] over a fork of `pool`;
+/// afterwards reports are imported back into `pool`, their path ids
+/// remapped to the canonical depth-first numbering, and the result sorted
+/// by path id — which makes the report *set* identical to a sequential
+/// run's (timestamps and per-worker statistics aside), budgets included.
 pub fn run_trojan_search(
     pool: &mut TermPool,
     solver: &mut Solver,
-    prepared: &PreparedClient,
+    slots: &[&PreparedClient],
     server: &(dyn NodeProgram + Sync),
     mut explore: ExploreConfig,
     opts: Optimizations,
     verify_witnesses: bool,
 ) -> TrojanSearchOutcome {
+    explore.recv_script = slots.iter().map(|p| p.server_msg.clone()).collect();
     // The server runs in the same pool lineage as the client exploration;
     // give its symbolic inputs their own tag family so a server `sym()` can
     // never share a fingerprint with the client's i-th input of the same
@@ -668,13 +761,14 @@ pub fn run_trojan_search(
             s.stats().cross_epoch_hits
         });
         let item_started = Instant::now();
-        let mut observer = TrojanObserver::new(prepared, opts, verify_witnesses);
+        let mut observer = TrojanObserver::new(slots, opts, verify_witnesses);
         let mut result = {
             let mut exec = Executor::new(pool, solver, explore);
             exec.explore_observed(server, &mut observer)
         };
         let TrojanObserver {
             reports,
+            trojan_slots,
             samples,
             stats,
             ..
@@ -694,6 +788,7 @@ pub fn run_trojan_search(
         };
         return TrojanSearchOutcome {
             reports,
+            trojan_slots,
             samples,
             stats,
             server_paths: result.paths.len(),
@@ -705,12 +800,12 @@ pub fn run_trojan_search(
     let outcome = {
         let mut exec = Executor::new(pool, solver, explore);
         exec.explore_parallel(server, |_| {
-            TrojanObserver::new(prepared, opts, verify_witnesses)
+            TrojanObserver::new(slots, opts, verify_witnesses)
         })
     };
     let server_paths = outcome.result.paths.len();
     let explore_stats = outcome.result.stats;
-    let mut reports: Vec<TrojanReport> = Vec::new();
+    let mut merged: Vec<(TrojanReport, Vec<usize>)> = Vec::new();
     let mut samples: Vec<MatchSample> = Vec::new();
     let mut stats = TrojanSearchStats::default();
     let mut workers = Vec::with_capacity(outcome.workers.len());
@@ -723,7 +818,7 @@ pub fn run_trojan_search(
         stats.witness_retries += observer.stats.witness_retries;
         samples.extend(observer.samples);
         let mut memo = HashMap::new();
-        for mut report in observer.reports {
+        for (mut report, slots) in observer.reports.into_iter().zip(observer.trojan_slots) {
             // Paths past a binding budget's canonical cut are absent from
             // the id map; their reports are discarded, exactly as a
             // sequential capped run would never have found them.
@@ -736,7 +831,7 @@ pub fn run_trojan_search(
                 .iter()
                 .map(|&t| pool.import_term(&worker.pool, t, &mut memo))
                 .collect();
-            reports.push(report);
+            merged.push((report, slots));
         }
         workers.push(WorkerSummary {
             worker: worker.worker,
@@ -748,9 +843,11 @@ pub fn run_trojan_search(
         });
     }
     // Canonical order: one report per accepting path, sorted like the paths.
-    reports.sort_by_key(|r| r.server_path_id);
+    merged.sort_by_key(|(r, _)| r.server_path_id);
+    let (reports, trojan_slots) = merged.into_iter().unzip();
     TrojanSearchOutcome {
         reports,
+        trojan_slots,
         samples,
         stats,
         explore: explore_stats,
@@ -760,7 +857,8 @@ pub fn run_trojan_search(
 }
 
 impl PathObserver for TrojanObserver<'_> {
-    /// The per-path state is which client path predicates are still active.
+    /// The per-path state is every slot's active client-path flags, slot
+    /// after slot.
     fn fork_state(&self) -> ObserverState {
         self.active.iter().map(|&a| u64::from(a)).collect()
     }
@@ -769,7 +867,9 @@ impl PathObserver for TrojanObserver<'_> {
         for (a, word) in self.active.iter_mut().zip(state) {
             *a = word != 0;
         }
-        self.active_count = self.active.iter().filter(|&&a| a).count();
+        for (count, range) in self.active_counts.iter_mut().zip(&self.ranges) {
+            *count = self.active[range.clone()].iter().filter(|&&a| a).count();
+        }
     }
 
     fn on_constraint(&mut self, cx: &mut ObserverCx<'_>) -> bool {
@@ -778,35 +878,56 @@ impl PathObserver for TrojanObserver<'_> {
         }
         self.samples.push(MatchSample {
             path_len: cx.pc.len(),
-            matching: self.active_count,
+            matching: self.active_counts.iter().sum(),
         });
         if !self.opts.prune_paths {
             return true;
         }
-        match self.trojan_query(cx.pc) {
-            None => {
-                // Some active client path cannot be negated at all: the
-                // under-approximated Trojan set is empty on this path.
-                self.stats.paths_pruned += 1;
-                false
-            }
+        // No feasible slot: every slot has an active client path that
+        // cannot be negated at all, so the under-approximated Trojan set
+        // is empty on this path.
+        let keep = match self.trojan_query(cx.pool, cx.pc) {
+            None => false,
             Some(query) => {
                 self.stats.trojan_checks += 1;
-                let keep = !cx.solver.is_unsat(cx.pool, &query);
-                if !keep {
-                    self.stats.paths_pruned += 1;
-                }
-                keep
+                !cx.solver.is_unsat(cx.pool, &query)
             }
+        };
+        if !keep {
+            self.stats.paths_pruned += 1;
         }
+        keep
     }
 
     fn on_path_end(&mut self, cx: &mut ObserverCx<'_>, record: &PathRecord) {
         if record.verdict != Verdict::Accept {
             return;
         }
-        if let Some(report) = self.witness(cx, record) {
+        // Every feasible slot whose query is not unsat hosts a Trojan; the
+        // first one's model seeds the witness.
+        let mut trojan_slots = Vec::new();
+        let mut first = None;
+        for s in 0..self.slots.len() {
+            if !self.feasible(s) {
+                continue;
+            }
+            let query = self.slot_query(&record.constraints, s);
+            self.stats.trojan_checks += 1;
+            let result = cx.solver.check(cx.pool, &query);
+            if result.is_unsat() {
+                continue;
+            }
+            trojan_slots.push(s);
+            if first.is_none() {
+                first = Some((s, query, result));
+            }
+        }
+        let Some((slot, query, result)) = first else {
+            return;
+        };
+        if let Some(report) = self.witness(cx, record, slot, query, result) {
             self.reports.push(report);
+            self.trojan_slots.push(trojan_slots);
         }
     }
 }
@@ -815,8 +936,7 @@ impl PathObserver for TrojanObserver<'_> {
 mod tests {
     use super::*;
     use achilles_solver::Width;
-    use achilles_symvm::{Executor, ExploreConfig, MessageLayout, NodeProgram, PathResult, SymEnv};
-    use std::sync::Arc;
+    use achilles_symvm::{MessageLayout, PathResult, SymEnv};
 
     fn layout() -> Arc<MessageLayout> {
         MessageLayout::builder("m")
@@ -888,9 +1008,9 @@ mod tests {
     fn run_pipeline(
         opts: Optimizations,
     ) -> (
-        TermPool,
         PreparedClient,
         Vec<TrojanReport>,
+        Vec<MatchSample>,
         TrojanSearchStats,
     ) {
         let mut pool = TermPool::new();
@@ -912,19 +1032,25 @@ mod tests {
             FieldMask::none(),
             opts,
         );
-        // Phase 2: server analysis.
-        let mut observer = TrojanObserver::new(&prepared, opts, true);
+        // Phase 2: server analysis, one slot.
+        let slots = [&prepared];
+        let mut observer = TrojanObserver::new(&slots, opts, true);
         {
             let mut exec = Executor::new(&mut pool, &mut solver, server_config);
             exec.explore_observed(&PaperServer, &mut observer);
         }
-        let TrojanObserver { reports, stats, .. } = observer;
-        (pool, prepared, reports, stats)
+        let TrojanObserver {
+            reports,
+            samples,
+            stats,
+            ..
+        } = observer;
+        (prepared, reports, samples, stats)
     }
 
     #[test]
     fn finds_the_negative_address_trojan() {
-        let (_pool, prepared, reports, _stats) = run_pipeline(Optimizations::default());
+        let (prepared, reports, _samples, _stats) = run_pipeline(Optimizations::default());
         assert_eq!(prepared.client.len(), 2);
         assert_eq!(reports.len(), 1, "exactly the READ path has Trojans");
         let r = &reports[0];
@@ -939,16 +1065,8 @@ mod tests {
 
     #[test]
     fn non_optimized_finds_the_same_trojans() {
-        let (_p1, _c1, optimized, stats_opt) = {
-            let (p, c, r, s) = run_pipeline(Optimizations::default());
-            drop((p, c));
-            ((), (), r, s)
-        };
-        let (_p2, _c2, plain, stats_plain) = {
-            let (p, c, r, s) = run_pipeline(Optimizations::none());
-            drop((p, c));
-            ((), (), r, s)
-        };
+        let (_, optimized, _, stats_opt) = run_pipeline(Optimizations::default());
+        let (_, plain, _, stats_plain) = run_pipeline(Optimizations::none());
         assert_eq!(optimized.len(), plain.len());
         assert_eq!(optimized[0].witness_fields[0], plain[0].witness_fields[0]);
         // The optimized run actually dropped predicates; the plain one did not.
@@ -959,14 +1077,25 @@ mod tests {
 
     #[test]
     fn samples_decrease_along_paths() {
-        let (_pool, _prepared, _reports, _stats) = run_pipeline(Optimizations::default());
-        // Behavioural check happens in the FSP benches; here just confirm the
-        // sample channel carries data when enabled.
+        let (prepared, _reports, samples, _stats) = run_pipeline(Optimizations::default());
+        assert!(!samples.is_empty(), "every server conjunct is sampled");
+        let clients = prepared.client.len();
+        for sample in &samples {
+            assert!(sample.matching <= clients, "{sample:?} of {clients} paths");
+        }
+        // The sequential search samples depth-first: a sample one conjunct
+        // longer than its predecessor extends the same path, and a longer
+        // path never matches more client paths.
+        for pair in samples.windows(2) {
+            if pair[1].path_len == pair[0].path_len + 1 {
+                assert!(pair[1].matching <= pair[0].matching, "{pair:?}");
+            }
+        }
     }
 
     #[test]
     fn write_path_has_no_trojans() {
-        let (_pool, _prepared, reports, stats) = run_pipeline(Optimizations::default());
+        let (_prepared, reports, _samples, stats) = run_pipeline(Optimizations::default());
         assert!(
             !reports
                 .iter()
@@ -976,5 +1105,156 @@ mod tests {
         // The WRITE accepting path was pruned before completion or produced
         // no witness; either way pruning must have engaged somewhere.
         assert!(stats.paths_pruned > 0 || stats.trojan_checks > 0);
+    }
+
+    // --- Sessions: one slot per received message. ------------------------
+
+    fn hs_layout() -> Arc<MessageLayout> {
+        MessageLayout::builder("hs")
+            .field("token", Width::W16)
+            .build()
+    }
+
+    fn cmd_layout() -> Arc<MessageLayout> {
+        MessageLayout::builder("cmd")
+            .field("op", Width::W8)
+            .field("arg", Width::W16)
+            .build()
+    }
+
+    /// Slot-0 client: handshake tokens are validated to < 100.
+    fn handshake_client(env: &mut SymEnv<'_>) -> PathResult<()> {
+        let token = env.sym("token", Width::W16);
+        let cap = env.constant(100, Width::W16);
+        if !env.if_ult(token, cap)? {
+            return Ok(());
+        }
+        env.send(SymMessage::new(hs_layout(), vec![token]));
+        Ok(())
+    }
+
+    /// Slot-1 client: ops are 1 or 2, args validated to < 50.
+    fn command_client(env: &mut SymEnv<'_>) -> PathResult<()> {
+        let which = env.sym("which", Width::BOOL);
+        let arg = env.sym("arg", Width::W16);
+        let cap = env.constant(50, Width::W16);
+        if !env.if_ult(arg, cap)? {
+            return Ok(());
+        }
+        let op = if env.branch(which)? {
+            env.constant(1, Width::W8)
+        } else {
+            env.constant(2, Width::W8)
+        };
+        env.send(SymMessage::new(cmd_layout(), vec![op, arg]));
+        Ok(())
+    }
+
+    /// Session server: accepts token < `token_cap`, then op 1 (or, unless
+    /// `op1_only`, op 2) with arg < `arg_cap`.
+    struct SessionServer {
+        token_cap: u64,
+        op1_only: bool,
+        arg_cap: u64,
+    }
+    impl NodeProgram for SessionServer {
+        fn run(&self, env: &mut SymEnv<'_>) -> PathResult<()> {
+            let hs = env.recv(&hs_layout())?;
+            let tcap = env.constant(self.token_cap, Width::W16);
+            if !env.if_ult(hs.field("token"), tcap)? {
+                return Ok(());
+            }
+            let cmd = env.recv(&cmd_layout())?;
+            let one = env.constant(1, Width::W8);
+            let is1 = env.if_eq(cmd.field("op"), one)?;
+            if !is1 {
+                let two = env.constant(2, Width::W8);
+                if self.op1_only || !env.if_eq(cmd.field("op"), two)? {
+                    return Ok(());
+                }
+            }
+            let acap = env.constant(self.arg_cap, Width::W16);
+            if !env.if_ult(cmd.field("arg"), acap)? {
+                return Ok(());
+            }
+            env.mark_accept();
+            Ok(())
+        }
+    }
+
+    /// Runs the handshake → command session search over `server`.
+    fn run_session(server: &SessionServer) -> TrojanSearchOutcome {
+        let mut pool = TermPool::new();
+        let mut solver = Solver::new();
+        let mut prepare = |client: fn(&mut SymEnv<'_>) -> PathResult<()>, layout, name| {
+            let pred = {
+                let mut exec = Executor::new(&mut pool, &mut solver, ExploreConfig::default());
+                ClientPredicate::from_exploration(&exec.explore(&client))
+            };
+            let msg = SymMessage::fresh(&mut pool, &layout, name);
+            let opts = Optimizations::default();
+            prepare_client(&mut pool, &mut solver, pred, msg, FieldMask::none(), opts)
+        };
+        let hs_prep = prepare(handshake_client, hs_layout(), "hs");
+        let cmd_prep = prepare(command_client, cmd_layout(), "cmd");
+        run_trojan_search(
+            &mut pool,
+            &mut solver,
+            &[&hs_prep, &cmd_prep],
+            server,
+            ExploreConfig::default(),
+            Optimizations::default(),
+            true,
+        )
+    }
+
+    #[test]
+    fn finds_the_handshake_session_trojan() {
+        // Bug: the handshake accepts 2× the client token range.
+        let outcome = run_session(&SessionServer {
+            token_cap: 200,
+            op1_only: false,
+            arg_cap: 50,
+        });
+        // Both accepting paths (op 1 and op 2) host the handshake Trojan.
+        assert_eq!(outcome.reports.len(), 2);
+        for (r, s) in outcome.reports.iter().zip(&outcome.trojan_slots) {
+            assert_eq!(s, &vec![0], "only the handshake slot is Trojan");
+            assert!(r.verified, "the handshake message is verified");
+            // The witness token is in the server-only window [100, 200).
+            let token = r.witness_fields[0];
+            assert!((100..200).contains(&token), "token {token}");
+        }
+    }
+
+    #[test]
+    fn patched_session_server_is_clean() {
+        let outcome = run_session(&SessionServer {
+            token_cap: 100,
+            op1_only: false,
+            arg_cap: 50,
+        });
+        assert_eq!(outcome.reports.len(), 0, "both slots accept exactly C");
+        assert!(outcome.trojan_slots.is_empty());
+    }
+
+    #[test]
+    fn second_slot_bug_is_attributed_to_the_right_slot() {
+        // Bug: op 1 accepts 10× the client arg cap.
+        let outcome = run_session(&SessionServer {
+            token_cap: 100,
+            op1_only: true,
+            arg_cap: 500,
+        });
+        assert_eq!(outcome.reports.len(), 1);
+        assert_eq!(
+            outcome.trojan_slots[0],
+            vec![1],
+            "the command slot hosts the Trojan"
+        );
+        assert!(outcome.reports[0].verified);
+        // Witness arg in [50, 500).
+        let arg = outcome.reports[0].witness_fields[2];
+        assert!((50..500).contains(&arg), "arg {arg}");
     }
 }

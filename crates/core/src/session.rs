@@ -4,9 +4,8 @@
 //! Before this API, every driver (bench bins, examples, tests) hand-wired
 //! the pipeline per protocol: build the client programs, extract and merge
 //! predicates, create the symbolic server message, call
-//! [`run_trojan_search`](crate::run_trojan_search), then match on the
-//! protocol again to boot a replay deployment. A session replaces all of
-//! that with
+//! [`run_trojan_search`], then match on the protocol again to boot a replay
+//! deployment. A session replaces all of that with
 //!
 //! ```text
 //! let registry = builtin_registry();            // assembled once, elsewhere
@@ -26,8 +25,7 @@ use achilles_symvm::{MessageLayout, NodeProgram, SymMessage};
 use crate::pipeline::{Achilles, AchillesConfig, AchillesReport, LocalState};
 use crate::predicate::{ClientPredicate, FieldMask};
 use crate::report::TrojanReport;
-use crate::search::{prepare_client_workers, Optimizations};
-use crate::sequence::analyze_sequence_with;
+use crate::search::{prepare_client_workers, run_trojan_search, Optimizations, PreparedClient};
 use crate::target::TargetSpec;
 
 // ---------------------------------------------------------------------------
@@ -331,11 +329,13 @@ impl<'s> AchillesSession<'s> {
     /// [`SessionSpec`](crate::target::SessionSpec), every referenced
     /// session client is explored once, each slot's client predicates are
     /// merged and pre-processed against a fresh symbolic slot message, and
-    /// [`analyze_sequence`](crate::sequence::analyze_sequence) runs the
-    /// session server over the work-stealing pool
-    /// (`config.server_explore.workers`, budgets included) — so session
-    /// Trojans are registry-drivable with the same worker-count
-    /// bit-identity guarantee as the single-message search.
+    /// [`run_trojan_search`] runs the session server with one slot per
+    /// message. It is the search [`AchillesSession::run`] runs over its one
+    /// slot: the same drops (`differentFrom` matrix included), pruning and
+    /// witness verification under `config.optimizations` and
+    /// `config.verify_witnesses`, on the same work-stealing pool
+    /// (`config.server_explore.workers`, budgets included) with the same
+    /// worker-count bit-identity guarantee.
     ///
     /// Returns one [`SessionReport`] per declared session, in declaration
     /// order (empty when the spec declares none).
@@ -398,13 +398,15 @@ impl<'s> AchillesSession<'s> {
                 ));
             }
             let server = self.spec.session_server(&session.name);
-            let (trojans, trojan_slots, server_paths) = analyze_sequence_with(
+            let slots: Vec<&PreparedClient> = prepared.iter().collect();
+            let outcome = run_trojan_search(
                 &mut self.engine.pool,
                 &mut self.engine.solver,
+                &slots,
                 &*server,
-                prepared.iter().collect(),
-                self.config.optimizations,
                 self.config.server_explore.clone(),
+                self.config.optimizations,
+                self.config.verify_witnesses,
             );
             out.push(SessionReport {
                 session: session.name.clone(),
@@ -415,9 +417,9 @@ impl<'s> AchillesSession<'s> {
                     .map(|s| Arc::clone(&s.layout))
                     .collect(),
                 expected_trojans: session.expected_trojans,
-                trojans,
-                trojan_slots,
-                server_paths,
+                trojans: outcome.reports,
+                trojan_slots: outcome.trojan_slots,
+                server_paths: outcome.server_paths,
             });
         }
         // Same merge-point mirror as `Pipeline::run`: session discovery

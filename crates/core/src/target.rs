@@ -462,9 +462,10 @@ pub trait TargetSpec: Send + Sync {
     /// default — for single-message protocols).
     ///
     /// Declared sessions are registry-drivable exactly like the
-    /// single-message analysis:
+    /// single-message analysis, which is their one-slot case:
     /// [`AchillesSession::run_sessions`](crate::AchillesSession::run_sessions)
-    /// runs `analyze_sequence` per session over the work-stealing pool, and
+    /// runs the same Trojan search per session, one slot per message, with
+    /// the same drops, pruning and witness verification, and
     /// `achilles_replay::validate_spec_sessions` fires the resulting
     /// session witnesses at [`TargetSpec::session_replay_target`].
     fn sessions(&self) -> Vec<SessionSpec> {

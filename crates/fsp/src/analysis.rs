@@ -261,14 +261,13 @@ pub fn run_analysis_with(
     );
     let t2 = Instant::now();
     let explore = ExploreConfig {
-        recv_script: vec![server_msg.clone()],
         workers: config.workers.max(1),
         ..ExploreConfig::default()
     };
     let outcome = run_trojan_search(
         pool,
         solver,
-        &prepared,
+        &[&prepared],
         &FspServer::new(config.server.clone()),
         explore,
         config.optimizations,

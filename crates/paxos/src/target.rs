@@ -247,23 +247,19 @@ mod tests {
                 &mut pool,
                 &mut solver,
                 pred,
-                server_msg.clone(),
+                server_msg,
                 FieldMask::none(),
                 Optimizations::default(),
                 1,
             );
-            let explore = ExploreConfig {
-                recv_script: vec![server_msg],
-                ..Default::default()
-            };
             achilles::run_trojan_search(
                 &mut pool,
                 &mut solver,
-                &prepared,
+                &[&prepared],
                 &AcceptorProgram {
                     mode: AcceptorMode::Concrete(5),
                 },
-                explore,
+                ExploreConfig::default(),
                 Optimizations::default(),
                 true,
             )

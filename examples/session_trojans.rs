@@ -10,7 +10,9 @@
 //! cargo run --release -p achilles-examples --example session_trojans
 //! ```
 //!
-//! This example drives `analyze_sequence` by hand to show the machinery;
+//! This example drives `run_trojan_search` by hand with one prepared client
+//! predicate per slot (a single message is the one-slot case) to show the
+//! machinery;
 //! protocols normally *declare* their sessions on the `TargetSpec`
 //! (`TargetSpec::sessions`) and get discovery + fault-scheduled replay
 //! through `AchillesSession::run_sessions` — see `examples/quickstart.rs`
@@ -18,7 +20,7 @@
 
 use std::sync::Arc;
 
-use achilles::{analyze_sequence, prepare_client, ClientPredicate, FieldMask, Optimizations};
+use achilles::{prepare_client, run_trojan_search, ClientPredicate, FieldMask, Optimizations};
 use achilles_solver::{Solver, TermPool, Width};
 use achilles_symvm::{Executor, ExploreConfig, MessageLayout, PathResult, SymEnv, SymMessage};
 
@@ -124,23 +126,26 @@ fn main() {
         Optimizations::default(),
     );
 
-    let (reports, slots, server_paths) = analyze_sequence(
+    let outcome = run_trojan_search(
         &mut pool,
         &mut solver,
+        &[&hs_prep, &cmd_prep],
         &session_server,
-        vec![&hs_prep, &cmd_prep],
+        ExploreConfig::default(),
         Optimizations::default(),
-        1,
+        true,
     );
+    let reports = &outcome.reports;
 
-    println!("server paths completed: {server_paths}");
+    println!("server paths completed: {}", outcome.server_paths);
     println!("session Trojans: {}", reports.len());
-    for (r, s) in reports.iter().zip(&slots) {
+    for (r, s) in reports.iter().zip(&outcome.trojan_slots) {
         println!(
             "  path {}: Trojan slot(s) {:?}; witness session = token={} then op={} arg={}",
             r.server_path_id, s, r.witness_fields[0], r.witness_fields[1], r.witness_fields[2]
         );
         assert_eq!(s, &vec![0], "the handshake slot is the weak link");
+        assert!(r.verified, "no correct handshake client sends the token");
         assert!((100..200).contains(&r.witness_fields[0]));
     }
     assert_eq!(

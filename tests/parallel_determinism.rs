@@ -500,7 +500,7 @@ fn registry_session_trojans_are_worker_count_invariant() {
 
 #[test]
 fn session_search_is_worker_count_invariant() {
-    use achilles::{analyze_sequence, prepare_client, ClientPredicate, FieldMask, Optimizations};
+    use achilles::{prepare_client, run_trojan_search, ClientPredicate, FieldMask, Optimizations};
     use achilles_solver::{Solver, TermPool};
     use achilles_symvm::Executor;
     use std::sync::Arc;
@@ -563,15 +563,24 @@ fn session_search_is_worker_count_invariant() {
             FieldMask::none(),
             Optimizations::default(),
         );
-        let (reports, slots, paths) = analyze_sequence(
+        let explore = ExploreConfig {
+            workers,
+            ..ExploreConfig::default()
+        };
+        let outcome = run_trojan_search(
             &mut pool,
             &mut solver,
+            &[&hs_prep, &cmd_prep],
             &session_server,
-            vec![&hs_prep, &cmd_prep],
+            explore,
             Optimizations::default(),
-            workers,
+            true,
         );
-        (report_keys(&reports), slots, paths)
+        (
+            report_keys(&outcome.reports),
+            outcome.trojan_slots,
+            outcome.server_paths,
+        )
     };
     let (seq_keys, seq_slots, seq_paths) = run(1);
     let (par_keys, par_slots, par_paths) = run(4);

@@ -70,12 +70,12 @@ const PINNED_RUN: &[(&str, RunWork)] = &[
 
 #[rustfmt::skip]
 const PINNED_SESSIONS: &[(&str, SessionWork)] = &[
-    ("fsp", SessionWork { hits: 28, cross_epoch_hits: 0, misses: 1328, inserts: 1113, core_subsumption_hits: 215, cores_indexed: 491, certified_unsat: 491 }),
+    ("fsp", SessionWork { hits: 28, cross_epoch_hits: 0, misses: 1292, inserts: 1091, core_subsumption_hits: 201, cores_indexed: 469, certified_unsat: 469 }),
     ("pbft", SessionWork { hits: 0, cross_epoch_hits: 0, misses: 0, inserts: 0, core_subsumption_hits: 0, cores_indexed: 0, certified_unsat: 0 }),
     ("paxos", SessionWork { hits: 0, cross_epoch_hits: 0, misses: 0, inserts: 0, core_subsumption_hits: 0, cores_indexed: 0, certified_unsat: 0 }),
-    ("twopc", SessionWork { hits: 1, cross_epoch_hits: 0, misses: 49, inserts: 49, core_subsumption_hits: 0, cores_indexed: 12, certified_unsat: 12 }),
-    ("gossip", SessionWork { hits: 3, cross_epoch_hits: 0, misses: 71, inserts: 71, core_subsumption_hits: 0, cores_indexed: 17, certified_unsat: 17 }),
-    ("shardexec", SessionWork { hits: 9, cross_epoch_hits: 0, misses: 150, inserts: 150, core_subsumption_hits: 0, cores_indexed: 37, certified_unsat: 37 }),
+    ("twopc", SessionWork { hits: 1, cross_epoch_hits: 0, misses: 50, inserts: 50, core_subsumption_hits: 0, cores_indexed: 13, certified_unsat: 13 }),
+    ("gossip", SessionWork { hits: 3, cross_epoch_hits: 0, misses: 72, inserts: 72, core_subsumption_hits: 0, cores_indexed: 18, certified_unsat: 18 }),
+    ("shardexec", SessionWork { hits: 9, cross_epoch_hits: 0, misses: 147, inserts: 145, core_subsumption_hits: 2, cores_indexed: 32, certified_unsat: 32 }),
 ];
 
 fn run_work() -> Vec<(&'static str, RunWork)> {

@@ -302,6 +302,9 @@ fn session_conformance(spec: &dyn TargetSpec) {
             report.trojan_slots.iter().all(|s| !s.is_empty()),
             "{sname}: every report names its Trojan slots"
         );
+        for t in &report.trojans {
+            assert!(t.verified, "{sname}: unverified witness (false positive?)");
+        }
 
         // --- Concrete confirmation under the fault-free schedule. ----------
         let mut corpus = ReplayCorpus::new();

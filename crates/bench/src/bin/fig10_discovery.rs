@@ -102,7 +102,8 @@ fn main() {
         );
     }
 
-    let expected = spec.expected_trojans().unwrap_or(report.trojans.len()) as f64;
+    let expected_trojans = spec.message().expected_trojans;
+    let expected = expected_trojans.unwrap_or(report.trojans.len()) as f64;
 
     // Discovery curve: found_at timestamps are relative to the server
     // analysis start.
@@ -134,7 +135,7 @@ fn main() {
         total_ms
     );
     println!("  shape:    discovery is incremental — interrupting early still yields results");
-    if let Some(expected) = spec.expected_trojans() {
+    if let Some(expected) = expected_trojans {
         assert_eq!(
             report.trojans.len(),
             expected,

@@ -10,8 +10,12 @@
 //! configuration, replays all of them against the spec's concrete
 //! deployment, dedups confirmed failures by crash signature,
 //! ddmin-minimizes the first witness of each signature, and sweeps the
-//! replay fan-out over `workers ∈ {1, 2, 4, 8}`. There is no per-protocol
-//! code path: onboarding a protocol adds a row here automatically.
+//! replay fan-out over `workers ∈ {1, 2, 4, 8}`. One fan-out pass over the
+//! largest witness set takes about 2 ms, so each sweep row repeats the
+//! pass, with a fresh corpus each time, until it has timed at least
+//! 100 ms, and reports the pass count and the per-pass wall time. There is
+//! no per-protocol code path: onboarding a protocol adds a row here
+//! automatically.
 //!
 //! ```text
 //! cargo run --release -p achilles-bench --bin replay_validation -- --json
@@ -29,7 +33,7 @@
 //! adding per-session rows to the report and to `BENCH_replay.json`.
 
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use achilles::AchillesSession;
 use achilles_bench::{arg_present, arg_value, arg_value_required, header, host_cores, row};
@@ -55,6 +59,9 @@ struct SessionRun {
     signatures: usize,
     skipped_second_pass: usize,
 }
+
+/// The least `validate_spec` time one fan-out sweep row accumulates.
+const MIN_ROW_WALL: Duration = Duration::from_millis(100);
 
 fn corpus_path(dir: &str, name: &str) -> PathBuf {
     PathBuf::from(dir).join(format!("{name}.corpus"))
@@ -277,43 +284,54 @@ fn main() {
     header(&format!("replay fan-out sweep ({sweep_name} witnesses)"));
     let sweep_spec = registry.get(sweep_name).expect("validated above");
     let sweep_counts = [1usize, 2, 4, 8];
-    // (workers requested, workers effective, wall seconds, witnesses/sec).
-    let mut sweep: Vec<(usize, usize, f64, f64)> = Vec::new();
+    // (workers requested, workers effective, passes, wall seconds over all
+    // passes, witnesses/sec).
+    let mut sweep: Vec<(usize, usize, usize, f64, f64)> = Vec::new();
     let mut reference: Option<Vec<(Vec<Vec<u64>>, String)>> = None;
     for &workers in &sweep_counts {
-        let mut corpus = ReplayCorpus::new();
-        let started = Instant::now();
-        let summary = validate_spec(
-            &**sweep_spec,
-            &sweep_trojans,
-            &mut corpus,
-            &ValidateConfig::default().with_workers(workers),
-        );
-        let wall = started.elapsed().as_secs_f64();
-        let key: Vec<(Vec<Vec<u64>>, String)> = summary
-            .results
-            .iter()
-            .map(|r| (r.witness.fields.clone(), r.signature.to_line()))
-            .collect();
-        match &reference {
-            None => reference = Some(key),
-            Some(r) => assert_eq!(
-                r, &key,
-                "replay results must be identical for every worker count"
-            ),
+        let config = ValidateConfig::default().with_workers(workers);
+        let (mut passes, mut replayed, mut timed) = (0usize, 0usize, Duration::ZERO);
+        while timed < MIN_ROW_WALL {
+            let started = Instant::now();
+            let summary = validate_spec(
+                &**sweep_spec,
+                &sweep_trojans,
+                &mut ReplayCorpus::new(),
+                &config,
+            );
+            timed += started.elapsed();
+            passes += 1;
+            replayed = summary.replayed;
+            let key: Vec<(Vec<Vec<u64>>, String)> = summary
+                .results
+                .iter()
+                .map(|r| (r.witness.fields.clone(), r.signature.to_line()))
+                .collect();
+            match &reference {
+                None => reference = Some(key),
+                Some(r) => assert_eq!(
+                    r, &key,
+                    "replay results must be identical for every worker count and pass"
+                ),
+            }
         }
-        let wps = summary.replayed as f64 / wall.max(1e-9);
+        let wall = timed.as_secs_f64();
+        let wps = (replayed * passes) as f64 / wall.max(1e-9);
         // The replay fan-out claims items from a shared cursor: more
         // workers than witnesses can never run.
-        let effective = workers.min(summary.replayed.max(1));
+        let effective = workers.min(replayed.max(1));
         println!(
             "{}",
             row(
                 &format!("workers={workers}"),
-                format!("{wall:.3}s, {wps:.0} witnesses/s ({effective} effective)")
+                format!(
+                    "{passes} passes × {:.4}s = {wall:.3}s, {wps:.0} witnesses/s \
+                     ({effective} effective)",
+                    wall / passes as f64
+                )
             )
         );
-        sweep.push((workers, effective, wall, wps));
+        sweep.push((workers, effective, passes, wall, wps));
     }
 
     if arg_present("--json") {
@@ -359,11 +377,12 @@ fn main() {
             ));
         }
         json.push_str("  ],\n  \"sweep\": [\n");
-        for (i, (workers, effective, wall, wps)) in sweep.iter().enumerate() {
+        for (i, (workers, effective, passes, wall, wps)) in sweep.iter().enumerate() {
             json.push_str(&format!(
                 "    {{\"workers\": {workers}, \"workers_effective\": {effective}, \
-                 \"wall_s\": {wall:.4}, \
+                 \"passes\": {passes}, \"wall_s\": {wall:.4}, \"pass_s\": {:.5}, \
                  \"witnesses_per_sec\": {wps:.1}}}{}\n",
+                wall / *passes as f64,
                 if i + 1 == sweep.len() { "" } else { "," },
             ));
         }

@@ -89,8 +89,9 @@ pub fn header(title: &str) {
 /// Replays discovered Trojans against the concrete deployment of any
 /// [`TargetSpec`](achilles::TargetSpec) and prints the validation summary
 /// — the shared `--validate` tail of the fig10/fig11/fuzzing bins. The
-/// spec's `replay_target` factory supplies the deployment, so this helper
-/// (and every bin built on it) names no protocol.
+/// spec's `session_replay_target` factory, called with its message's name,
+/// supplies the deployment, so this helper (and every bin built on it)
+/// names no protocol.
 ///
 /// Returns the summary so callers can assert on it.
 pub fn validate_spec_result(

@@ -28,13 +28,17 @@
 //!
 //! The pipeline is protocol-agnostic, and the public API is built around
 //! that fact. A protocol is described once by implementing [`TargetSpec`]
-//! — client/server [`NodeProgram`](achilles_symvm::NodeProgram)s, the wire
-//! [`MessageLayout`](achilles_symvm::MessageLayout), a field mask, codec
-//! hooks, and a factory for the concrete [`ReplayTarget`] used by
-//! validation — and every driver consumes specs generically:
+//! — one list of client [`NodeProgram`](achilles_symvm::NodeProgram)s,
+//! what the server receives (its single message as a one-slot
+//! [`SessionSpec`], each [`SessionSlot`] a wire
+//! [`MessageLayout`](achilles_symvm::MessageLayout), the clients that can
+//! fill it and a field mask; plus any multi-message sessions), and, per
+//! declaration, the server program and the concrete [`ReplayTarget`] used
+//! by validation — and every driver consumes specs generically:
 //!
 //! * [`AchillesSession`] runs discovery over a spec (builder-style knobs
-//!   for workers, verification, local state);
+//!   for workers, verification, local state); the message and the
+//!   sessions run through one discovery body;
 //! * [`TargetRegistry`] selects specs by name (`--target fsp`), so bench
 //!   bins, examples, and the conformance suite contain no per-protocol
 //!   match arms;
@@ -51,8 +55,8 @@
 //! ```
 //! use std::sync::Arc;
 //! use achilles::{
-//!     AchillesSession, Delivery, InjectionOutcome, ReplayTarget, SnapshotReplayTarget,
-//!     TargetSnapshot, TargetSpec,
+//!     AchillesSession, Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec,
+//!     SnapshotReplayTarget, TargetSnapshot, TargetSpec,
 //! };
 //! use achilles_solver::Width;
 //! use achilles_symvm::{MessageLayout, NodeProgram, PathResult, SymEnv, SymMessage};
@@ -111,16 +115,23 @@
 //!     fn restore(&mut self, _snapshot: &TargetSnapshot) {}
 //! }
 //!
-//! // The spec bundles it all: this is the entire onboarding surface.
+//! // The spec bundles it all: this is the entire onboarding surface. The
+//! // message is a one-slot session whose slot client 0 fills.
 //! struct Figure2Spec;
 //! impl TargetSpec for Figure2Spec {
 //!     fn name(&self) -> &'static str { "figure2" }
-//!     fn layout(&self) -> Arc<MessageLayout> { layout() }
 //!     fn clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
 //!         vec![Box::new(client)]
 //!     }
-//!     fn server(&self) -> Box<dyn NodeProgram + Sync + '_> { Box::new(server) }
-//!     fn replay_target(&self) -> Box<dyn ReplayTarget> { Box::new(Figure2Target) }
+//!     fn message(&self) -> SessionSpec {
+//!         SessionSpec::new("request", vec![SessionSlot::new("request", layout(), vec![0])])
+//!     }
+//!     fn session_server(&self, _: &str) -> Box<dyn NodeProgram + Sync + '_> {
+//!         Box::new(server)
+//!     }
+//!     fn session_replay_target(&self, _: &str) -> Box<dyn ReplayTarget> {
+//!         Box::new(Figure2Target)
+//!     }
 //! }
 //!
 //! let spec = Figure2Spec;
@@ -130,8 +141,9 @@
 //! assert!(trojan_address < 0, "READ with a negative address is the Trojan");
 //! ```
 //!
-//! (The lower-level [`Achilles::run`] entry point remains available for
-//! ad-hoc client/server pairs that don't warrant a spec.)
+//! (The lower-level [`Achilles::run`] and [`Achilles::run_message`] entry
+//! points remain available for ad-hoc client/server pairs that don't
+//! warrant a spec; they run the same discovery body.)
 //!
 //! ## Porting a protocol
 //!
@@ -155,11 +167,17 @@
 //!    end-of-plan effects (filesystem diffs, final decisions), and
 //!    `snapshot`/`restore` copy and rewind its state (step 7). The
 //!    provided `inject` — boot, deliver each, finish — is cold replay.
-//! 3. **Implement [`TargetSpec`].** Return the programs, layout, mask
-//!    (checksums/digests per §5.2), the analysis defaults, the supported
-//!    [`LocalStateMode`]s, an expected-count hint if the bounded model
-//!    makes it exact, and the `replay_target` factory. The default codec
-//!    hooks (big-endian field packing) rarely need overriding.
+//! 3. **Implement [`TargetSpec`].** Return the client programs as one
+//!    list from [`clients`](TargetSpec::clients), and the single message
+//!    from [`message`](TargetSpec::message) as a one-slot [`SessionSpec`]:
+//!    its slot names the layout, the indices of the clients that can fill
+//!    it, and a mask (checksums/digests per §5.2), and the spec carries an
+//!    expected-count hint if the bounded model makes it exact.
+//!    [`session_server`](TargetSpec::session_server) and
+//!    [`session_replay_target`](TargetSpec::session_replay_target) serve
+//!    the server program and the step-2 deployment under the message's
+//!    name. Override the analysis defaults if needed; witnesses reach the
+//!    wire through [`fields_to_wire`] (big-endian field packing).
 //! 4. **Register.** Add one `registry.register(Arc::new(YourSpec))` call
 //!    (for the shipped set: in `achilles-targets`). Every driver picks the
 //!    protocol up by name: `--target yours` on the bench bins, a row in
@@ -170,19 +188,20 @@
 //! 5. **Declare a session** (optional — for stateful findings). When the
 //!    real server only reaches the vulnerable code after earlier messages
 //!    establish local state (login → command, VOTE → DECIDE), return a
-//!    [`SessionSpec`] from [`TargetSpec::sessions`]: an ordered
-//!    [`SessionSlot`] list naming each slot's wire layout and which
-//!    [`session_clients`](TargetSpec::session_clients) can legally fill
-//!    it, plus an expected session-Trojan hint. Supply the session server
-//!    (one `recv` per slot, in slot order) via
+//!    [`SessionSpec`] from [`TargetSpec::sessions`] — named apart from the
+//!    message: an ordered [`SessionSlot`] list naming each slot's wire
+//!    layout and which entries of the same
+//!    [`clients`](TargetSpec::clients) list can legally fill it, plus an
+//!    expected session-Trojan hint. Serve the session server (one `recv`
+//!    per slot, in slot order) from
 //!    [`session_server`](TargetSpec::session_server) and a deployment that
-//!    consumes whole sequences via
-//!    [`session_replay_target`](TargetSpec::session_replay_target): the
-//!    step-2 [`ReplayTarget`] with one layout, benign baseline and
-//!    generability oracle per slot, whose booted session consumes the
-//!    slots' deliveries in order. A single message is the one-slot case,
-//!    so replay, minimization, validation and the corpus are the same
-//!    code for both. Then
+//!    consumes whole sequences from
+//!    [`session_replay_target`](TargetSpec::session_replay_target) under
+//!    the session's name: the step-2 [`ReplayTarget`] with one layout,
+//!    benign baseline and generability oracle per slot, whose booted
+//!    session consumes the slots' deliveries in order. The message is the
+//!    one-slot case, so discovery, replay, minimization, validation and
+//!    the corpus are the same code for both. Then
 //!    [`AchillesSession::run_sessions`] discovers session Trojans —
 //!    `⋁ₛ ¬genₛ(mₛ)`, with slot attribution — over the work-stealing
 //!    pool, and `achilles_replay::validate_spec_sessions` replays them
@@ -315,7 +334,7 @@
 //! | [`negate`] | §3.2, §4 | the under-approximate negate operator |
 //! | [`diff_matrix`] | §3.3 | the `differentFrom` pre-computation |
 //! | [`search`] | §3.2–3.3, §7 | the incremental Trojan search: one observer + parallel driver for a single message and for multi-message sessions (one slot per message; registry-driven via [`TargetSpec::sessions`]) |
-//! | [`pipeline`] | §3, §3.4 | the three-phase driver and local-state modes |
+//! | [`pipeline`] | §3, §3.4 | the three-phase discovery body (one slot or a session's slots) and local-state modes |
 //! | [`refine`] | §4.1 | CEGAR-style witness refinement (the paper's future work) |
 //! | [`baseline`] | §6.2, §6.4 | classic symex and a-posteriori differencing |
 //! | [`report`] | §3.2 | symbolic + concrete Trojan reports |
@@ -449,7 +468,6 @@ pub use search::{
 };
 pub use session::{AchillesSession, SessionReport, TargetRegistry};
 pub use target::{
-    fields_to_wire, layout_widths, wire_to_fields, Delivery, InjectionOutcome, LocalStateMode,
-    ReplayTarget, SessionSlot, SessionSpec, SnapshotReplayTarget, TargetSnapshot, TargetSpec,
-    WireError,
+    fields_to_wire, layout_widths, wire_to_fields, Delivery, InjectionOutcome, ReplayTarget,
+    SessionSlot, SessionSpec, SnapshotReplayTarget, TargetSnapshot, TargetSpec, WireError,
 };

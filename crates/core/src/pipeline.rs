@@ -10,6 +10,11 @@
 //! 3. **Server analysis** — explore the server with the [`TrojanObserver`]
 //!    installed, incrementally emitting [`TrojanReport`]s.
 //!
+//! The phases run over *sessions*: a target's single message is the
+//! one-slot case, and one discovery body drives both
+//! ([`Achilles::run_message`] and
+//! [`AchillesSession::run_sessions`](crate::AchillesSession::run_sessions)).
+//!
 //! Local state (§3.4) is configured through [`LocalState`]: run the server
 //! from concrete state, from state constructed by symbolic messages of a
 //! previous analysis, or from annotated over-approximate state.
@@ -28,6 +33,7 @@ use crate::search::{
     prepare_client_workers, run_trojan_search, MatchSample, Optimizations, PreparedClient,
     TrojanSearchOutcome, TrojanSearchStats, WorkerSummary,
 };
+use crate::target::{SessionSlot, SessionSpec};
 
 /// How the analyzed server node obtains its local state (§3.4).
 #[derive(Clone, Debug, Default)]
@@ -101,8 +107,6 @@ pub struct AchillesReport {
 /// Configuration for a full pipeline run.
 #[derive(Clone, Debug, Default)]
 pub struct AchillesConfig {
-    /// Field mask (checksums, digests, authenticators — §5.2).
-    pub mask: FieldMask,
     /// Optimization toggles (§6.4 ablation).
     pub optimizations: Optimizations,
     /// Re-verify every witness against every client path predicate.
@@ -198,20 +202,6 @@ impl Achilles {
         mask: FieldMask,
         opts: Optimizations,
     ) -> PreparedClient {
-        self.prepare_with_workers(client, layout, mask, opts, 1)
-    }
-
-    /// [`Achilles::prepare`] with the per-path negation loop fanned out
-    /// over `workers` threads (deterministic: see
-    /// [`prepare_client_workers`]).
-    pub fn prepare_with_workers(
-        &mut self,
-        client: ClientPredicate,
-        layout: &Arc<MessageLayout>,
-        mask: FieldMask,
-        opts: Optimizations,
-        workers: usize,
-    ) -> PreparedClient {
         let server_msg = SymMessage::fresh(&mut self.pool, layout, "msg");
         prepare_client_workers(
             &mut self.pool,
@@ -220,21 +210,22 @@ impl Achilles {
             server_msg,
             mask,
             opts,
-            workers,
+            1,
         )
     }
 
     /// Phase 2: analyzes the server with the Trojan observer installed,
-    /// over one slot: the server's one received message.
+    /// one prepared client predicate per slot the server receives.
     ///
-    /// Sequential when `config.server_explore.workers <= 1`; otherwise the
-    /// exploration fans out over a work-stealing pool with per-worker
-    /// solvers and a shared query cache (see
-    /// [`run_trojan_search`](crate::search::run_trojan_search)).
+    /// Seeds the constraints of [`LocalState::Constructed`] into every
+    /// server path. Sequential when `config.server_explore.workers <= 1`;
+    /// otherwise the exploration fans out over a work-stealing pool with
+    /// per-worker solvers and a shared query cache (see
+    /// [`run_trojan_search`]).
     pub fn analyze_server(
         &mut self,
         server: &(dyn NodeProgram + Sync),
-        prepared: &PreparedClient,
+        slots: &[&PreparedClient],
         config: &AchillesConfig,
     ) -> TrojanSearchOutcome {
         let mut explore = config.server_explore.clone();
@@ -244,7 +235,7 @@ impl Achilles {
         run_trojan_search(
             &mut self.pool,
             &mut self.solver,
-            &[prepared],
+            slots,
             server,
             explore,
             config.optimizations,
@@ -252,14 +243,9 @@ impl Achilles {
         )
     }
 
-    /// Runs the full pipeline: client → preprocessing → server.
-    ///
-    /// Phase timing comes from `achilles_obs` timed spans: each phase of
-    /// [`PhaseTimes`] is the duration of the matching span, so the §6.2
-    /// breakdown and the exported Chrome trace are views of one
-    /// measurement. The run also mirrors its deterministic counters
-    /// (Trojan-search drops/checks, proof-audit totals) into the process
-    /// metrics registry.
+    /// Runs the full pipeline — client → preprocessing → server — for one
+    /// client program and an unmasked message of `layout`: the raw form of
+    /// [`Achilles::run_message`] for ad-hoc client/server pairs.
     pub fn run(
         &mut self,
         client: &(dyn NodeProgram + Sync),
@@ -267,69 +253,180 @@ impl Achilles {
         layout: &Arc<MessageLayout>,
         config: &AchillesConfig,
     ) -> AchillesReport {
-        self.run_clients(&[client], server, layout, config)
+        let slot = SessionSlot::new("message", Arc::clone(layout), vec![0]);
+        let message = SessionSpec::new("message", vec![slot]);
+        self.run_message(&[client], &message, server, config)
     }
 
-    /// [`Achilles::run`] over several client programs: each is explored
-    /// and their predicates merged in order (`P_C` = union over clients;
-    /// merging one client's predicate is the identity).
-    pub(crate) fn run_clients(
+    /// Runs the full pipeline over a single message: `message` is a
+    /// one-slot session whose slot names its layout, mask, and the
+    /// `clients` whose predicates merge (in order) into `P_C`.
+    ///
+    /// Phase timing comes from `achilles_obs` timed spans: each phase of
+    /// [`PhaseTimes`] is the duration of the matching span, so the §6.2
+    /// breakdown and the exported Chrome trace are views of one
+    /// measurement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `message` does not have exactly one slot, or its slot
+    /// references a client index outside `clients`.
+    pub fn run_message(
         &mut self,
         clients: &[&(dyn NodeProgram + Sync)],
+        message: &SessionSpec,
         server: &(dyn NodeProgram + Sync),
-        layout: &Arc<MessageLayout>,
         config: &AchillesConfig,
     ) -> AchillesReport {
-        let run_span = achilles_obs::timed("pipeline:run", "pipeline");
-
-        let phase = achilles_obs::timed("phase:client", "pipeline");
-        let mut parts = Vec::with_capacity(clients.len());
-        let mut client_explore = ExploreStats::default();
-        for &client in clients {
-            let (pred, stats) = self.extract_client_predicate(client, &config.client_explore);
-            accumulate_stats(&mut client_explore, &stats);
-            parts.push(pred);
-        }
-        let client_pred = ClientPredicate::merge(parts);
-        let client_time = phase.finish();
-
-        let phase = achilles_obs::timed("phase:preprocess", "pipeline");
-        let prepared = self.prepare_with_workers(
-            client_pred,
-            layout,
-            config.mask.clone(),
-            config.optimizations,
-            config.server_explore.workers.max(1),
+        assert_eq!(
+            message.slots.len(),
+            1,
+            "message {:?} must be a one-slot session",
+            message.name
         );
-        let preprocess_time = phase.finish();
-
-        let phase = achilles_obs::timed("phase:server", "pipeline");
-        let outcome = self.analyze_server(server, &prepared, config);
-        let server_time = phase.finish();
-
+        let run_span = achilles_obs::timed("pipeline:run", "pipeline");
+        // The message keeps the symbolic name `msg`: names feed the pool's
+        // term fingerprints, and so the shared cache's answers.
+        let mut discovery =
+            self.discover(clients, &[(message, server)], |_, _| "msg".into(), config);
         run_span.finish();
-        let server_cpu: Duration = outcome.workers.iter().map(|w| w.busy).sum();
-        outcome.stats.record_metrics();
-        self.shared.stats().record_metrics();
-        record_proof_audit_metrics();
+        let mut found = discovery.sessions.pop().expect("one session in, one out");
+        let prepared = found.prepared.pop().expect("one slot in, one out");
+        let outcome = found.outcome;
         AchillesReport {
-            client: prepared.client.clone(),
-            server_msg: prepared.server_msg.clone(),
+            client: prepared.client,
+            server_msg: prepared.server_msg,
             trojans: outcome.reports,
             phase_times: PhaseTimes {
-                client: client_time,
-                preprocess: preprocess_time,
-                server: server_time,
-                server_cpu,
+                client: discovery.client_time,
+                preprocess: found.preprocess_time,
+                server: found.server_time,
+                server_cpu: outcome.workers.iter().map(|w| w.busy).sum(),
             },
             samples: outcome.samples,
             search_stats: outcome.stats,
-            client_explore,
+            client_explore: discovery.client_explore,
             server_explore: outcome.explore,
             server_paths: outcome.server_paths,
             server_workers: outcome.workers,
         }
     }
+
+    /// The one discovery body, behind [`Achilles::run_message`] and
+    /// [`AchillesSession::run_sessions`](crate::AchillesSession::run_sessions).
+    ///
+    /// Explores every client the sessions' slots reference, once each in
+    /// first-reference order (session, slot, then the slot's listed
+    /// order) — the pool's variable-creation order feeds term
+    /// fingerprints. Then, per session, merges each slot's client
+    /// predicates, pre-processes them against a fresh symbolic slot
+    /// message named by `message_name`, and runs the Trojan search over
+    /// the session's slots ([`Achilles::analyze_server`]). Emits the
+    /// `phase:client`, `phase:preprocess` and `phase:server` spans, and
+    /// mirrors the Trojan-search, shared-cache and proof-audit counters
+    /// into the metrics registry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot references a client index outside `clients`.
+    pub(crate) fn discover(
+        &mut self,
+        clients: &[&(dyn NodeProgram + Sync)],
+        sessions: &[(&SessionSpec, &(dyn NodeProgram + Sync))],
+        message_name: impl Fn(&SessionSpec, &SessionSlot) -> String,
+        config: &AchillesConfig,
+    ) -> Discovery {
+        let phase = achilles_obs::timed("phase:client", "pipeline");
+        let mut preds: Vec<Option<ClientPredicate>> = vec![None; clients.len()];
+        let mut client_explore = ExploreStats::default();
+        for (session, _) in sessions {
+            for slot in &session.slots {
+                for &ci in &slot.clients {
+                    let Some(&client) = clients.get(ci) else {
+                        panic!(
+                            "session {:?} slot {:?} references client {ci}, \
+                             but the spec declares only {} clients",
+                            session.name,
+                            slot.name,
+                            clients.len()
+                        );
+                    };
+                    if preds[ci].is_none() {
+                        let (pred, stats) =
+                            self.extract_client_predicate(client, &config.client_explore);
+                        accumulate_stats(&mut client_explore, &stats);
+                        preds[ci] = Some(pred);
+                    }
+                }
+            }
+        }
+        let client_time = phase.finish();
+
+        let workers = config.server_explore.workers.max(1);
+        let mut found = Vec::with_capacity(sessions.len());
+        for &(session, server) in sessions {
+            let phase = achilles_obs::timed("phase:preprocess", "pipeline");
+            let mut prepared = Vec::with_capacity(session.slots.len());
+            for slot in &session.slots {
+                let parts = slot.clients.iter().map(|&ci| preds[ci].clone());
+                let merged = ClientPredicate::merge(parts.map(|p| p.expect("explored above")));
+                let name = message_name(session, slot);
+                let msg = SymMessage::fresh(&mut self.pool, &slot.layout, &name);
+                prepared.push(prepare_client_workers(
+                    &mut self.pool,
+                    &mut self.solver,
+                    merged,
+                    msg,
+                    slot.mask.clone(),
+                    config.optimizations,
+                    workers,
+                ));
+            }
+            let preprocess_time = phase.finish();
+
+            let phase = achilles_obs::timed("phase:server", "pipeline");
+            let slots: Vec<&PreparedClient> = prepared.iter().collect();
+            let outcome = self.analyze_server(server, &slots, config);
+            let server_time = phase.finish();
+            outcome.stats.record_metrics();
+            found.push(SessionDiscovery {
+                prepared,
+                outcome,
+                preprocess_time,
+                server_time,
+            });
+        }
+        self.shared.stats().record_metrics();
+        record_proof_audit_metrics();
+        Discovery {
+            client_time,
+            client_explore,
+            sessions: found,
+        }
+    }
+}
+
+/// What the discovery body produced: the client phase, then one entry per
+/// session, in the order given.
+pub(crate) struct Discovery {
+    /// Wall time of the client phase.
+    pub(crate) client_time: Duration,
+    /// Exploration counters accumulated over every explored client.
+    pub(crate) client_explore: ExploreStats,
+    /// One entry per searched session.
+    pub(crate) sessions: Vec<SessionDiscovery>,
+}
+
+/// One session's pre-processed slots and Trojan-search outcome.
+pub(crate) struct SessionDiscovery {
+    /// The prepared client predicate of each slot, in slot order.
+    pub(crate) prepared: Vec<PreparedClient>,
+    /// The Trojan search over the session's slots.
+    pub(crate) outcome: TrojanSearchOutcome,
+    /// Wall time of the session's pre-processing.
+    pub(crate) preprocess_time: Duration,
+    /// Wall time of the session's server analysis.
+    pub(crate) server_time: Duration,
 }
 
 /// Accumulation of exploration counters across the client programs of one
@@ -447,7 +544,7 @@ mod tests {
             },
             ..AchillesConfig::default()
         };
-        let outcome = achilles.analyze_server(&server, &prepared, &config);
+        let outcome = achilles.analyze_server(&server, &[&prepared], &config);
         assert_eq!(outcome.reports.len(), 1);
         let key = outcome.reports[0].witness_fields[1];
         assert!(

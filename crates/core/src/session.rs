@@ -4,8 +4,9 @@
 //! Before this API, every driver (bench bins, examples, tests) hand-wired
 //! the pipeline per protocol: build the client programs, extract and merge
 //! predicates, create the symbolic server message, call
-//! [`run_trojan_search`], then match on the protocol again to boot a replay
-//! deployment. A session replaces all of that with
+//! [`run_trojan_search`](crate::run_trojan_search), then match on the
+//! protocol again to boot a replay deployment. A session replaces all of
+//! that with
 //!
 //! ```text
 //! let registry = builtin_registry();            // assembled once, elsewhere
@@ -20,12 +21,11 @@
 use std::fmt;
 use std::sync::Arc;
 
-use achilles_symvm::{MessageLayout, NodeProgram, SymMessage};
+use achilles_symvm::{MessageLayout, NodeProgram};
 
 use crate::pipeline::{Achilles, AchillesConfig, AchillesReport, LocalState};
-use crate::predicate::{ClientPredicate, FieldMask};
 use crate::report::TrojanReport;
-use crate::search::{prepare_client_workers, run_trojan_search, Optimizations, PreparedClient};
+use crate::search::Optimizations;
 use crate::target::TargetSpec;
 
 // ---------------------------------------------------------------------------
@@ -100,10 +100,13 @@ impl TargetRegistry {
 ///
 /// The session owns the engine (pool + solver), starts from the spec's
 /// [`TargetSpec::analysis_config`], and exposes the common knobs as
-/// chainable setters. [`AchillesSession::run`] executes client predicate
-/// extraction (merging every client program of the spec), pre-processing,
-/// and the server Trojan search; the engine stays available afterwards for
-/// rendering witnesses or issuing custom queries.
+/// chainable setters. [`AchillesSession::run`] discovers Trojans in the
+/// spec's single message ([`TargetSpec::message`]) and
+/// [`AchillesSession::run_sessions`] in its declared sessions — one
+/// discovery body for both: client predicate extraction (merging each
+/// slot's client programs), pre-processing, and the server Trojan search.
+/// The engine stays available afterwards for rendering witnesses or
+/// issuing custom queries.
 ///
 /// # Examples
 ///
@@ -111,7 +114,8 @@ impl TargetRegistry {
 /// use achilles::AchillesSession;
 /// # use std::sync::Arc;
 /// # use achilles::{
-/// #     Delivery, InjectionOutcome, ReplayTarget, SnapshotReplayTarget, TargetSnapshot, TargetSpec,
+/// #     Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec, SnapshotReplayTarget,
+/// #     TargetSnapshot, TargetSpec,
 /// # };
 /// # use achilles_solver::Width;
 /// # use achilles_symvm::{MessageLayout, NodeProgram, PathResult, SymEnv, SymMessage};
@@ -154,10 +158,12 @@ impl TargetRegistry {
 /// # }
 /// # impl TargetSpec for KvSpec {
 /// #     fn name(&self) -> &'static str { "kv" }
-/// #     fn layout(&self) -> Arc<MessageLayout> { layout() }
 /// #     fn clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> { vec![Box::new(client)] }
-/// #     fn server(&self) -> Box<dyn NodeProgram + Sync + '_> { Box::new(server) }
-/// #     fn replay_target(&self) -> Box<dyn ReplayTarget> { Box::new(KvTarget) }
+/// #     fn message(&self) -> SessionSpec {
+/// #         SessionSpec::new("kv", vec![SessionSlot::new("kv", layout(), vec![0])])
+/// #     }
+/// #     fn session_server(&self, _: &str) -> Box<dyn NodeProgram + Sync + '_> { Box::new(server) }
+/// #     fn session_replay_target(&self, _: &str) -> Box<dyn ReplayTarget> { Box::new(KvTarget) }
 /// # }
 /// let spec = KvSpec;
 /// let mut session = AchillesSession::new(&spec);
@@ -181,20 +187,11 @@ impl fmt::Debug for AchillesSession<'_> {
 
 impl<'s> AchillesSession<'s> {
     /// A session over `spec`, configured with the spec's
-    /// [`TargetSpec::analysis_config`] and [`TargetSpec::mask`].
-    ///
-    /// [`TargetSpec::mask`] fills the mask only when
-    /// [`TargetSpec::analysis_config`] left it empty, so a spec that sets
-    /// [`AchillesConfig::mask`] directly is honored too (the two hooks
-    /// never silently shadow each other).
+    /// [`TargetSpec::analysis_config`].
     pub fn new(spec: &'s dyn TargetSpec) -> AchillesSession<'s> {
-        let mut config = spec.analysis_config();
-        if config.mask.indices().is_empty() {
-            config.mask = spec.mask();
-        }
         AchillesSession {
             spec,
-            config,
+            config: spec.analysis_config(),
             engine: Achilles::new(),
         }
     }
@@ -229,12 +226,6 @@ impl<'s> AchillesSession<'s> {
         self
     }
 
-    /// Overrides the field mask (§5.2).
-    pub fn mask(mut self, mask: FieldMask) -> AchillesSession<'s> {
-        self.config.mask = mask;
-        self
-    }
-
     /// The target this session analyzes.
     pub fn spec(&self) -> &'s dyn TargetSpec {
         self.spec
@@ -263,16 +254,18 @@ impl<'s> AchillesSession<'s> {
         self.engine
     }
 
-    /// Runs the pipeline: every client program of the spec is explored and
-    /// the predicates merged in order (`P_C` = union over clients), then
-    /// pre-processing and the server Trojan search run exactly as
-    /// [`Achilles::run`] would.
+    /// Runs the pipeline over the spec's single message
+    /// ([`TargetSpec::message`]): the clients its slot references are
+    /// explored and their predicates merged in order (`P_C` = union over
+    /// clients), then pre-processing and the server Trojan search run
+    /// exactly as [`Achilles::run_message`] runs them.
     pub fn run(&mut self) -> AchillesReport {
+        let message = self.spec.message();
         let clients = self.spec.clients();
         let clients: Vec<&(dyn NodeProgram + Sync)> = clients.iter().map(|c| &**c).collect();
-        let server = self.spec.server();
+        let server = self.spec.session_server(&message.name);
         self.engine
-            .run_clients(&clients, &*server, &self.spec.layout(), &self.config)
+            .run_message(&clients, &message, &*server, &self.config)
     }
 }
 
@@ -325,15 +318,15 @@ impl SessionReport {
 }
 
 impl<'s> AchillesSession<'s> {
-    /// Runs the multi-message session analyses the spec declares: for each
-    /// [`SessionSpec`](crate::target::SessionSpec), every referenced
-    /// session client is explored once, each slot's client predicates are
-    /// merged and pre-processed against a fresh symbolic slot message, and
-    /// [`run_trojan_search`] runs the session server with one slot per
-    /// message. It is the search [`AchillesSession::run`] runs over its one
-    /// slot: the same drops (`differentFrom` matrix included), pruning and
-    /// witness verification under `config.optimizations` and
-    /// `config.verify_witnesses`, on the same work-stealing pool
+    /// Runs the multi-message session analyses the spec declares: the
+    /// discovery body [`AchillesSession::run`] runs over its one slot, run
+    /// over every [`SessionSpec`](crate::target::SessionSpec) at once —
+    /// every referenced client is explored once, each slot's client
+    /// predicates are merged and pre-processed against a fresh symbolic
+    /// slot message, and the Trojan search runs the session server with
+    /// one slot per message: the same drops (`differentFrom` matrix
+    /// included), pruning, witness verification and local-state seeding
+    /// under the session's configuration, on the same work-stealing pool
     /// (`config.server_explore.workers`, budgets included) with the same
     /// worker-count bit-identity guarantee.
     ///
@@ -342,73 +335,32 @@ impl<'s> AchillesSession<'s> {
     ///
     /// # Panics
     ///
-    /// Panics if a declared slot references a session-client index that is
-    /// out of range.
+    /// Panics if a declared slot references a client index that is out of
+    /// range.
     pub fn run_sessions(&mut self) -> Vec<SessionReport> {
         let _span = achilles_obs::span("session:run", "pipeline");
         let sessions = self.spec.sessions();
-        if sessions.is_empty() {
-            return Vec::new();
-        }
-        let clients = self.spec.session_clients();
-        let mut preds = Vec::with_capacity(clients.len());
-        for client in &clients {
-            let (pred, _) = self
-                .engine
-                .extract_client_predicate(&**client, &self.config.client_explore);
-            preds.push(pred);
-        }
-        let workers = self.config.server_explore.workers.max(1);
-        let mut out = Vec::with_capacity(sessions.len());
-        for session in sessions {
-            let mut prepared = Vec::with_capacity(session.slots.len());
-            for slot in &session.slots {
-                let parts: Vec<ClientPredicate> = slot
-                    .clients
-                    .iter()
-                    .map(|&ci| {
-                        preds
-                            .get(ci)
-                            .unwrap_or_else(|| {
-                                panic!(
-                                    "session {:?} slot {:?} references client {ci}, \
-                                     but the spec declares only {} session clients",
-                                    session.name,
-                                    slot.name,
-                                    preds.len()
-                                )
-                            })
-                            .clone()
-                    })
-                    .collect();
-                let merged = ClientPredicate::merge(parts);
-                let msg = SymMessage::fresh(
-                    &mut self.engine.pool,
-                    &slot.layout,
-                    &format!("{}:{}", session.name, slot.name),
-                );
-                prepared.push(prepare_client_workers(
-                    &mut self.engine.pool,
-                    &mut self.engine.solver,
-                    merged,
-                    msg,
-                    slot.mask.clone(),
-                    self.config.optimizations,
-                    workers,
-                ));
-            }
-            let server = self.spec.session_server(&session.name);
-            let slots: Vec<&PreparedClient> = prepared.iter().collect();
-            let outcome = run_trojan_search(
-                &mut self.engine.pool,
-                &mut self.engine.solver,
-                &slots,
-                &*server,
-                self.config.server_explore.clone(),
-                self.config.optimizations,
-                self.config.verify_witnesses,
-            );
-            out.push(SessionReport {
+        let servers: Vec<_> = sessions
+            .iter()
+            .map(|session| self.spec.session_server(&session.name))
+            .collect();
+        let searches: Vec<_> = sessions
+            .iter()
+            .zip(&servers)
+            .map(|(s, p)| (s, &**p))
+            .collect();
+        let clients = self.spec.clients();
+        let clients: Vec<&(dyn NodeProgram + Sync)> = clients.iter().map(|c| &**c).collect();
+        let discovery = self.engine.discover(
+            &clients,
+            &searches,
+            |session, slot| format!("{}:{}", session.name, slot.name),
+            &self.config,
+        );
+        sessions
+            .iter()
+            .zip(discovery.sessions)
+            .map(|(session, found)| SessionReport {
                 session: session.name.clone(),
                 slot_names: session.slots.iter().map(|s| s.name.clone()).collect(),
                 layouts: session
@@ -417,17 +369,11 @@ impl<'s> AchillesSession<'s> {
                     .map(|s| Arc::clone(&s.layout))
                     .collect(),
                 expected_trojans: session.expected_trojans,
-                trojans: outcome.reports,
-                trojan_slots: outcome.trojan_slots,
-                server_paths: outcome.server_paths,
-            });
-        }
-        // Same merge-point mirror as `Pipeline::run`: session discovery
-        // publishes through the engine-persistent shared cache, so its
-        // series must reflect this path too.
-        self.engine.shared_cache().stats().record_metrics();
-        crate::pipeline::record_proof_audit_metrics();
-        out
+                trojans: found.outcome.reports,
+                trojan_slots: found.outcome.trojan_slots,
+                server_paths: found.outcome.server_paths,
+            })
+            .collect()
     }
 }
 
@@ -435,10 +381,11 @@ impl<'s> AchillesSession<'s> {
 mod tests {
     use super::*;
     use crate::target::{
-        Delivery, InjectionOutcome, ReplayTarget, SnapshotReplayTarget, TargetSnapshot,
+        Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec, SnapshotReplayTarget,
+        TargetSnapshot,
     };
     use achilles_solver::Width;
-    use achilles_symvm::{PathResult, SymEnv};
+    use achilles_symvm::{PathResult, SymEnv, SymMessage};
 
     fn layout() -> Arc<MessageLayout> {
         MessageLayout::builder("kv")
@@ -508,20 +455,17 @@ mod tests {
         fn name(&self) -> &'static str {
             "kv"
         }
-        fn layout(&self) -> Arc<MessageLayout> {
-            layout()
-        }
         fn clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
             vec![Box::new(client)]
         }
-        fn server(&self) -> Box<dyn NodeProgram + Sync + '_> {
+        fn message(&self) -> SessionSpec {
+            SessionSpec::new("kv", vec![SessionSlot::new("kv", layout(), vec![0])]).expecting(1)
+        }
+        fn session_server(&self, _session: &str) -> Box<dyn NodeProgram + Sync + '_> {
             Box::new(server)
         }
-        fn replay_target(&self) -> Box<dyn ReplayTarget> {
+        fn session_replay_target(&self, _session: &str) -> Box<dyn ReplayTarget> {
             Box::new(KvTarget)
-        }
-        fn expected_trojans(&self) -> Option<usize> {
-            Some(1)
         }
     }
 
@@ -540,7 +484,10 @@ mod tests {
             direct.trojans[0].witness_fields
         );
         assert_eq!(via_session.server_paths, direct.server_paths);
-        assert_eq!(spec.expected_trojans(), Some(via_session.trojans.len()));
+        assert_eq!(
+            spec.message().expected_trojans,
+            Some(via_session.trojans.len())
+        );
         // The engine stays usable for custom queries over the results.
         assert!(!session.engine().pool.is_empty());
     }

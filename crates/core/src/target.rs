@@ -3,9 +3,11 @@
 //!
 //! The paper's pipeline — client predicate extraction, negation, server
 //! Trojan search, concrete witness replay — is protocol-independent, but
-//! each phase needs protocol-specific ingredients: the client and server
-//! [`NodeProgram`]s, the wire [`MessageLayout`], a field mask, the
-//! supported local-state modes, and a concrete deployment to fire
+//! each phase needs protocol-specific ingredients: the client
+//! [`NodeProgram`]s, what the server receives (the single message as a
+//! one-slot [`SessionSpec`], plus any multi-message sessions — each slot a
+//! wire [`MessageLayout`], its clients and a field mask), and per
+//! declaration the server program and a concrete deployment to fire
 //! witnesses at. [`TargetSpec`] bundles those ingredients behind one
 //! trait, so a protocol is onboarded by implementing it in the protocol's
 //! own crate and registering the spec in a
@@ -18,8 +20,8 @@
 //! into injectable bytes through the same
 //! [`achilles_netsim::bytes`] framing the deployments parse with. The
 //! `achilles-replay` crate drives a [`ReplayTarget`] produced by
-//! [`TargetSpec::replay_target`] through fault schedules, triage, and
-//! corpus persistence.
+//! [`TargetSpec::session_replay_target`] through fault schedules, triage,
+//! and corpus persistence.
 //!
 //! See the crate-level docs ("Porting a protocol") for the step-by-step
 //! guide.
@@ -268,9 +270,9 @@ pub trait SnapshotReplayTarget {
 // ---------------------------------------------------------------------------
 
 /// One receive slot of a declared session: the wire layout of the message
-/// the server consumes in this position, plus which of the spec's
-/// [`session client programs`](TargetSpec::session_clients) can legally
-/// fill it.
+/// the server consumes in this position, which of the spec's
+/// [`clients`](TargetSpec::clients) can legally fill it, and the fields
+/// the analysis ignores.
 #[derive(Clone, Debug)]
 pub struct SessionSlot {
     /// Slot name used in reports and witness provenance (`"login"`,
@@ -278,16 +280,17 @@ pub struct SessionSlot {
     pub name: String,
     /// The wire layout of the message received in this slot.
     pub layout: Arc<MessageLayout>,
-    /// Indices into [`TargetSpec::session_clients`] whose predicates are
-    /// merged (in order) into this slot's client predicate `P_C`.
+    /// Indices into [`TargetSpec::clients`] whose predicates are merged
+    /// (in order) into this slot's client predicate `P_C`.
     pub clients: Vec<usize>,
-    /// Field mask for this slot (checksums/digests, §5.2).
+    /// Field mask for this slot (checksums, digests, authenticators —
+    /// §5.2): masked fields are left out of the negated client predicate.
     pub mask: FieldMask,
 }
 
 impl SessionSlot {
-    /// A slot named `name` of `layout`, fed by the given session clients,
-    /// with no field mask.
+    /// A slot named `name` of `layout`, fed by the given clients, with no
+    /// field mask.
     pub fn new(
         name: impl Into<String>,
         layout: Arc<MessageLayout>,
@@ -302,16 +305,19 @@ impl SessionSlot {
     }
 }
 
-/// A multi-message session a [`TargetSpec`] declares: an ordered slot list
-/// the server consumes in one activation (handshake → command, VOTE →
-/// DECIDE), plus an expected session-Trojan hint.
+/// What a [`TargetSpec`]'s server receives in one activation: an ordered
+/// slot list (handshake → command, VOTE → DECIDE), plus an expected
+/// Trojan-count hint.
 ///
-/// A session is Trojan when the server accepts it but at least one slot's
+/// A target's single message ([`TargetSpec::message`]) is the one-slot
+/// case; [`TargetSpec::sessions`] declares the multi-message ones. A
+/// session is Trojan when the server accepts it but at least one slot's
 /// message is un-generable by that slot's correct clients —
-/// `⋁ₛ ¬genₛ(mₛ)` (the stateful findings single-message analysis is blind
-/// to). Declared sessions are driven end-to-end by
-/// [`AchillesSession::run_sessions`](crate::AchillesSession::run_sessions)
-/// and validated through the spec's session replay target.
+/// `⋁ₛ ¬genₛ(mₛ)` (for one slot, the paper's `T = S \ C`). Both are
+/// discovered by the same search
+/// ([`AchillesSession::run`](crate::AchillesSession::run) and
+/// [`AchillesSession::run_sessions`](crate::AchillesSession::run_sessions))
+/// and validated through [`TargetSpec::session_replay_target`].
 #[derive(Clone, Debug)]
 pub struct SessionSpec {
     /// Session name, unique within the spec (`"login-command"`, …).
@@ -319,8 +325,9 @@ pub struct SessionSpec {
     /// The ordered receive slots (must match the session server's `recv`
     /// order). Must be non-empty.
     pub slots: Vec<SessionSlot>,
-    /// How many session-Trojan reports the default configuration is
-    /// expected to discover, when the bounded model makes that exact.
+    /// How many Trojan reports the default configuration is expected to
+    /// discover, when the bounded model makes that exact (the paper's
+    /// counting arithmetic). `None` when open-ended.
     pub expected_trojans: Option<usize>,
 }
 
@@ -334,7 +341,7 @@ impl SessionSpec {
         }
     }
 
-    /// Sets the expected session-Trojan count.
+    /// Sets the expected Trojan count.
     pub fn expecting(mut self, count: usize) -> SessionSpec {
         self.expected_trojans = Some(count);
         self
@@ -351,29 +358,13 @@ impl SessionSpec {
 // The target spec
 // ---------------------------------------------------------------------------
 
-/// Which local-state modes (§3.4) a protocol's analysis supports.
-///
-/// This is declarative metadata mirroring
-/// [`LocalState`](crate::LocalState) (which carries the actual seeded
-/// constraints): registries and conformance suites use it to know what a
-/// spec can be asked to do.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum LocalStateMode {
-    /// Run the server from fully concrete local state.
-    Concrete,
-    /// Constructed Symbolic Local State (constraints seeded from a
-    /// previous analysis phase).
-    Constructed,
-    /// Over-approximate Symbolic Local State (annotated symbolic reads).
-    OverApproximate,
-}
-
 /// Everything the Achilles pipeline needs from one protocol.
 ///
 /// A `TargetSpec` is the single onboarding point for a protocol: it names
-/// the target, supplies the symbolic client and server programs and the
-/// wire layout for discovery, the codec for witness concretization, and a
-/// factory for the concrete [`ReplayTarget`] used by validation. Drivers —
+/// the target, supplies the symbolic client programs, declares what the
+/// server receives — the single message as a one-slot [`SessionSpec`],
+/// plus any multi-message sessions — and serves each declaration's
+/// symbolic server and concrete [`ReplayTarget`] by name. Drivers —
 /// [`AchillesSession`](crate::AchillesSession), the bench bins, the
 /// conformance suite — consume specs through a
 /// [`TargetRegistry`](crate::TargetRegistry) and never name a protocol in
@@ -392,21 +383,45 @@ pub trait TargetSpec: Send + Sync {
         ""
     }
 
-    /// The wire layout of the analyzed message.
-    fn layout(&self) -> Arc<MessageLayout>;
-
-    /// The client programs whose sent messages form the client predicate
-    /// `P_C` (their predicates are merged in order — e.g. the eight FSP
-    /// utilities). Must be non-empty.
+    /// Every client program a slot can reference (by index, in
+    /// [`SessionSlot::clients`]) — one list for the message and every
+    /// session. Each slot's clients' predicates are merged in slot order
+    /// into its `P_C` (e.g. the eight FSP utilities). Every program must
+    /// be referenced by some slot.
     fn clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>>;
 
-    /// The server program analyzed for Trojan acceptance.
-    fn server(&self) -> Box<dyn NodeProgram + Sync + '_>;
+    /// The single message the server receives, as a one-slot session: its
+    /// layout, clients and mask, and the expected Trojan count. Its name
+    /// must differ from every declared session's name, since
+    /// [`TargetSpec::session_server`] and
+    /// [`TargetSpec::session_replay_target`] serve it by that name.
+    fn message(&self) -> SessionSpec;
 
-    /// Field mask (checksums, digests, authenticators — §5.2).
-    fn mask(&self) -> FieldMask {
-        FieldMask::none()
+    /// The multi-message sessions this protocol declares (empty — the
+    /// default — for single-message protocols); [`TargetSpec::message`]
+    /// is never listed here.
+    ///
+    /// Declared sessions run the search the message runs, one slot per
+    /// message:
+    /// [`AchillesSession::run_sessions`](crate::AchillesSession::run_sessions)
+    /// discovers them with the same drops, pruning and witness
+    /// verification, and `achilles_replay::validate_spec_sessions` fires
+    /// the resulting session witnesses at
+    /// [`TargetSpec::session_replay_target`].
+    fn sessions(&self) -> Vec<SessionSpec> {
+        Vec::new()
     }
+
+    /// The server program analyzed for `session` — the message's name or
+    /// a declared session's: one `recv` per slot, in slot order.
+    fn session_server(&self, session: &str) -> Box<dyn NodeProgram + Sync + '_>;
+
+    /// The concrete deployment witnesses of `session` — the message's
+    /// name or a declared session's — are fired at: a [`ReplayTarget`]
+    /// declaring one slot layout, benign baseline and generability oracle
+    /// per [`SessionSlot`], configured consistently with
+    /// [`TargetSpec::session_server`].
+    fn session_replay_target(&self, session: &str) -> Box<dyn ReplayTarget>;
 
     /// The pipeline configuration this protocol is normally analyzed with
     /// (verification on by default). [`AchillesSession`](crate::AchillesSession)
@@ -415,87 +430,11 @@ pub trait TargetSpec: Send + Sync {
         AchillesConfig::verified()
     }
 
-    /// The local-state modes this spec's analysis supports.
-    fn local_state_modes(&self) -> Vec<LocalStateMode> {
-        vec![LocalStateMode::Concrete]
-    }
-
-    /// How many Trojan reports the default configuration is expected to
-    /// discover, when the protocol's bounded model makes that number exact
-    /// (the paper's counting arithmetic). `None` when open-ended.
-    fn expected_trojans(&self) -> Option<usize> {
-        None
-    }
-
     /// Classifies a discovered report into a protocol-level family label
     /// (used for triage summaries; `"trojan"` when the protocol has a
     /// single family).
     fn classify(&self, _report: &TrojanReport) -> String {
         "trojan".to_string()
-    }
-
-    /// Builds the concrete deployment single-message witnesses are fired
-    /// at: a one-slot [`ReplayTarget`] over [`TargetSpec::layout`] whose
-    /// [`boot`](ReplayTarget::boot) yields a fresh deployment configured
-    /// consistently with the analyzed [`TargetSpec::server`].
-    fn replay_target(&self) -> Box<dyn ReplayTarget>;
-
-    /// Concretizes layout-ordered field values into injectable wire bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] when the layout cannot travel on the wire.
-    fn encode(&self, fields: &[u64]) -> Result<Vec<u8>, WireError> {
-        fields_to_wire(&self.layout(), fields)
-    }
-
-    /// Decodes wire bytes back into layout-ordered field values.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on truncated buffers or sub-byte layouts.
-    fn decode(&self, wire: &[u8]) -> Result<Vec<u64>, WireError> {
-        wire_to_fields(&self.layout(), wire)
-    }
-
-    /// The multi-message sessions this protocol declares (empty — the
-    /// default — for single-message protocols).
-    ///
-    /// Declared sessions are registry-drivable exactly like the
-    /// single-message analysis, which is their one-slot case:
-    /// [`AchillesSession::run_sessions`](crate::AchillesSession::run_sessions)
-    /// runs the same Trojan search per session, one slot per message, with
-    /// the same drops, pruning and witness verification, and
-    /// `achilles_replay::validate_spec_sessions` fires the resulting
-    /// session witnesses at [`TargetSpec::session_replay_target`].
-    fn sessions(&self) -> Vec<SessionSpec> {
-        Vec::new()
-    }
-
-    /// The client programs session slots select from (referenced by index
-    /// in [`SessionSlot::clients`]). Defaults to [`TargetSpec::clients`];
-    /// override when sessions need clients beyond the single-message set
-    /// (a login utility, a controller, …).
-    fn session_clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
-        self.clients()
-    }
-
-    /// The server program analyzed for session `name`: one `recv` per
-    /// declared slot, in slot order. Defaults to [`TargetSpec::server`]
-    /// (correct only for specs whose server already consumes the session's
-    /// message sequence).
-    fn session_server(&self, name: &str) -> Box<dyn NodeProgram + Sync + '_> {
-        let _ = name;
-        self.server()
-    }
-
-    /// The concrete deployment session witnesses for `name` are fired at:
-    /// a [`ReplayTarget`] declaring one slot layout, benign baseline and
-    /// generability oracle per [`SessionSlot`]. Defaults to
-    /// [`TargetSpec::replay_target`].
-    fn session_replay_target(&self, name: &str) -> Box<dyn ReplayTarget> {
-        let _ = name;
-        self.replay_target()
     }
 }
 
@@ -549,25 +488,19 @@ mod tests {
         fn name(&self) -> &'static str {
             "kv"
         }
-        fn layout(&self) -> Arc<MessageLayout> {
-            layout()
-        }
         fn clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
             fn client(env: &mut SymEnv<'_>) -> PathResult<()> {
                 let key = env.sym("key", Width::W16);
                 let op = env.constant(1, Width::W8);
-                env.send(SymMessage::new(
-                    MessageLayout::builder("kv")
-                        .field("op", Width::W8)
-                        .field("key", Width::W16)
-                        .build(),
-                    vec![op, key],
-                ));
+                env.send(SymMessage::new(layout(), vec![op, key]));
                 Ok(())
             }
             vec![Box::new(client)]
         }
-        fn server(&self) -> Box<dyn NodeProgram + Sync + '_> {
+        fn message(&self) -> SessionSpec {
+            SessionSpec::new("kv", vec![SessionSlot::new("kv", layout(), vec![0])])
+        }
+        fn session_server(&self, _session: &str) -> Box<dyn NodeProgram + Sync + '_> {
             fn server(env: &mut SymEnv<'_>) -> PathResult<()> {
                 let _ = env.recv(&layout())?;
                 env.mark_accept();
@@ -575,24 +508,24 @@ mod tests {
             }
             Box::new(server)
         }
-        fn replay_target(&self) -> Box<dyn ReplayTarget> {
+        fn session_replay_target(&self, _session: &str) -> Box<dyn ReplayTarget> {
             Box::new(NullTarget)
         }
     }
 
     #[test]
     fn default_codec_round_trips_through_the_layout() {
-        let spec = KvSpec;
-        let wire = spec.encode(&[0x41, 0x1234]).unwrap();
+        let layout = &KvSpec.message().slots[0].layout;
+        let wire = fields_to_wire(layout, &[0x41, 0x1234]).unwrap();
         assert_eq!(wire, vec![0x41, 0x12, 0x34]);
-        assert_eq!(spec.decode(&wire).unwrap(), vec![0x41, 0x1234]);
+        assert_eq!(wire_to_fields(layout, &wire).unwrap(), vec![0x41, 0x1234]);
     }
 
     #[test]
     fn defaults_are_sensible() {
         let spec = KvSpec;
-        assert_eq!(spec.local_state_modes(), vec![LocalStateMode::Concrete]);
-        assert_eq!(spec.expected_trojans(), None);
+        assert_eq!(spec.message().expected_trojans, None);
+        assert!(spec.sessions().is_empty());
         assert!(spec.analysis_config().verify_witnesses);
         assert!(spec.description().is_empty());
     }

@@ -16,6 +16,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use achilles_fleetd::{serve_stream, Fleetd, FleetdConfig};
@@ -147,12 +148,10 @@ fn main() -> ExitCode {
 }
 
 /// Accept loop for one listener: non-blocking accept polling the stop
-/// flag, one serving thread per connection.
-fn spawn_acceptor<L>(
-    listener: L,
-    service: &Arc<Fleetd>,
-    stop: &Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()>
+/// flag, one serving thread per connection. Each accept first joins the
+/// handlers of connections that have closed, so the acceptor holds
+/// handles only for live connections.
+fn spawn_acceptor<L>(listener: L, service: &Arc<Fleetd>, stop: &Arc<AtomicBool>) -> JoinHandle<()>
 where
     L: Acceptor + Send + 'static,
 {
@@ -160,10 +159,11 @@ where
     let service = Arc::clone(service);
     let stop = Arc::clone(stop);
     std::thread::spawn(move || {
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
         while !stop.load(Ordering::SeqCst) {
             match listener.accept_stream() {
                 Ok(stream) => {
+                    reap_finished(&mut handlers);
                     let service = Arc::clone(&service);
                     let stop = Arc::clone(&stop);
                     handlers.push(std::thread::spawn(move || {
@@ -180,6 +180,19 @@ where
             let _ = handler.join();
         }
     })
+}
+
+/// Joins and removes the handlers whose threads have returned; handlers
+/// still running stay.
+fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handlers.len() {
+        if handlers[i].is_finished() {
+            let _ = handlers.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
 }
 
 /// The two listener flavors behind one accept shape (their streams only
@@ -216,7 +229,32 @@ impl Acceptor for UnixListener {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_options;
+    use super::{parse_options, reap_finished};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    #[test]
+    fn reaping_joins_returned_handlers_and_keeps_running_ones() {
+        let (release, wait) = mpsc::channel::<()>();
+        let running = std::thread::spawn(move || {
+            let _ = wait.recv();
+        });
+        let returned = std::thread::spawn(|| {});
+        while !returned.is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let running_id = running.thread().id();
+        let mut handlers = vec![returned, running];
+        reap_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1, "the returned handler is joined");
+        assert_eq!(handlers[0].thread().id(), running_id, "the live one stays");
+
+        release.send(()).expect("the running handler waits");
+        let running = handlers.pop().expect("kept");
+        running.join().expect("released handler returns");
+        reap_finished(&mut handlers);
+        assert!(handlers.is_empty());
+    }
 
     #[test]
     fn options_parse_and_reject() {

@@ -245,8 +245,10 @@ impl SnapshotReplayTarget for FspForkSession {
 /// The FSP protocol as a [`TargetSpec`].
 ///
 /// Wraps an [`FspAnalysisConfig`]: the spec's client programs are the
-/// configured utilities, the server carries the configured patch toggles,
-/// and the replay factory boots an [`FspTarget`] mirroring both.
+/// login utility and the configured utilities, the servers carry the
+/// configured patch toggles, and the replay factory boots an
+/// [`FspTarget`] (or, for the login→command session, an
+/// [`FspSessionTarget`]) mirroring both.
 #[derive(Clone, Debug, Default)]
 pub struct FspSpec {
     /// The analysis configuration this spec describes.
@@ -278,7 +280,20 @@ impl FspSpec {
         let n = self.analysis.commands.len().min(2);
         &self.analysis.commands[..n]
     }
+
+    /// The analyzed server configuration narrowed to the session commands.
+    fn session_server_config(&self) -> FspServerConfig {
+        FspServerConfig {
+            commands: self.session_commands().to_vec(),
+            ..self.analysis.server.clone()
+        }
+    }
 }
+
+/// The single message's name: one command request.
+const COMMAND: &str = "command";
+/// The declared session's name.
+const LOGIN_COMMAND: &str = "login-command";
 
 impl TargetSpec for FspSpec {
     fn name(&self) -> &'static str {
@@ -289,23 +304,59 @@ impl TargetSpec for FspSpec {
         "FSP 2.8.1b26 file transfer: mismatched-length and wildcard Trojans (§6.2–6.3)"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        layout()
-    }
-
     fn clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
-        self.analysis
-            .commands
-            .iter()
-            .map(|&cmd| {
-                Box::new(FspClient::new(cmd, self.analysis.client.clone()))
-                    as Box<dyn NodeProgram + Sync>
-            })
-            .collect()
+        // Index 0 is the login utility; 1.. are the command utilities (the
+        // session's commands are a prefix of them).
+        let mut clients: Vec<Box<dyn NodeProgram + Sync + '_>> = vec![Box::new(FspLoginClient)];
+        clients.extend(self.analysis.commands.iter().map(|&cmd| {
+            Box::new(FspClient::new(cmd, self.analysis.client.clone()))
+                as Box<dyn NodeProgram + Sync>
+        }));
+        clients
     }
 
-    fn server(&self) -> Box<dyn NodeProgram + Sync + '_> {
-        Box::new(FspServer::new(self.analysis.server.clone()))
+    fn message(&self) -> SessionSpec {
+        let commands = self.analysis.commands.len();
+        let slot = SessionSlot::new(COMMAND, layout(), (1..=commands).collect());
+        SessionSpec {
+            // Exact only for the parse-only length-mismatch model; wildcard
+            // runs add one report per exact-length accepting path.
+            expected_trojans: (!self.analysis.client.glob_expansion)
+                .then(|| expected_length_mismatch_trojans(commands)),
+            ..SessionSpec::new(COMMAND, vec![slot])
+        }
+    }
+
+    fn sessions(&self) -> Vec<SessionSpec> {
+        let commands = self.session_commands();
+        vec![SessionSpec::new(
+            LOGIN_COMMAND,
+            vec![
+                SessionSlot::new("login", login_layout(), vec![0]),
+                SessionSlot::new("command", layout(), (1..=commands.len()).collect()),
+            ],
+        )
+        // Every accepting session path hosts at least the forged-login
+        // Trojan, so the count is the accepting-path census — exact for
+        // both the accuracy and the wildcard client models.
+        .expecting(expected_session_trojans(commands.len()))]
+    }
+
+    fn session_server(&self, session: &str) -> Box<dyn NodeProgram + Sync + '_> {
+        if session == LOGIN_COMMAND {
+            Box::new(FspSessionServer::new(self.session_server_config()))
+        } else {
+            Box::new(FspServer::new(self.analysis.server.clone()))
+        }
+    }
+
+    fn session_replay_target(&self, session: &str) -> Box<dyn ReplayTarget> {
+        let glob = self.analysis.client.glob_expansion;
+        if session == LOGIN_COMMAND {
+            Box::new(FspSessionTarget::new(self.session_server_config(), glob))
+        } else {
+            Box::new(FspTarget::new(self.analysis.server.clone(), glob))
+        }
     }
 
     fn analysis_config(&self) -> AchillesConfig {
@@ -320,75 +371,12 @@ impl TargetSpec for FspSpec {
         }
     }
 
-    fn expected_trojans(&self) -> Option<usize> {
-        // Exact only for the parse-only length-mismatch model; wildcard
-        // runs add one report per exact-length accepting path.
-        if self.analysis.client.glob_expansion {
-            None
-        } else {
-            Some(expected_length_mismatch_trojans(
-                self.analysis.commands.len(),
-            ))
-        }
-    }
-
     fn classify(&self, report: &TrojanReport) -> String {
         match classify(report) {
             TrojanFamily::LengthMismatch { .. } => "len-mismatch".to_string(),
             TrojanFamily::Wildcard { .. } => "wildcard".to_string(),
             TrojanFamily::Other => "other".to_string(),
         }
-    }
-
-    fn replay_target(&self) -> Box<dyn ReplayTarget> {
-        Box::new(FspTarget::new(
-            self.analysis.server.clone(),
-            self.analysis.client.glob_expansion,
-        ))
-    }
-
-    fn sessions(&self) -> Vec<SessionSpec> {
-        let commands = self.session_commands();
-        // Session clients: index 0 is the login utility, 1.. are the
-        // command utilities (see `session_clients`).
-        let command_clients = (1..=commands.len()).collect();
-        vec![SessionSpec::new(
-            "login-command",
-            vec![
-                SessionSlot::new("login", login_layout(), vec![0]),
-                SessionSlot::new("command", layout(), command_clients),
-            ],
-        )
-        // Every accepting session path hosts at least the forged-login
-        // Trojan, so the count is the accepting-path census — exact for
-        // both the accuracy and the wildcard client models.
-        .expecting(expected_session_trojans(commands.len()))]
-    }
-
-    fn session_clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
-        let mut clients: Vec<Box<dyn NodeProgram + Sync + '_>> = vec![Box::new(FspLoginClient)];
-        clients.extend(self.session_commands().iter().map(|&cmd| {
-            Box::new(FspClient::new(cmd, self.analysis.client.clone()))
-                as Box<dyn NodeProgram + Sync>
-        }));
-        clients
-    }
-
-    fn session_server(&self, _name: &str) -> Box<dyn NodeProgram + Sync + '_> {
-        Box::new(FspSessionServer::new(FspServerConfig {
-            commands: self.session_commands().to_vec(),
-            ..self.analysis.server.clone()
-        }))
-    }
-
-    fn session_replay_target(&self, _name: &str) -> Box<dyn ReplayTarget> {
-        Box::new(FspSessionTarget::new(
-            FspServerConfig {
-                commands: self.session_commands().to_vec(),
-                ..self.analysis.server.clone()
-            },
-            self.analysis.client.glob_expansion,
-        ))
     }
 }
 
@@ -420,7 +408,7 @@ mod tests {
         };
         assert_eq!(fields(&report.trojans), fields(&direct.trojans));
         assert_eq!(report.server_paths, direct.server_paths);
-        assert_eq!(spec.expected_trojans(), Some(report.trojans.len()));
+        assert_eq!(spec.message().expected_trojans, Some(report.trojans.len()));
     }
 
     #[test]
@@ -459,7 +447,7 @@ mod tests {
         let mut config = FspAnalysisConfig::accuracy().with_commands(1);
         config.server.check_actual_length = true;
         let spec = FspSpec::new(config);
-        let target = spec.replay_target();
+        let target = spec.session_replay_target(COMMAND);
         assert_eq!(target.name(), "fsp");
         // A benign request is generable; the patched server still boots.
         assert!(target.slot_generable(0, &target.slot_benign_fields(0)));

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use achilles::{
-    AchillesConfig, Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec,
-    SnapshotReplayTarget, TargetSnapshot, TargetSpec, TrojanReport,
+    Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec, SnapshotReplayTarget,
+    TargetSnapshot, TargetSpec, TrojanReport,
 };
 use achilles_symvm::{MessageLayout, NodeProgram};
 
@@ -356,6 +356,11 @@ impl GossipSpec {
     }
 }
 
+/// The single message's name: one peer's seed.
+const SEED: &str = "seed";
+/// The declared session's name.
+const SEED_SYNC_READ: &str = "seed-sync-read";
+
 impl TargetSpec for GossipSpec {
     fn name(&self) -> &'static str {
         "gossip"
@@ -365,49 +370,28 @@ impl TargetSpec for GossipSpec {
         "gossip/anti-entropy store: unvalidated status byte spreads cluster-wide, crashes at read"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        seed_layout()
-    }
-
     fn clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
-        vec![Box::new(PeerSeedProgram)]
+        vec![
+            Box::new(PeerSeedProgram),
+            Box::new(SyncClientProgram),
+            Box::new(ReadClientProgram),
+        ]
     }
 
-    fn server(&self) -> Box<dyn NodeProgram + Sync + '_> {
-        Box::new(IngestProgram {
-            config: self.config,
-        })
-    }
-
-    fn analysis_config(&self) -> AchillesConfig {
-        AchillesConfig::verified()
-    }
-
-    fn expected_trojans(&self) -> Option<usize> {
+    fn message(&self) -> SessionSpec {
         // One accepting ingest path; the patched build closes it.
-        if self.config.validate_status_domain {
-            Some(0)
+        let expected = if self.config.validate_status_domain {
+            0
         } else {
-            Some(1)
-        }
-    }
-
-    fn classify(&self, report: &TrojanReport) -> String {
-        let seed = GossipSeed::from_field_values(&report.witness_fields);
-        if seed.status >= STATUS_TABLE_LEN {
-            "status-domain".to_string()
-        } else {
-            "other".to_string()
-        }
-    }
-
-    fn replay_target(&self) -> Box<dyn ReplayTarget> {
-        Box::new(GossipTarget::new(self.config))
+            1
+        };
+        SessionSpec::new(SEED, vec![SessionSlot::new(SEED, seed_layout(), vec![0])])
+            .expecting(expected)
     }
 
     fn sessions(&self) -> Vec<SessionSpec> {
         vec![SessionSpec::new(
-            "seed-sync-read",
+            SEED_SYNC_READ,
             vec![
                 SessionSlot::new("seed", seed_layout(), vec![0]),
                 SessionSlot::new("sync", sync_layout(), vec![1]),
@@ -423,22 +407,30 @@ impl TargetSpec for GossipSpec {
         })]
     }
 
-    fn session_clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
-        vec![
-            Box::new(PeerSeedProgram),
-            Box::new(SyncClientProgram),
-            Box::new(ReadClientProgram),
-        ]
+    fn session_server(&self, session: &str) -> Box<dyn NodeProgram + Sync + '_> {
+        let config = self.config;
+        if session == SEED_SYNC_READ {
+            Box::new(SessionGossipProgram { config })
+        } else {
+            Box::new(IngestProgram { config })
+        }
     }
 
-    fn session_server(&self, _name: &str) -> Box<dyn NodeProgram + Sync + '_> {
-        Box::new(SessionGossipProgram {
-            config: self.config,
-        })
+    fn session_replay_target(&self, session: &str) -> Box<dyn ReplayTarget> {
+        if session == SEED_SYNC_READ {
+            Box::new(GossipSessionTarget::new(self.config))
+        } else {
+            Box::new(GossipTarget::new(self.config))
+        }
     }
 
-    fn session_replay_target(&self, _name: &str) -> Box<dyn ReplayTarget> {
-        Box::new(GossipSessionTarget::new(self.config))
+    fn classify(&self, report: &TrojanReport) -> String {
+        let seed = GossipSeed::from_field_values(&report.witness_fields);
+        if seed.status >= STATUS_TABLE_LEN {
+            "status-domain".to_string()
+        } else {
+            "other".to_string()
+        }
     }
 }
 
@@ -451,7 +443,7 @@ mod tests {
     fn session_discovers_the_status_domain_trojan() {
         let spec = GossipSpec::default();
         let report = AchillesSession::new(&spec).run();
-        assert_eq!(Some(report.trojans.len()), spec.expected_trojans());
+        assert_eq!(Some(report.trojans.len()), spec.message().expected_trojans);
         let t = &report.trojans[0];
         assert!(t.verified, "witness re-verified against the peer library");
         let seed = GossipSeed::from_field_values(&t.witness_fields);

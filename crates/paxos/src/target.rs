@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use achilles::{
-    wire_to_fields, AchillesConfig, Delivery, InjectionOutcome, LocalStateMode, ReplayTarget,
+    wire_to_fields, Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec,
     SnapshotReplayTarget, TargetSnapshot, TargetSpec,
 };
 use achilles_symvm::{MessageLayout, NodeProgram};
@@ -180,40 +180,25 @@ impl TargetSpec for PaxosSpec {
         "single-decree Paxos acceptor mid-scenario: context-dependent Accept Trojans (§3.4)"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        accept_layout()
-    }
-
     fn clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
         vec![Box::new(ProposerProgram {
             mode: self.proposer,
         })]
     }
 
-    fn server(&self) -> Box<dyn NodeProgram + Sync + '_> {
+    fn message(&self) -> SessionSpec {
+        let accept = SessionSlot::new("accept", accept_layout(), vec![0]);
+        // One accepting acceptor path, one report.
+        SessionSpec::new("accept", vec![accept]).expecting(1)
+    }
+
+    fn session_server(&self, _session: &str) -> Box<dyn NodeProgram + Sync + '_> {
         Box::new(AcceptorProgram {
             mode: self.acceptor,
         })
     }
 
-    fn analysis_config(&self) -> AchillesConfig {
-        AchillesConfig::verified()
-    }
-
-    fn local_state_modes(&self) -> Vec<LocalStateMode> {
-        vec![
-            LocalStateMode::Concrete,
-            LocalStateMode::Constructed,
-            LocalStateMode::OverApproximate,
-        ]
-    }
-
-    fn expected_trojans(&self) -> Option<usize> {
-        // One accepting acceptor path, one report.
-        Some(1)
-    }
-
-    fn replay_target(&self) -> Box<dyn ReplayTarget> {
+    fn session_replay_target(&self, _session: &str) -> Box<dyn ReplayTarget> {
         Box::new(PaxosTarget::new(self.replay_promised(), self.proposer))
     }
 }
@@ -275,7 +260,6 @@ mod tests {
     #[test]
     fn all_three_local_state_modes_are_declared() {
         let spec = PaxosSpec::default();
-        assert_eq!(spec.local_state_modes().len(), 3);
         assert_eq!(spec.replay_promised(), 5);
         let over = PaxosSpec::new(
             ProposerMode::Constructed(5),

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use achilles::{
-    AchillesConfig, Delivery, InjectionOutcome, ReplayTarget, SnapshotReplayTarget, TargetSnapshot,
-    TargetSpec, TrojanReport,
+    AchillesConfig, Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec,
+    SnapshotReplayTarget, TargetSnapshot, TargetSpec, TrojanReport,
 };
 use achilles_symvm::{ExploreConfig, MessageLayout, NodeProgram};
 
@@ -146,16 +146,33 @@ impl TargetSpec for PbftSpec {
         "PBFT request handling: the unauthenticated-MAC attack (§6.2)"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        layout()
-    }
-
     fn clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
         vec![Box::new(PbftClient)]
     }
 
-    fn server(&self) -> Box<dyn NodeProgram + Sync + '_> {
+    fn message(&self) -> SessionSpec {
+        let request = SessionSlot::new("request", layout(), vec![0]);
+        // One report per accepting replica path (read-only + pre_prepare),
+        // both of the single MAC-attack type — unless the patch closes it.
+        let expected = if self.analysis.replica.verify_macs {
+            0
+        } else {
+            2
+        };
+        SessionSpec::new("request", vec![request]).expecting(expected)
+    }
+
+    fn session_server(&self, _session: &str) -> Box<dyn NodeProgram + Sync + '_> {
         Box::new(PbftReplica::new(self.analysis.replica.clone()))
+    }
+
+    fn session_replay_target(&self, _session: &str) -> Box<dyn ReplayTarget> {
+        // Patch toggles must match the analyzed server: derive the
+        // cluster's MAC check from the replica config under analysis.
+        Box::new(PbftTarget::new(ClusterConfig {
+            primary_verifies_macs: self.analysis.replica.verify_macs,
+            ..self.cluster
+        }))
     }
 
     fn analysis_config(&self) -> AchillesConfig {
@@ -170,30 +187,11 @@ impl TargetSpec for PbftSpec {
         }
     }
 
-    fn expected_trojans(&self) -> Option<usize> {
-        // One report per accepting replica path (read-only + pre_prepare),
-        // both of the single MAC-attack type — unless the patch closes it.
-        if self.analysis.replica.verify_macs {
-            Some(0)
-        } else {
-            Some(2)
-        }
-    }
-
     fn classify(&self, report: &TrojanReport) -> String {
         match classify(report) {
             PbftTrojanFamily::MacAttack => "mac-attack".to_string(),
             PbftTrojanFamily::Other => "other".to_string(),
         }
-    }
-
-    fn replay_target(&self) -> Box<dyn ReplayTarget> {
-        // Patch toggles must match the analyzed server: derive the
-        // cluster's MAC check from the replica config under analysis.
-        Box::new(PbftTarget::new(ClusterConfig {
-            primary_verifies_macs: self.analysis.replica.verify_macs,
-            ..self.cluster
-        }))
     }
 }
 
@@ -206,7 +204,7 @@ mod tests {
     fn spec_session_rediscovers_the_mac_attack() {
         let spec = PbftSpec::paper();
         let report = AchillesSession::new(&spec).run();
-        assert_eq!(Some(report.trojans.len()), spec.expected_trojans());
+        assert_eq!(Some(report.trojans.len()), spec.message().expected_trojans);
         for t in &report.trojans {
             assert_eq!(spec.classify(t), "mac-attack");
         }
@@ -218,7 +216,7 @@ mod tests {
         spec.analysis.replica.verify_macs = true;
         let report = AchillesSession::new(&spec).run();
         assert_eq!(report.trojans.len(), 0);
-        assert_eq!(spec.expected_trojans(), Some(0));
+        assert_eq!(spec.message().expected_trojans, Some(0));
     }
 
     #[test]
@@ -231,7 +229,7 @@ mod tests {
             let mut spec = PbftSpec::paper();
             spec.analysis.replica.verify_macs = patched;
             spec.cluster.primary_verifies_macs = !patched; // contradicts on purpose
-            let target = spec.replay_target();
+            let target = spec.session_replay_target("request");
             let bad = PbftRequest::correct(0, 1, *b"op__").with_corrupted_mac(1);
             let outcome = target.inject(&[(bad.to_wire(), true)]);
             assert_eq!(

@@ -8,7 +8,8 @@
 //! 1. **Concretize** ([`witness`]): report → per-slot wire bytes, through
 //!    the same [`achilles_netsim::bytes`] codec the deployments parse with.
 //! 2. **Inject** ([`target`]): boot a fresh concrete deployment — produced
-//!    by the protocol's [`TargetSpec::replay_target`](achilles::TargetSpec)
+//!    by the protocol's
+//!    [`TargetSpec::session_replay_target`](achilles::TargetSpec::session_replay_target)
 //!    factory — and fire the witness, optionally under a per-delivery
 //!    [`FaultSchedule`] (drop, duplicate, benign interleaving, single
 //!    bit-flip at any slot).

@@ -1,8 +1,8 @@
 //! The replay harness around a [`ReplayTarget`].
 //!
 //! A [`ReplayTarget`] (defined in `achilles-core`, produced by
-//! [`TargetSpec::replay_target`](achilles::TargetSpec::replay_target) or
-//! [`TargetSpec::session_replay_target`](achilles::TargetSpec::session_replay_target))
+//! [`TargetSpec::session_replay_target`](achilles::TargetSpec::session_replay_target)
+//! for a target's single message or one of its sessions)
 //! boots a fresh concrete deployment per injection and consumes a delivery
 //! plan of wire datagrams, one per witness slot. Booting per injection is
 //! what makes replay a pure function of the witness bytes: results are

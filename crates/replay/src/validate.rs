@@ -180,15 +180,16 @@ pub fn validate_trojans(
 /// Replays single-message `reports` against the concrete deployment of a
 /// [`TargetSpec`](achilles::TargetSpec) — the registry-driven form of
 /// [`validate_trojans`]: the spec's
-/// [`replay_target`](achilles::TargetSpec::replay_target) factory supplies
-/// the deployment, so callers never name a protocol.
+/// [`session_replay_target`](achilles::TargetSpec::session_replay_target)
+/// factory, called with the [`message`](achilles::TargetSpec::message)'s
+/// name, supplies the deployment, so callers never name a protocol.
 pub fn validate_spec(
     spec: &dyn achilles::TargetSpec,
     reports: &[TrojanReport],
     corpus: &mut ReplayCorpus,
     config: &ValidateConfig,
 ) -> ValidationSummary {
-    let target = spec.replay_target();
+    let target = spec.session_replay_target(&spec.message().name);
     validate_trojans(&*target, reports, corpus, config)
 }
 

@@ -11,8 +11,8 @@
 use std::sync::Arc;
 
 use achilles::{
-    AchillesConfig, Delivery, DivergenceProbe, InjectionOutcome, ReplayTarget, SessionSlot,
-    SessionSpec, SnapshotReplayTarget, StateRoot, TargetSnapshot, TargetSpec, TrojanReport,
+    Delivery, DivergenceProbe, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec,
+    SnapshotReplayTarget, StateRoot, TargetSnapshot, TargetSpec, TrojanReport,
 };
 use achilles_symvm::{MessageLayout, NodeProgram};
 
@@ -363,6 +363,11 @@ impl ShardexecSpec {
     }
 }
 
+/// The single message's name: one cross-shard write.
+const WRITE: &str = "write";
+/// The declared session's name.
+const WRITE_SYNC_READ: &str = "write-sync-read";
+
 impl TargetSpec for ShardexecSpec {
     fn name(&self) -> &'static str {
         "shardexec"
@@ -372,51 +377,29 @@ impl TargetSpec for ShardexecSpec {
         "sharded executor: unauthenticated cross-shard write sender silently splits the replicas"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        write_layout()
-    }
-
     fn clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
-        (0..N_SHARDS)
+        let mut clients: Vec<Box<dyn NodeProgram + Sync + '_>> = (0..N_SHARDS)
             .map(|shard| Box::new(ShardWriteProgram { shard }) as Box<dyn NodeProgram + Sync>)
-            .collect()
+            .collect();
+        clients.push(Box::new(SyncRoundProgram));
+        clients.push(Box::new(ReadClientProgram));
+        clients
     }
 
-    fn server(&self) -> Box<dyn NodeProgram + Sync + '_> {
-        Box::new(IngressWriteProgram {
-            config: self.config,
-        })
-    }
-
-    fn analysis_config(&self) -> AchillesConfig {
-        AchillesConfig::verified()
-    }
-
-    fn expected_trojans(&self) -> Option<usize> {
+    fn message(&self) -> SessionSpec {
         // One accepting ingress path; the patched build closes it.
-        if self.config.authenticate_sender {
-            Some(0)
+        let expected = if self.config.authenticate_sender {
+            0
         } else {
-            Some(1)
-        }
-    }
-
-    fn classify(&self, report: &TrojanReport) -> String {
-        let write = ShardWrite::from_field_values(&report.witness_fields);
-        if u64::from(write.kind) == WRITE_KIND && write.sender != write.key {
-            "sender-spoof".to_string()
-        } else {
-            "other".to_string()
-        }
-    }
-
-    fn replay_target(&self) -> Box<dyn ReplayTarget> {
-        Box::new(ShardexecTarget::new(self.config))
+            1
+        };
+        let write = SessionSlot::new(WRITE, write_layout(), vec![0, 1, 2]);
+        SessionSpec::new(WRITE, vec![write]).expecting(expected)
     }
 
     fn sessions(&self) -> Vec<SessionSpec> {
         vec![SessionSpec::new(
-            "write-sync-read",
+            WRITE_SYNC_READ,
             vec![
                 SessionSlot::new("write", write_layout(), vec![0, 1, 2]),
                 SessionSlot::new("sync", sync_layout(), vec![3]),
@@ -432,23 +415,30 @@ impl TargetSpec for ShardexecSpec {
         })]
     }
 
-    fn session_clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
-        let mut clients: Vec<Box<dyn NodeProgram + Sync + '_>> = (0..N_SHARDS)
-            .map(|shard| Box::new(ShardWriteProgram { shard }) as Box<dyn NodeProgram + Sync>)
-            .collect();
-        clients.push(Box::new(SyncRoundProgram));
-        clients.push(Box::new(ReadClientProgram));
-        clients
+    fn session_server(&self, session: &str) -> Box<dyn NodeProgram + Sync + '_> {
+        let config = self.config;
+        if session == WRITE_SYNC_READ {
+            Box::new(SessionShardProgram { config })
+        } else {
+            Box::new(IngressWriteProgram { config })
+        }
     }
 
-    fn session_server(&self, _name: &str) -> Box<dyn NodeProgram + Sync + '_> {
-        Box::new(SessionShardProgram {
-            config: self.config,
-        })
+    fn session_replay_target(&self, session: &str) -> Box<dyn ReplayTarget> {
+        if session == WRITE_SYNC_READ {
+            Box::new(ShardexecSessionTarget::new(self.config))
+        } else {
+            Box::new(ShardexecTarget::new(self.config))
+        }
     }
 
-    fn session_replay_target(&self, _name: &str) -> Box<dyn ReplayTarget> {
-        Box::new(ShardexecSessionTarget::new(self.config))
+    fn classify(&self, report: &TrojanReport) -> String {
+        let write = ShardWrite::from_field_values(&report.witness_fields);
+        if u64::from(write.kind) == WRITE_KIND && write.sender != write.key {
+            "sender-spoof".to_string()
+        } else {
+            "other".to_string()
+        }
     }
 }
 
@@ -465,7 +455,7 @@ mod tests {
     fn discovery_finds_the_sender_spoof_trojan() {
         let spec = ShardexecSpec::default();
         let report = AchillesSession::new(&spec).run();
-        assert_eq!(Some(report.trojans.len()), spec.expected_trojans());
+        assert_eq!(Some(report.trojans.len()), spec.message().expected_trojans);
         let t = &report.trojans[0];
         assert!(
             t.verified,

@@ -78,7 +78,6 @@
 //! * [`cache`] — the sharded fingerprint-keyed cache workers share, with
 //!   the core-subsumption index
 //! * [`pretty`] — human-readable rendering ([`render`])
-//! * [`smtlib`] — SMT-LIB 2 export for external cross-checking ([`to_smtlib`])
 //!
 //! The solver's own maps — the term interner and variable-fingerprint
 //! index, [`Model`] values, the search's domains, the [`Solver`] cache and
@@ -100,7 +99,6 @@ pub mod model;
 pub mod pretty;
 pub mod scoped;
 pub mod search;
-pub mod smtlib;
 pub mod solver;
 pub mod term;
 pub mod width;
@@ -116,7 +114,6 @@ pub use model::Model;
 pub use pretty::{render, render_conjunction};
 pub use scoped::{ScopedSolver, ScopedStats};
 pub use search::{solve, SatResult, SearchStats, SolverConfig};
-pub use smtlib::to_smtlib;
 pub use solver::{Solver, SolverStats};
 pub use term::{FunId, Op, TermData, TermId, TermPool, VarId, VarInfo};
 pub use width::Width;

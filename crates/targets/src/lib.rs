@@ -18,7 +18,7 @@
 //! );
 //! let spec = registry.get("twopc").expect("registered below");
 //! let report = AchillesSession::new(&**spec).run();
-//! assert_eq!(Some(report.trojans.len()), spec.expected_trojans());
+//! assert_eq!(Some(report.trojans.len()), spec.message().expected_trojans);
 //! ```
 
 #![warn(missing_docs)]
@@ -64,8 +64,11 @@ mod tests {
         );
         for spec in registry.iter() {
             assert!(!spec.description().is_empty(), "{}", spec.name());
-            assert!(!spec.local_state_modes().is_empty(), "{}", spec.name());
-            assert_eq!(spec.replay_target().name(), spec.name());
+            let message = spec.message();
+            assert_eq!(
+                spec.session_replay_target(&message.name).name(),
+                spec.name()
+            );
         }
     }
 }

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use achilles::{
-    AchillesConfig, Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec,
-    SnapshotReplayTarget, TargetSnapshot, TargetSpec, TrojanReport,
+    Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec, SnapshotReplayTarget,
+    TargetSnapshot, TargetSpec, TrojanReport,
 };
 use achilles_symvm::{MessageLayout, NodeProgram};
 
@@ -344,6 +344,11 @@ impl TwopcSpec {
     }
 }
 
+/// The single message's name: one participant's vote.
+const VOTE: &str = "vote";
+/// The declared session's name.
+const VOTE_DECIDE: &str = "vote-decide";
+
 impl TargetSpec for TwopcSpec {
     fn name(&self) -> &'static str {
         "twopc"
@@ -353,49 +358,23 @@ impl TargetSpec for TwopcSpec {
         "two-phase-commit coordinator: unvalidated vote byte crashes the decision logic"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        layout()
-    }
-
     fn clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
-        vec![Box::new(ParticipantProgram)]
+        vec![Box::new(ParticipantProgram), Box::new(ControllerProgram)]
     }
 
-    fn server(&self) -> Box<dyn NodeProgram + Sync + '_> {
-        Box::new(CoordinatorProgram {
-            config: self.config,
-        })
-    }
-
-    fn analysis_config(&self) -> AchillesConfig {
-        AchillesConfig::verified()
-    }
-
-    fn expected_trojans(&self) -> Option<usize> {
+    fn message(&self) -> SessionSpec {
         // One accepting coordinator path; the patched build closes it.
-        if self.config.validate_vote_domain {
-            Some(0)
+        let expected = if self.config.validate_vote_domain {
+            0
         } else {
-            Some(1)
-        }
-    }
-
-    fn classify(&self, report: &TrojanReport) -> String {
-        let vote = TwopcVote::from_field_values(&report.witness_fields).vote;
-        if vote >= DECISION_TABLE_LEN {
-            "vote-domain".to_string()
-        } else {
-            "other".to_string()
-        }
-    }
-
-    fn replay_target(&self) -> Box<dyn ReplayTarget> {
-        Box::new(TwopcTarget::new(self.config))
+            1
+        };
+        SessionSpec::new(VOTE, vec![SessionSlot::new(VOTE, layout(), vec![0])]).expecting(expected)
     }
 
     fn sessions(&self) -> Vec<SessionSpec> {
         vec![SessionSpec::new(
-            "vote-decide",
+            VOTE_DECIDE,
             vec![
                 SessionSlot::new("vote", layout(), vec![0]),
                 SessionSlot::new("decide", decide_layout(), vec![1]),
@@ -410,18 +389,30 @@ impl TargetSpec for TwopcSpec {
         })]
     }
 
-    fn session_clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
-        vec![Box::new(ParticipantProgram), Box::new(ControllerProgram)]
+    fn session_server(&self, session: &str) -> Box<dyn NodeProgram + Sync + '_> {
+        let config = self.config;
+        if session == VOTE_DECIDE {
+            Box::new(SessionCoordinatorProgram { config })
+        } else {
+            Box::new(CoordinatorProgram { config })
+        }
     }
 
-    fn session_server(&self, _name: &str) -> Box<dyn NodeProgram + Sync + '_> {
-        Box::new(SessionCoordinatorProgram {
-            config: self.config,
-        })
+    fn session_replay_target(&self, session: &str) -> Box<dyn ReplayTarget> {
+        if session == VOTE_DECIDE {
+            Box::new(TwopcSessionTarget::new(self.config))
+        } else {
+            Box::new(TwopcTarget::new(self.config))
+        }
     }
 
-    fn session_replay_target(&self, _name: &str) -> Box<dyn ReplayTarget> {
-        Box::new(TwopcSessionTarget::new(self.config))
+    fn classify(&self, report: &TrojanReport) -> String {
+        let vote = TwopcVote::from_field_values(&report.witness_fields).vote;
+        if vote >= DECISION_TABLE_LEN {
+            "vote-domain".to_string()
+        } else {
+            "other".to_string()
+        }
     }
 }
 
@@ -434,7 +425,7 @@ mod tests {
     fn session_discovers_the_vote_domain_trojan() {
         let spec = TwopcSpec::default();
         let report = AchillesSession::new(&spec).run();
-        assert_eq!(Some(report.trojans.len()), spec.expected_trojans());
+        assert_eq!(Some(report.trojans.len()), spec.message().expected_trojans);
         let t = &report.trojans[0];
         assert!(t.verified, "witness re-verified against the participant");
         let vote = TwopcVote::from_field_values(&t.witness_fields);

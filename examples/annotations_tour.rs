@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use achilles::{Achilles, AchillesConfig, FieldMask};
+use achilles::{Achilles, AchillesConfig, FieldMask, SessionSlot, SessionSpec};
 use achilles_solver::Width;
 use achilles_symvm::{MessageLayout, PathResult, SymEnv, SymMessage};
 
@@ -68,12 +68,12 @@ fn server(env: &mut SymEnv<'_>) -> PathResult<()> {
 
 fn main() {
     let mut achilles = Achilles::new();
-    let l = layout();
-    let config = AchillesConfig {
-        mask: FieldMask::by_names(&l, &["signature"]),
-        ..AchillesConfig::verified()
-    };
-    let report = achilles.run(&client, &server, &l, &config);
+    // The message is a one-slot session: its slot carries the mask.
+    let mut license = SessionSlot::new("license", layout(), vec![0]);
+    license.mask = FieldMask::by_names(&license.layout, &["signature"]);
+    let message = SessionSpec::new("license", vec![license]);
+    let config = AchillesConfig::verified();
+    let report = achilles.run_message(&[&client], &message, &server, &config);
 
     println!("client paths: {}", report.client.len());
     println!("trojans: {}", report.trojans.len());

@@ -474,39 +474,26 @@ impl TargetSpec for QuickstartSpec {
         "the paper's §2 read/write server (missing negative-address check)"
     }
 
-    fn layout(&self) -> Arc<MessageLayout> {
-        layout()
-    }
-
+    // One client list: every slot below names the clients that can
+    // legally fill it by index.
     fn clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
-        vec![Box::new(client)]
+        vec![Box::new(hello_client), Box::new(client)]
     }
 
-    fn server(&self) -> Box<dyn NodeProgram + Sync + '_> {
-        Box::new(server)
-    }
-
-    fn mask(&self) -> FieldMask {
+    // The single message is a one-slot session.
+    fn message(&self) -> SessionSpec {
+        let mut request = SessionSlot::new("request", layout(), vec![1]);
         // The CRC field is masked, as §5.2 recommends for checksums (the
         // client computes a real expression over symbolic inputs; the
         // negate operator would otherwise have to reason through it).
-        FieldMask::by_names(&layout(), &["crc"])
-    }
-
-    fn expected_trojans(&self) -> Option<usize> {
-        Some(1) // exactly the READ path carries Trojans
-    }
-
-    fn replay_target(&self) -> Box<dyn ReplayTarget> {
-        Box::new(QuickstartTarget)
+        request.mask = FieldMask::by_names(&request.layout, &["crc"]);
+        // Exactly the READ path carries Trojans.
+        SessionSpec::new("request", vec![request]).expecting(1)
     }
 
     // --- Declaring a session (step 5 of the porting guide). ---------------
-    // An ordered slot list: each slot names its wire layout and which
-    // session clients can legally fill it (indices into
-    // `session_clients`). The session server consumes one `recv` per slot;
-    // the session replay target replays whole sequences.
-
+    // An ordered slot list; the session server consumes one `recv` per
+    // slot, and the session replay target replays whole sequences.
     fn sessions(&self) -> Vec<SessionSpec> {
         vec![SessionSpec::new(
             "hello-request",
@@ -520,16 +507,21 @@ impl TargetSpec for QuickstartSpec {
         .expecting(2)]
     }
 
-    fn session_clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
-        vec![Box::new(hello_client), Box::new(client)]
+    // Both hooks serve the message and every session, by name.
+    fn session_server(&self, session: &str) -> Box<dyn NodeProgram + Sync + '_> {
+        if session == "hello-request" {
+            Box::new(session_server)
+        } else {
+            Box::new(server)
+        }
     }
 
-    fn session_server(&self, _name: &str) -> Box<dyn NodeProgram + Sync + '_> {
-        Box::new(session_server)
-    }
-
-    fn session_replay_target(&self, _name: &str) -> Box<dyn ReplayTarget> {
-        Box::new(QuickstartSessionTarget)
+    fn session_replay_target(&self, session: &str) -> Box<dyn ReplayTarget> {
+        if session == "hello-request" {
+            Box::new(QuickstartSessionTarget)
+        } else {
+            Box::new(QuickstartTarget)
+        }
     }
 }
 
@@ -579,7 +571,7 @@ fn main() {
 
     assert_eq!(
         Some(report.trojans.len()),
-        spec.expected_trojans(),
+        spec.message().expected_trojans,
         "exactly the READ path carries Trojans"
     );
     let trojan = &report.trojans[0];

@@ -101,7 +101,7 @@ fn pipeline_constructed_state_narrows_the_window() {
         },
         ..AchillesConfig::default()
     };
-    let outcome = achilles.analyze_server(&kv_server, &prepared, &config);
+    let outcome = achilles.analyze_server(&kv_server, &[&prepared], &config);
     assert_eq!(outcome.reports.len(), 1);
     let w = outcome.reports[0].witness_fields[1];
     assert!(

@@ -1,24 +1,21 @@
 //! Pins "a single message is a one-slot session" for discovery.
 //!
 //! For every registry target, [`OneSlot`] wraps the spec, forwards every
-//! hook, and declares one session of one slot: the spec's layout, all of
-//! its clients, and the mask a session over the spec uses. Its session
-//! clients and session server are the spec's clients and server, so
-//! `run_sessions()` runs the Trojan search `run()` runs, over the same one
-//! slot. It must find the same reports — path ids, witness fields, active
-//! client counts, verification and notes — and attribute every one to
-//! slot 0, at every worker count.
-
-use std::sync::Arc;
+//! hook, and re-declares the spec's message — one slot: its layout,
+//! clients and mask — as its one session, served by the spec's own
+//! session hooks under the message's name. So `run_sessions()` runs the
+//! Trojan search `run()` runs, over the same one slot. It must find the
+//! same reports — path ids, witness fields, active client counts,
+//! verification and notes — and attribute every one to slot 0, at every
+//! worker count.
 
 use achilles::{
-    AchillesConfig, AchillesSession, FieldMask, LocalStateMode, ReplayTarget, SessionSlot,
-    SessionSpec, TargetSpec, TrojanReport, WireError,
+    AchillesConfig, AchillesSession, ReplayTarget, SessionSpec, TargetSpec, TrojanReport,
 };
-use achilles_symvm::{MessageLayout, NodeProgram};
+use achilles_symvm::NodeProgram;
 use achilles_targets::builtin_registry;
 
-/// A registry spec re-declared as one one-slot session.
+/// A registry spec whose message is re-declared as its one session.
 struct OneSlot<'a> {
     inner: &'a dyn TargetSpec,
 }
@@ -30,50 +27,26 @@ impl TargetSpec for OneSlot<'_> {
     fn description(&self) -> &'static str {
         self.inner.description()
     }
-    fn layout(&self) -> Arc<MessageLayout> {
-        self.inner.layout()
-    }
     fn clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
         self.inner.clients()
     }
-    fn server(&self) -> Box<dyn NodeProgram + Sync + '_> {
-        self.inner.server()
+    fn message(&self) -> SessionSpec {
+        self.inner.message()
     }
-    fn mask(&self) -> FieldMask {
-        self.inner.mask()
+    fn sessions(&self) -> Vec<SessionSpec> {
+        vec![self.inner.message()]
+    }
+    fn session_server(&self, session: &str) -> Box<dyn NodeProgram + Sync + '_> {
+        self.inner.session_server(session)
+    }
+    fn session_replay_target(&self, session: &str) -> Box<dyn ReplayTarget> {
+        self.inner.session_replay_target(session)
     }
     fn analysis_config(&self) -> AchillesConfig {
         self.inner.analysis_config()
     }
-    fn local_state_modes(&self) -> Vec<LocalStateMode> {
-        self.inner.local_state_modes()
-    }
-    fn expected_trojans(&self) -> Option<usize> {
-        self.inner.expected_trojans()
-    }
     fn classify(&self, report: &TrojanReport) -> String {
         self.inner.classify(report)
-    }
-    fn replay_target(&self) -> Box<dyn ReplayTarget> {
-        self.inner.replay_target()
-    }
-    fn encode(&self, fields: &[u64]) -> Result<Vec<u8>, WireError> {
-        self.inner.encode(fields)
-    }
-    fn decode(&self, wire: &[u8]) -> Result<Vec<u64>, WireError> {
-        self.inner.decode(wire)
-    }
-    fn sessions(&self) -> Vec<SessionSpec> {
-        let clients = (0..self.inner.clients().len()).collect();
-        let mut slot = SessionSlot::new("message", self.inner.layout(), clients);
-        slot.mask = AchillesSession::new(self.inner).config().mask.clone();
-        vec![SessionSpec::new("one-slot", vec![slot])]
-    }
-    fn session_clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
-        self.inner.clients()
-    }
-    fn session_server(&self, _name: &str) -> Box<dyn NodeProgram + Sync + '_> {
-        self.inner.server()
     }
 }
 

@@ -386,8 +386,9 @@ fn capped_max_paths_pipeline_is_worker_count_invariant() {
         };
         let spec = achilles_fsp::FspSpec::accuracy();
         use achilles::TargetSpec;
-        let client = spec.clients().remove(0);
-        let server = spec.server();
+        let message = spec.message();
+        let client = spec.clients().remove(message.slots[0].clients[0]);
+        let server = spec.session_server(&message.name);
         let report = achilles.run(&*client, &*server, &achilles_fsp::layout(), &config);
         (report_keys(&report.trojans), report.server_paths)
     };

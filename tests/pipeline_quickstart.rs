@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use achilles::{Achilles, AchillesConfig, FieldMask};
+use achilles::{Achilles, AchillesConfig, FieldMask, SessionSlot, SessionSpec};
 use achilles_solver::Width;
 use achilles_symvm::{MessageLayout, PathResult, SymEnv, SymMessage};
 
@@ -153,11 +153,10 @@ fn patched_server_has_no_trojans() {
 fn masked_fields_do_not_generate_reports() {
     // Masking `address` hides the Trojan window entirely.
     let mut achilles = Achilles::new();
-    let l = layout();
-    let config = AchillesConfig {
-        mask: FieldMask::by_names(&l, &["address", "value"]),
-        ..AchillesConfig::verified()
-    };
-    let report = achilles.run(&client, &server, &l, &config);
+    let mut slot = SessionSlot::new("message", layout(), vec![0]);
+    slot.mask = FieldMask::by_names(&slot.layout, &["address", "value"]);
+    let message = SessionSpec::new("message", vec![slot]);
+    let config = AchillesConfig::verified();
+    let report = achilles.run_message(&[&client], &message, &server, &config);
     assert_eq!(report.trojans.len(), 0);
 }

@@ -4,32 +4,36 @@
 //!
 //! For each registered spec, the contract is:
 //!
+//! 0. **Declarations** — [`TargetSpec::message`] is one slot, named apart
+//!    from every declared session; every slot's client indices lie inside
+//!    [`TargetSpec::clients`], and every client is referenced by some
+//!    slot.
 //! 1. **Discovery** — an [`AchillesSession`] under the spec's default
-//!    configuration discovers at least one Trojan (and exactly
-//!    [`TargetSpec::expected_trojans`] when the spec declares the count),
-//!    with every witness verified against the client predicate.
+//!    configuration discovers at least one Trojan (and exactly the
+//!    message's `expected_trojans` when the spec declares the count), with
+//!    every witness verified against the client predicate.
 //! 2. **Concrete confirmation** — 100% of the discovered Trojans replay to
-//!    [`ReplayVerdict::ConfirmedTrojan`] against the spec's
-//!    [`replay_target`](achilles::TargetSpec::replay_target) deployment.
+//!    [`ReplayVerdict::ConfirmedTrojan`] against the message's
+//!    [`session_replay_target`](achilles::TargetSpec::session_replay_target)
+//!    deployment.
 //! 3. **Corpus round-trip** — the confirmed witnesses survive
 //!    serialization: reloading the corpus text reproduces the entries and
 //!    makes re-validation fully incremental (everything skipped).
-//! 4. **Codec coherence** — every witness encodes to wire bytes and
-//!    decodes back to the same field values through the spec's codec
-//!    hooks, and every replay target's per-slot metadata agrees with the
-//!    spec: one slot layout per declared slot (one for the single-message
-//!    target), each with a client-generable benign message.
+//! 4. **Codec coherence** — every witness's slot messages encode to wire
+//!    bytes and decode back to the same field values through their slot
+//!    layouts, and every replay target's per-slot metadata agrees with the
+//!    spec: one slot layout per declared slot (one for the message), each
+//!    with a client-generable benign message.
 //!
 //! Specs that declare [`TargetSpec::sessions`] additionally clear the
-//! session contract: ≥ 1 session Trojan discovered through
-//! [`AchillesSession::run_sessions`] (exact when the session declares a
-//! count), slot attribution present, 100% concrete confirmation under
-//! [`FaultSchedule::none`], a session corpus round-trip with fully
-//! incremental re-validation — and a **fault-schedule sensitivity
-//! contract**: sweeping the witness's schedule space must find at least
-//! one arming and one disarming schedule, and every schedule that drops
-//! an arming slot must classify as `Disarmed` (dropping the message that
-//! carries the poison defuses the Trojan, by construction).
+//! session contract: the same discovery, confirmation and corpus contract
+//! per session through [`AchillesSession::run_sessions`] (under
+//! [`FaultSchedule::none`], with slot attribution) — and a
+//! **fault-schedule sensitivity contract**: sweeping the witness's
+//! schedule space must find at least one arming and one disarming
+//! schedule, and every schedule that drops an arming slot must classify
+//! as `Disarmed` (dropping the message that carries the poison defuses
+//! the Trojan, by construction).
 //!
 //! Session targets that **report state roots**
 //! ([`ReplayTarget::reports_state_roots`](achilles::ReplayTarget::reports_state_roots))
@@ -39,8 +43,8 @@
 //! schedule, and every schedule that drops an arming slot restores
 //! agreement — removing the poison removes the split.
 //!
-//! Every replay target — the single-message one and one per declared
-//! session — also clears the snapshot contract: on the session
+//! Every replay target — the message's and one per declared session —
+//! also clears the snapshot contract: on the session
 //! [`ReplayTarget::boot`](achilles::ReplayTarget::boot) returns,
 //! snapshot → mutate via the benign sequence → restore → re-deliver must
 //! yield the identical outcome and [`CrashSignature`] as a fresh boot —
@@ -49,30 +53,30 @@
 //! Adding a protocol crate + one registry registration automatically puts
 //! it under this contract — that is the point of the API.
 
-use achilles::{fields_to_wire, AchillesSession, InjectionOutcome, ReplayTarget, TargetSpec};
+use achilles::{
+    fields_to_wire, split_fields_by_counts, wire_to_fields, AchillesSession, InjectionOutcome,
+    ReplayTarget, SessionSpec, TargetSpec, TrojanReport,
+};
 use achilles_replay::{
     replay_session, validate_spec, validate_spec_sessions, CrashSignature, FaultSchedule,
-    ReplayCorpus, ReplayVerdict, SessionWitness, ValidateConfig,
+    ReplayCorpus, ReplayVerdict, SessionWitness, ValidateConfig, ValidationSummary,
 };
 use achilles_targets::builtin_registry;
 
-/// Every replay target of `spec` — its `replay_target()` plus one
-/// `session_replay_target()` per declared session — labelled, with the
-/// per-slot field counts the spec declares for it.
+/// Every replay target of `spec` — one `session_replay_target()` for the
+/// message and one per declared session — labelled, with the per-slot
+/// field counts the spec declares for it.
 fn replay_targets(spec: &dyn TargetSpec) -> Vec<(String, Box<dyn ReplayTarget>, Vec<usize>)> {
-    let mut targets = vec![(
-        spec.name().to_string(),
-        spec.replay_target(),
-        vec![spec.layout().num_fields()],
-    )];
-    for declared in spec.sessions() {
-        targets.push((
-            format!("{}/{}", spec.name(), declared.name),
-            spec.session_replay_target(&declared.name),
-            declared.slot_field_counts(),
-        ));
-    }
-    targets
+    std::iter::once(spec.message())
+        .chain(spec.sessions())
+        .map(|declared| {
+            (
+                format!("{}/{}", spec.name(), declared.name),
+                spec.session_replay_target(&declared.name),
+                declared.slot_field_counts(),
+            )
+        })
+        .collect()
 }
 
 /// The all-benign witness of `target`: every slot's benign message.
@@ -104,6 +108,42 @@ fn registry_contains_the_shipped_protocols() {
         assert!(
             registry.get(expected).is_some(),
             "{expected} missing from the built-in registry"
+        );
+    }
+}
+
+#[test]
+fn every_spec_declares_one_message_and_in_range_clients() {
+    let registry = builtin_registry();
+    for spec in registry.iter() {
+        let name = spec.name();
+        let message = spec.message();
+        assert_eq!(message.slots.len(), 1, "{name}: the message is one slot");
+        let sessions = spec.sessions();
+        assert!(
+            sessions.iter().all(|s| s.name != message.name),
+            "{name}: the message's name {:?} must differ from every session's",
+            message.name
+        );
+        let clients = spec.clients().len();
+        let mut referenced = vec![false; clients];
+        for declared in std::iter::once(&message).chain(&sessions) {
+            for slot in &declared.slots {
+                for &ci in &slot.clients {
+                    assert!(
+                        ci < clients,
+                        "{name}/{}: slot {:?} references client {ci}, but the spec \
+                         declares {clients}",
+                        declared.name,
+                        slot.name
+                    );
+                    referenced[ci] = true;
+                }
+            }
+        }
+        assert!(
+            referenced.iter().all(|&r| r),
+            "{name}: every client must be referenced by some slot: {referenced:?}"
         );
     }
 }
@@ -286,69 +326,12 @@ fn session_conformance(spec: &dyn TargetSpec) {
     for (session, report) in declared.iter().zip(&reports) {
         let sname = format!("{name}/{}", session.name);
         assert_eq!(report.session, session.name, "{sname}: provenance");
-        assert!(
-            !report.trojans.is_empty(),
-            "{sname}: every declared session must host at least one Trojan"
-        );
-        if let Some(expected) = session.expected_trojans {
-            assert_eq!(report.trojans.len(), expected, "{sname}: expected count");
-        }
-        assert_eq!(
-            report.trojans.len(),
-            report.trojan_slots.len(),
-            "{sname}: slot attribution present for every report"
-        );
-        assert!(
-            report.trojan_slots.iter().all(|s| !s.is_empty()),
-            "{sname}: every report names its Trojan slots"
-        );
-        for t in &report.trojans {
-            assert!(t.verified, "{sname}: unverified witness (false positive?)");
-        }
-
-        // --- Concrete confirmation under the fault-free schedule. ----------
-        let mut corpus = ReplayCorpus::new();
-        let summary = validate_spec_sessions(spec, report, &mut corpus, &ValidateConfig::default());
-        assert_eq!(
-            summary.replayed,
-            report.trojans.len(),
-            "{sname}: all replay"
-        );
-        assert_eq!(
-            summary.confirmed,
-            report.trojans.len(),
-            "{sname}: 100% of session Trojans must confirm concretely"
-        );
-        assert!(summary
-            .results
-            .iter()
-            .all(|r| r.verdict == ReplayVerdict::ConfirmedTrojan));
-        // The concrete slot attribution overlaps the symbolic one.
-        for (result, slots) in summary.results.iter().zip(&report.trojan_slots) {
-            assert!(
-                result.trojan_slots.iter().any(|s| slots.contains(s)),
-                "{sname}: concrete and symbolic slot attribution agree on \
-                 at least one slot ({:?} vs {:?})",
-                result.trojan_slots,
-                slots
-            );
-        }
-
-        // --- Session corpus round-trip + incremental re-validation. --------
-        let mut reloaded =
-            ReplayCorpus::from_text(&corpus.to_text()).expect("a saved corpus parses back");
-        assert_eq!(
-            reloaded.entries(),
-            corpus.entries(),
-            "{sname}: session corpus text round-trip"
-        );
-        let second =
-            validate_spec_sessions(spec, report, &mut reloaded, &ValidateConfig::default());
-        assert_eq!(second.replayed, 0, "{sname}: reloaded corpus skips all");
-        assert_eq!(
-            second.skipped_known,
-            report.trojans.len(),
-            "{sname}: incremental session re-validation"
+        discovery_contract(
+            &sname,
+            session,
+            &report.trojans,
+            &report.trojan_slots,
+            |corpus| validate_spec_sessions(spec, report, corpus, &ValidateConfig::default()),
         );
     }
 
@@ -403,7 +386,6 @@ fn conformance(spec: &dyn TargetSpec) {
 
     // --- Metadata sanity. --------------------------------------------------
     assert!(!name.is_empty());
-    assert!(!spec.local_state_modes().is_empty(), "{name}: no modes");
     assert!(!spec.clients().is_empty(), "{name}: no client programs");
     for (label, target, field_counts) in replay_targets(spec) {
         assert_eq!(target.name(), name, "{label}: spec/target name mismatch");
@@ -421,69 +403,103 @@ fn conformance(spec: &dyn TargetSpec) {
         }
     }
 
-    // --- 1. Discovery. -----------------------------------------------------
+    // --- 1–4 over the single message (a one-slot session). -----------------
     let report = AchillesSession::new(spec).run();
-    assert!(
-        !report.trojans.is_empty(),
-        "{name}: every registered target must host at least one Trojan"
-    );
-    if let Some(expected) = spec.expected_trojans() {
-        assert_eq!(report.trojans.len(), expected, "{name}: expected count");
-    }
     for t in &report.trojans {
-        assert!(t.verified, "{name}: unverified witness (false positive?)");
         assert!(!spec.classify(t).is_empty(), "{name}: unclassifiable");
+    }
+    let message = spec.message();
+    discovery_contract(
+        &format!("{name}/{}", message.name),
+        &message,
+        &report.trojans,
+        &vec![vec![0]; report.trojans.len()],
+        |corpus| validate_spec(spec, &report.trojans, corpus, &ValidateConfig::default()),
+    );
+}
+
+/// The discovery → confirmation → corpus contract for one declaration —
+/// the message or a session — whose discovery found `trojans`, each
+/// attributed to `trojan_slots`; `validate` replays them into a corpus
+/// through the declaration's registry-driven validation entry point.
+fn discovery_contract(
+    label: &str,
+    declared: &SessionSpec,
+    trojans: &[TrojanReport],
+    trojan_slots: &[Vec<usize>],
+    validate: impl Fn(&mut ReplayCorpus) -> ValidationSummary,
+) {
+    // --- 1. Discovery. -----------------------------------------------------
+    assert!(
+        !trojans.is_empty(),
+        "{label}: every declaration must host at least one Trojan"
+    );
+    if let Some(expected) = declared.expected_trojans {
+        assert_eq!(trojans.len(), expected, "{label}: expected count");
+    }
+    assert_eq!(
+        trojans.len(),
+        trojan_slots.len(),
+        "{label}: slot attribution present for every report"
+    );
+    assert!(
+        trojan_slots.iter().all(|s| !s.is_empty()),
+        "{label}: every report names its Trojan slots"
+    );
+    for t in trojans {
+        assert!(t.verified, "{label}: unverified witness (false positive?)");
     }
 
     // --- 4. Codec coherence (checked before replay mutates anything). ------
-    for t in &report.trojans {
-        let wire = spec
-            .encode(&t.witness_fields)
-            .unwrap_or_else(|e| panic!("{name}: witness must encode: {e:?}"));
-        let back = spec
-            .decode(&wire)
-            .unwrap_or_else(|e| panic!("{name}: wire must decode: {e:?}"));
-        assert_eq!(back, t.witness_fields, "{name}: codec round-trip");
+    for t in trojans {
+        let parts = split_fields_by_counts(&t.witness_fields, &declared.slot_field_counts());
+        for (slot, fields) in declared.slots.iter().zip(parts) {
+            let wire = fields_to_wire(&slot.layout, &fields)
+                .unwrap_or_else(|e| panic!("{label}: witness must encode: {e:?}"));
+            let back = wire_to_fields(&slot.layout, &wire)
+                .unwrap_or_else(|e| panic!("{label}: wire must decode: {e:?}"));
+            assert_eq!(back, fields, "{label}/{}: codec round-trip", slot.name);
+        }
     }
 
-    // --- 2. Concrete confirmation. -----------------------------------------
+    // --- 2. Concrete confirmation under the fault-free schedule. -----------
     let mut corpus = ReplayCorpus::new();
-    let summary = validate_spec(
-        spec,
-        &report.trojans,
-        &mut corpus,
-        &ValidateConfig::default(),
-    );
-    assert_eq!(summary.replayed, report.trojans.len(), "{name}: all replay");
+    let summary = validate(&mut corpus);
+    assert_eq!(summary.replayed, trojans.len(), "{label}: all replay");
     assert_eq!(
         summary.confirmed,
-        report.trojans.len(),
-        "{name}: 100% of symbolic Trojans must confirm concretely"
+        trojans.len(),
+        "{label}: 100% of symbolic Trojans must confirm concretely"
     );
     assert!(summary
         .results
         .iter()
         .all(|r| r.verdict == ReplayVerdict::ConfirmedTrojan));
-    assert!(corpus.distinct_signatures() >= 1, "{name}: no signatures");
+    assert!(corpus.distinct_signatures() >= 1, "{label}: no signatures");
+    // The concrete slot attribution overlaps the symbolic one.
+    for (result, slots) in summary.results.iter().zip(trojan_slots) {
+        assert!(
+            result.trojan_slots.iter().any(|s| slots.contains(s)),
+            "{label}: concrete and symbolic slot attribution agree on at \
+             least one slot ({:?} vs {:?})",
+            result.trojan_slots,
+            slots
+        );
+    }
 
-    // --- 3. Corpus round-trip. ---------------------------------------------
+    // --- 3. Corpus round-trip + incremental re-validation. -----------------
     let mut reloaded =
         ReplayCorpus::from_text(&corpus.to_text()).expect("a saved corpus parses back");
     assert_eq!(
         reloaded.entries(),
         corpus.entries(),
-        "{name}: corpus text round-trip"
+        "{label}: corpus text round-trip"
     );
-    let second = validate_spec(
-        spec,
-        &report.trojans,
-        &mut reloaded,
-        &ValidateConfig::default(),
-    );
-    assert_eq!(second.replayed, 0, "{name}: reloaded corpus skips all");
+    let second = validate(&mut reloaded);
+    assert_eq!(second.replayed, 0, "{label}: reloaded corpus skips all");
     assert_eq!(
         second.skipped_known,
-        report.trojans.len(),
-        "{name}: incremental re-validation"
+        trojans.len(),
+        "{label}: incremental re-validation"
     );
 }

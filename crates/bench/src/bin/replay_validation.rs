@@ -6,7 +6,7 @@
 //! The bin is registry-driven: it iterates every registered
 //! [`TargetSpec`](achilles::TargetSpec) (or one selected with
 //! `--target NAME`), discovers Trojans with an
-//! [`AchillesSession`](achilles::AchillesSession) under the spec's default
+//! [`AchillesSession`] under the spec's default
 //! configuration, replays all of them against the spec's concrete
 //! deployment, dedups confirmed failures by crash signature,
 //! ddmin-minimizes the first witness of each signature, and sweeps the

@@ -130,7 +130,7 @@ pub struct APosterioriResult {
 /// Both phases honor [`ExploreConfig::workers`]: the exploration fans out
 /// over the work-stealing pool (as everywhere), and the differencing loop
 /// fans the per-path `pathS ∧ ⋀ negate(pathC_i)` queries out over
-/// [`parallel_map_with`] with a forked pool and private solver per worker.
+/// [`parallel_map_with`](achilles_symvm::parallel_map_with) with a forked pool and private solver per worker.
 /// Every query is over terms interned *before* the fan-out and each model
 /// is a function of its structural assertion set alone, so the Trojan set
 /// and witnesses are bit-identical for every worker count (pinned by the

@@ -129,6 +129,11 @@ pub fn parse_witness_record(s: &str) -> Option<Vec<u64>> {
 /// slot, slot boundaries marked with `/` (`"68,0,3/1,2"`). The session
 /// analogue of [`witness_record`], and the unit of the v2 replay corpus
 /// format.
+///
+/// [`parse_session_witness_record`] inverts it for every witness, which
+/// always has at least one slot. Zero slots render as `""`, the same
+/// record as one slot with no fields, and so parse back as that one
+/// empty slot.
 pub fn session_witness_record(slots: &[Vec<u64>]) -> String {
     slots
         .iter()

@@ -269,8 +269,7 @@
 //!    detonates as *silent state divergence* — every node keeps running
 //!    and two replicas produce different canonical state hashes. Give
 //!    each modeled node a canonical digest (build it with
-//!    [`RootHasher`](diverge::RootHasher)), embed a
-//!    [`DivergenceProbe`](diverge::DivergenceProbe) in the fork session's
+//!    [`RootHasher`]), embed a [`DivergenceProbe`] in the fork session's
 //!    snapshot payload, call
 //!    [`observe`](diverge::DivergenceProbe::observe) after every applied
 //!    delivery, and fold [`finish`](diverge::DivergenceProbe::finish)

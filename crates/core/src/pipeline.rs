@@ -7,7 +7,8 @@
 //!    messages → [`ClientPredicate`];
 //! 2. **Pre-processing** — negate every client path predicate and compute
 //!    the `differentFrom` matrix → [`PreparedClient`];
-//! 3. **Server analysis** — explore the server with the [`TrojanObserver`]
+//! 3. **Server analysis** — explore the server with the
+//!    [`TrojanObserver`](crate::search::TrojanObserver)
 //!    installed, incrementally emitting [`TrojanReport`]s.
 //!
 //! The phases run over *sessions*: a target's single message is the

@@ -25,6 +25,14 @@
 //!   session is Trojan when any one slot is, so with several slots the
 //!   query is `pathS ∧ ⋁ₛ ⋀ negate(pathC_{s,i})`); as soon as the answer
 //!   is no, the path is pruned from the exploration;
+//! * both checks try the last model first: a drop query keeps the model
+//!   of its last Sat answer on the run's path, and if that model also
+//!   satisfies the newest conjunct the predicate still matches; the Trojan
+//!   query keeps its last model the same way and evaluates every
+//!   assertion. Only a model that proves Sat answers, and Sat is the
+//!   answer that keeps a predicate or a path, so every drop and prune is
+//!   still the solver's own. Models belong to one run: a resumed run
+//!   starts without any;
 //! * at every accepting path end, each slot's query names the slots that
 //!   host a Trojan; the first one's model is concretized into a witness
 //!   (every received message) and (optionally) its message re-verified
@@ -243,8 +251,9 @@ fn negate_all(
 }
 
 /// [`prepare_client`] with the negation loop fanned out over `workers`
-/// threads (see [`negate_all`]'s determinism argument). The `differentFrom`
-/// matrix and field-variable map stay sequential.
+/// threads (the private `negate_all` explains why the result is the same
+/// for every worker count). The `differentFrom` matrix and field-variable
+/// map stay sequential.
 pub fn prepare_client_workers(
     pool: &mut TermPool,
     solver: &mut Solver,
@@ -332,6 +341,9 @@ pub struct TrojanSearchStats {
     pub paths_pruned: u64,
     /// Witnesses that failed verification and were re-enumerated.
     pub witness_retries: u64,
+    /// Drop and Trojan-existence checks answered by a model the observer
+    /// already held, without calling the solver.
+    pub model_answers: u64,
 }
 
 impl TrojanSearchStats {
@@ -359,6 +371,10 @@ impl TrojanSearchStats {
                 "achilles_trojan_search_witness_retries_total",
                 self.witness_retries,
             ),
+            (
+                "achilles_trojan_search_model_answers_total",
+                self.model_answers,
+            ),
         ] {
             reg.add(Deterministic, name, &[], value);
         }
@@ -378,6 +394,13 @@ pub struct TrojanObserver<'p> {
     verify_witnesses: bool,
     /// Every slot's client-path flags, slot after slot: the per-path state.
     active: Vec<bool>,
+    /// Per client path, in `active`'s layout: the model of its last drop
+    /// query the solver answered Sat on this run's path. It satisfies the
+    /// path's drop query at every conjunct notified since it was stored.
+    drop_models: Vec<Option<Arc<Model>>>,
+    /// The model of the last Trojan-existence query the solver answered Sat
+    /// on this run's path.
+    trojan_model: Option<Arc<Model>>,
     /// Each slot's span of `active`.
     ranges: Vec<Range<usize>>,
     /// Active client paths per slot.
@@ -412,6 +435,8 @@ impl<'p> TrojanObserver<'p> {
             opts,
             verify_witnesses,
             active: vec![true; end],
+            drop_models: vec![None; end],
+            trojan_model: None,
             ranges,
             active_counts,
             reports: Vec::new(),
@@ -471,6 +496,28 @@ impl<'p> TrojanObserver<'p> {
         Some(query)
     }
 
+    /// Whether the Trojan-existence `query` is not provably unsat. The last
+    /// model on this run's path answers when it satisfies every assertion
+    /// (a session's query can change shape between conjuncts, so the whole
+    /// query is evaluated); otherwise the solver does, and its Sat model is
+    /// kept for the next conjunct.
+    fn may_host_trojan(&mut self, cx: &mut ObserverCx<'_>, query: &[TermId]) -> bool {
+        if let Some(model) = &self.trojan_model {
+            if query.iter().all(|&a| model.eval(cx.pool, a) == Some(1)) {
+                self.stats.model_answers += 1;
+                return true;
+            }
+        }
+        match cx.solver.check(cx.pool, query) {
+            SatResult::Sat(model) => {
+                self.trojan_model = Some(model);
+                true
+            }
+            SatResult::Unsat(_) => false,
+            SatResult::Unknown => true,
+        }
+    }
+
     fn drop_pass(&mut self, cx: &mut ObserverCx<'_>) {
         let newest = match cx.pc.last() {
             Some(&c) => c,
@@ -493,6 +540,17 @@ impl<'p> TrojanObserver<'p> {
                 if !self.active[base + i] {
                     continue;
                 }
+                // The stored model satisfies the drop query up to the
+                // previous conjunct; if it satisfies the newest one too, it
+                // satisfies the whole query and the predicate still matches.
+                let stored = &mut self.drop_models[base + i];
+                if stored
+                    .as_ref()
+                    .is_some_and(|m| m.eval(cx.pool, newest) == Some(1))
+                {
+                    self.stats.model_answers += 1;
+                    continue;
+                }
                 let q = combine(
                     cx.pool,
                     msg,
@@ -500,7 +558,10 @@ impl<'p> TrojanObserver<'p> {
                     &prepared.client.paths[i],
                     prepared.mask.indices(),
                 );
-                if !cx.solver.is_unsat(cx.pool, &q) {
+                let result = cx.solver.check(cx.pool, &q);
+                let unsat = result.is_unsat();
+                *stored = result.into_model();
+                if !unsat {
                     continue;
                 }
                 self.active[base + i] = false;
@@ -658,8 +719,18 @@ pub struct TrojanSearchOutcome {
 
 /// Canonicalizes a satisfiable witness query to its **lexicographically
 /// least** model over `exprs`, in order: each expression is driven to its
-/// minimal achievable value (binary search on `expr ≤ mid`) with every
-/// earlier expression pinned to its minimum.
+/// minimal achievable value with every earlier expression pinned to its
+/// minimum.
+///
+/// The latest model bounds each expression from above (a variable the
+/// model leaves unassigned is free, and reads as 0). Models sit at domain
+/// minima, so the bound usually is the minimum already: one probe of
+/// `expr ≤ bound − 1` settles that. When that probe is satisfiable, a
+/// binary search on `expr ≤ mid` below its model's value finds the
+/// minimum. The result is the lexicographically least model whenever every
+/// probe is decided; a probe answered Unknown counts as "not provably
+/// achievable", which is deterministic per assertion set and so keeps the
+/// result canonical.
 ///
 /// The returned values are a pure function of the query's constraint
 /// *set*. A raw `check()` model is not: the solver's clause-split order
@@ -681,11 +752,20 @@ pub fn canonical_witness_fields(
     let mut current: Option<Arc<Model>> = None; // latest model satisfying `pinned`
     let mut fields = Vec::with_capacity(exprs.len());
     for &expr in exprs {
+        // A model assigns the variables of its own query; any other
+        // variable is free in `pinned`, so reading it as 0 keeps `hi`
+        // achievable.
         let bound_model = current.as_deref().unwrap_or(model);
-        let mut hi = bound_model.eval(pool, expr).unwrap_or(0);
+        let mut hi = pool
+            .eval_with(expr, &|v| Some(bound_model.value(v).unwrap_or(0)))
+            .unwrap_or(0);
         let mut lo = 0u64;
+        // Models sit at domain minima, so `hi` usually is the minimum
+        // already: the first probe asks just below it, which proves that in
+        // one check, and the probes after it bisect.
+        let mut first_probe = Some(hi.saturating_sub(1));
         while lo < hi {
-            let mid = lo + (hi - lo) / 2;
+            let mid = first_probe.take().unwrap_or(lo + (hi - lo) / 2);
             let w = pool.width(expr);
             let c = pool.constant(mid, w);
             let le = pool.ule(expr, c);
@@ -816,6 +896,7 @@ pub fn run_trojan_search(
         stats.trojan_checks += observer.stats.trojan_checks;
         stats.paths_pruned += observer.stats.paths_pruned;
         stats.witness_retries += observer.stats.witness_retries;
+        stats.model_answers += observer.stats.model_answers;
         samples.extend(observer.samples);
         let mut memo = HashMap::new();
         for (mut report, slots) in observer.reports.into_iter().zip(observer.trojan_slots) {
@@ -863,10 +944,14 @@ impl PathObserver for TrojanObserver<'_> {
         self.active.iter().map(|&a| u64::from(a)).collect()
     }
 
+    /// Models are not per-path state: each belongs to one run's path, so
+    /// a resumed run starts without any.
     fn resume(&mut self, state: ObserverState) {
         for (a, word) in self.active.iter_mut().zip(state) {
             *a = word != 0;
         }
+        self.drop_models.fill(None);
+        self.trojan_model = None;
         for (count, range) in self.active_counts.iter_mut().zip(&self.ranges) {
             *count = self.active[range.clone()].iter().filter(|&&a| a).count();
         }
@@ -890,7 +975,7 @@ impl PathObserver for TrojanObserver<'_> {
             None => false,
             Some(query) => {
                 self.stats.trojan_checks += 1;
-                !cx.solver.is_unsat(cx.pool, &query)
+                self.may_host_trojan(cx, &query)
             }
         };
         if !keep {

@@ -12,8 +12,8 @@
 //!   deterministic section byte-for-byte while the wall section varies
 //!   freely.
 //!
-//! * **Tracing** ([`span`], [`TraceSink`]): scoped spans recorded into
-//!   thread-local buffers (no locks on the hot path) and drained to a
+//! * **Tracing** ([`span`], [`write_chrome_trace`]): scoped spans recorded
+//!   into thread-local buffers (no locks on the hot path) and drained to a
 //!   process-wide sink at worker merge points, exported as Chrome-trace /
 //!   Perfetto JSON. Tracing is **off by default** and observation-only:
 //!   when disabled a span is one relaxed atomic load; when enabled it

@@ -108,8 +108,17 @@ struct Series {
     value: Value,
 }
 
+impl Series {
+    /// Adds `delta` to a counter; other kinds are left as they are.
+    fn add(&mut self, delta: u64) {
+        if let Value::Counter(ref mut v) = self.value {
+            *v += delta;
+        }
+    }
+}
+
 /// A set of named metric series. One process-wide instance lives behind
-/// [`global()`]; services that need isolation own their own.
+/// [`global()`](crate::global); services that need isolation own their own.
 ///
 /// Series keys are fully-qualified Prometheus-style identifiers rendered as
 /// `name{label="value",...} value`. Histograms render their p50/p95/p99
@@ -134,34 +143,33 @@ impl MetricsRegistry {
     }
 
     /// Increment a counter series by `delta`.
+    ///
+    /// A zero `delta` still materializes the series so renders enumerate
+    /// it: a zero counter is information (e.g. no errors yet), and
+    /// determinism diffs need the same line set on both sides.
     pub fn add(&self, class: Class, name: &str, labels: &[(&str, &str)], delta: u64) {
-        if delta == 0 {
-            // Still materialize the series so renders enumerate it: a zero
-            // counter is information (e.g. no errors yet), and determinism
-            // diffs need the same line set on both sides.
-            self.touch(class, name, labels);
-            return;
-        }
-        let key = series_key(name, labels);
         let mut map = self.series.lock().unwrap();
-        let entry = map.entry(key).or_insert(Series {
-            class,
-            value: Value::Counter(0),
-        });
-        if let Value::Counter(ref mut v) = entry.value {
-            *v += delta;
+        // Every exploration mirrors its counters, concrete replays
+        // included: find an existing unlabeled series by `name` without
+        // building its key.
+        if labels.is_empty() {
+            if let Some(series) = map.get_mut(name) {
+                series.add(delta);
+                return;
+            }
         }
+        map.entry(series_key(name, labels))
+            .or_insert(Series {
+                class,
+                value: Value::Counter(0),
+            })
+            .add(delta);
     }
 
     /// Create a counter series at its current value (possibly zero) without
     /// incrementing it.
     pub fn touch(&self, class: Class, name: &str, labels: &[(&str, &str)]) {
-        let key = series_key(name, labels);
-        let mut map = self.series.lock().unwrap();
-        map.entry(key).or_insert(Series {
-            class,
-            value: Value::Counter(0),
-        });
+        self.add(class, name, labels, 0);
     }
 
     /// Set a gauge series to an absolute value.

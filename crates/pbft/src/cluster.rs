@@ -13,7 +13,7 @@
 //! [`ClusterConfig::agreement_cost_us`]; a recovery (view-change plus
 //! signed-retransmission round) costs [`ClusterConfig::recovery_cost_us`],
 //! two orders of magnitude more — mirroring the "expensive recovery
-//! protocol" of Clement et al. [10].
+//! protocol" of Clement et al. \[10\].
 
 use achilles_netsim::{SimClock, SimTime};
 
@@ -28,7 +28,7 @@ pub struct ClusterConfig {
     /// Cost of the recovery protocol triggered by a bad authenticator, µs.
     pub recovery_cost_us: u64,
     /// Whether request authentication is verified before forwarding.
-    /// Models the fix of Clement et al. [10]: clients sign requests, and a
+    /// Models the fix of Clement et al. \[10\]: clients sign requests, and a
     /// signature — unlike a MAC vector — is *transferable*, so the primary
     /// can validate the whole authenticator up front (modeled as checking
     /// every MAC). `false` reproduces the vulnerability.

@@ -12,7 +12,7 @@
 //! * [`protocol`] — the request wire format (bounded per §6.1);
 //! * [`client`] / [`replica`] — node programs for the symbolic analysis;
 //! * [`analysis`] — the canned Achilles run that rediscovers the attack;
-//! * [`mac`] — the toy keyed-MAC used by the concrete simulation;
+//! * [`mac`](mod@mac) — the toy keyed-MAC used by the concrete simulation;
 //! * [`cluster`] — a deterministic 4-replica simulation quantifying the
 //!   throughput collapse.
 //!

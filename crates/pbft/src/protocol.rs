@@ -17,7 +17,7 @@
 //!
 //! The digest and MAC fields are bypassed with predefined constants during
 //! the symbolic analysis (the paper's annotation approximation); the
-//! concrete cluster simulation uses the real toy MAC from [`crate::mac`].
+//! concrete cluster simulation uses the real toy MAC from [`crate::mac`](mod@crate::mac).
 
 use std::sync::{Arc, OnceLock};
 

@@ -12,7 +12,7 @@
 //! # What checking means
 //!
 //! A certificate never records claimed truth sets: every
-//! [`ProofStep`](achilles_solver::ProofStep) only *points* at an assertion
+//! [`ProofStep`] only *points* at an assertion
 //! (by context ref) and a variable (by fingerprint). The checker re-derives
 //! the restriction from the pointed-at term itself and replays it on its own
 //! domain state, which therefore always over-approximates the solution set

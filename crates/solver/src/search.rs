@@ -130,6 +130,13 @@ pub struct SearchStats {
     pub verification_failures: u64,
     /// Total certificate nodes + steps emitted for `Unsat` verdicts.
     pub certificate_steps: u64,
+    /// Assertions converted to negation normal form.
+    pub normalized: u64,
+    /// Literals asserted into the propagation state (deferred retries
+    /// included).
+    pub literals_asserted: u64,
+    /// Disjunct evaluations while unit-propagating open clauses.
+    pub clause_evals: u64,
 }
 
 /// An open disjunction awaiting unit propagation or a case split.
@@ -348,6 +355,7 @@ pub fn solve(
     let mut ranges = Vec::with_capacity(assertions.len());
     let mut next_ref = 0u32;
     let mut false_core: Option<usize> = None;
+    engine.stats.normalized += assertions.len() as u64;
     for (k, &a) in assertions.iter().enumerate() {
         let f = nnf(engine.pool, a, true);
         let c = count(&f);
@@ -502,6 +510,7 @@ impl Engine<'_> {
                 let mut live = Vec::new();
                 let mut satisfied = false;
                 for &i in &clause.live {
+                    self.stats.clause_evals += 1;
                     match self.eval_formula(state, &clause.parts[i]) {
                         Some(true) => {
                             satisfied = true;
@@ -678,6 +687,7 @@ impl Engine<'_> {
         just: u32,
         trail: &mut Vec<Event>,
     ) -> Result<bool, ProofNode> {
+        self.stats.literals_asserted += 1;
         // Fast path: fully evaluable under the current assignment.
         if let Some(v) = self.pool.eval_with(lit.term, &|v| state.value_of(v)) {
             return if (v != 0) == lit.positive {

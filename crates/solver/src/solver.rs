@@ -123,6 +123,21 @@ impl SolverStats {
                 self.search.certificate_steps,
                 before.search.certificate_steps,
             ),
+            (
+                "achilles_solver_search_normalized_total",
+                self.search.normalized,
+                before.search.normalized,
+            ),
+            (
+                "achilles_solver_search_literals_asserted_total",
+                self.search.literals_asserted,
+                before.search.literals_asserted,
+            ),
+            (
+                "achilles_solver_search_clause_evals_total",
+                self.search.clause_evals,
+                before.search.clause_evals,
+            ),
         ] {
             reg.add(Deterministic, name, &[], d(after, prev));
         }
@@ -305,6 +320,9 @@ impl Solver {
         self.stats.search.deferred_checks += search_stats.deferred_checks;
         self.stats.search.verification_failures += search_stats.verification_failures;
         self.stats.search.certificate_steps += search_stats.certificate_steps;
+        self.stats.search.normalized += search_stats.normalized;
+        self.stats.search.literals_asserted += search_stats.literals_asserted;
+        self.stats.search.clause_evals += search_stats.clause_evals;
         let cached = match &result {
             SatResult::Sat(m) => {
                 self.stats.sat += 1;

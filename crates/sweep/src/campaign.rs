@@ -2,7 +2,7 @@
 //! classified, and folded into per-witness sensitivity matrices.
 //!
 //! [`run_campaign`] is registry-drivable: it takes any
-//! [`TargetSpec`](achilles::TargetSpec), discovers the spec's declared
+//! [`TargetSpec`], discovers the spec's declared
 //! session Trojans through
 //! [`AchillesSession::run_sessions`](achilles::AchillesSession::run_sessions),
 //! and hands each [`SessionReport`] to [`sweep_report`] — which

@@ -6,7 +6,7 @@
 //! than a crash), disarm it, mask the question, or change the failure
 //! into something new? The answer comes
 //! from diffing the faulted replay's slot-aware
-//! [`CrashSignature`](achilles_replay::CrashSignature) against the
+//! [`CrashSignature`] against the
 //! fault-free baseline's — trustworthy precisely because
 //! `SessionReplayResult::applied` records the faults that actually
 //! touched the wire (an out-of-range flip can never masquerade as a
@@ -14,7 +14,7 @@
 //!
 //! The matrix serializes to a line-oriented text report through the
 //! shared `achilles::export` vocabulary
-//! ([`session_witness_record`](achilles::export::session_witness_record)
+//! ([`session_witness_record`]
 //! for the witness line), so sweep artifacts round-trip with the same
 //! records the replay corpus uses.
 
@@ -331,7 +331,7 @@ impl SensitivityMatrix {
 
     /// Serializes the matrix as a line-oriented text report: a witness
     /// line (the shared
-    /// [`session_witness_record`](achilles::export::session_witness_record)
+    /// [`session_witness_record`]
     /// form), a baseline line, then one `token|class|verdict|signature`
     /// line per cell, in plan order.
     pub fn to_text(&self) -> String {

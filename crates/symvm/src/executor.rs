@@ -11,7 +11,7 @@
 //! [`fork_state`](PathObserver::fork_state).
 //!
 //! Re-execution trades CPU for simplicity and, combined with the
-//! deterministic variable interning in [`SymEnv`](crate::env::SymEnv), keeps
+//! deterministic variable interning in [`SymEnv`], keeps
 //! path constraints structurally identical along shared prefixes — which the
 //! solver's query cache exploits heavily. The observer does not pay for the
 //! replay: each run [`resume`](PathObserver::resume)s it from the item's

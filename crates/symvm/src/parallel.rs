@@ -32,7 +32,7 @@
 //! and a capped run reports bit-identical results for every worker count.
 //! Instead of a raced stop signal (which let up to `workers - 1`
 //! scheduling-dependent extra paths survive), each budget keeps a
-//! [`CanonicalBound`]: a bounded max-heap of the `cap` DFS-least decision
+//! `CanonicalBound`: a bounded max-heap of the `cap` DFS-least decision
 //! prefixes seen so far. Once the heap is full, items that sort after its
 //! maximum are pruned (everything under them sorts after the eventual cut
 //! anyway), in-flight items finish normally, and the merge truncates the
@@ -588,8 +588,7 @@ where
 
 /// [`parallel_map`] with per-worker mutable context: `init(worker)` runs
 /// once on each worker thread (e.g. to fork a
-/// [`TermPool`](achilles_solver::TermPool) and build a private
-/// [`Solver`](achilles_solver::Solver)), and `f` receives that context for
+/// [`TermPool`] and build a private [`Solver`]), and `f` receives that context for
 /// every item the worker claims.
 ///
 /// Items are claimed from a shared cursor, so *which* worker computes an

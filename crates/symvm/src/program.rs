@@ -3,7 +3,7 @@
 //! A *node program* is the unit Achilles analyzes: the message-handling code
 //! of one distributed-system node (a client utility, a server event-loop
 //! body, a replica). Programs are written as ordinary Rust against
-//! [`SymEnv`](crate::env::SymEnv) and are re-executed once per explored path,
+//! [`SymEnv`] and are re-executed once per explored path,
 //! so they must be deterministic given the environment's responses: all
 //! inputs (stdin, command-line arguments, network messages, clocks) must be
 //! obtained through the environment, and any local state must be rebuilt

@@ -4,7 +4,7 @@
 //! registered. Drivers (bench bins, the conformance suite, examples) call
 //! [`builtin_registry`] and select targets by name — they contain no
 //! per-protocol match arms, so onboarding a protocol means writing one
-//! crate that implements [`TargetSpec`](achilles::TargetSpec) and adding
+//! crate that implements [`TargetSpec`] and adding
 //! **one `register` call below**.
 //!
 //! ```

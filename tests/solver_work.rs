@@ -6,11 +6,14 @@
 //! compares the counters `AchillesSession::run()` reports — queries
 //! (summed over the server workers), the server exploration's shared-cache
 //! hits, core-subsumption hits, certified unsats, branch checks,
-//! model-reuse hits and completed paths, and the Trojan search's checks and
-//! direct / matrix drops — and, for `run_sessions()`, the engine's
-//! `SharedCacheStats`. A change that claims to make the solver cheaper
-//! without changing what it is asked must leave every row alone.
-//! `parallel_scaling` checks fsp's 11,548 queries only for equality across
+//! model-reuse hits and completed paths, and the Trojan search's checks,
+//! direct / matrix drops and checks answered by a model it already held —
+//! and, for `run_sessions()`, the engine's `SharedCacheStats`. A change
+//! that claims to make the solver cheaper without changing what it is asked
+//! must leave every row alone. fsp's whole `run()` also pins the solver
+//! kernel's work: assertions normalized, literals asserted and clause-part
+//! evaluations over its full searches.
+//! `parallel_scaling` checks fsp's 10,433 queries only for equality across
 //! worker counts; this pins the value itself.
 
 use achilles::AchillesSession;
@@ -30,6 +33,7 @@ struct RunWork {
     trojan_checks: u64,
     direct_drops: u64,
     matrix_drops: u64,
+    model_answers: u64,
 }
 
 /// The engine's shared-cache counters after one 1-worker `run_sessions()`.
@@ -60,23 +64,39 @@ impl From<SharedCacheStats> for SessionWork {
 
 #[rustfmt::skip]
 const PINNED_RUN: &[(&str, RunWork)] = &[
-    ("fsp", RunWork { queries: 11548, shared_hits: 42, subsumption_hits: 839, certified_unsat: 575, branch_checks: 6916, model_reuse_hits: 288, completed_paths: 189, trojan_checks: 520, direct_drops: 200, matrix_drops: 232 }),
-    ("pbft", RunWork { queries: 171, shared_hits: 0, subsumption_hits: 8, certified_unsat: 22, branch_checks: 108, model_reuse_hits: 0, completed_paths: 10, trojan_checks: 20, direct_drops: 7, matrix_drops: 0 }),
-    ("paxos", RunWork { queries: 24, shared_hits: 0, subsumption_hits: 0, certified_unsat: 7, branch_checks: 10, model_reuse_hits: 0, completed_paths: 3, trojan_checks: 5, direct_drops: 2, matrix_drops: 0 }),
-    ("twopc", RunWork { queries: 34, shared_hits: 0, subsumption_hits: 0, certified_unsat: 6, branch_checks: 18, model_reuse_hits: 0, completed_paths: 4, trojan_checks: 7, direct_drops: 3, matrix_drops: 0 }),
-    ("gossip", RunWork { queries: 34, shared_hits: 0, subsumption_hits: 0, certified_unsat: 6, branch_checks: 18, model_reuse_hits: 0, completed_paths: 4, trojan_checks: 7, direct_drops: 3, matrix_drops: 0 }),
-    ("shardexec", RunWork { queries: 80, shared_hits: 0, subsumption_hits: 2, certified_unsat: 13, branch_checks: 40, model_reuse_hits: 2, completed_paths: 6, trojan_checks: 11, direct_drops: 9, matrix_drops: 6 }),
+    ("fsp", RunWork { queries: 10433, shared_hits: 42, subsumption_hits: 337, certified_unsat: 301, branch_checks: 6916, model_reuse_hits: 288, completed_paths: 189, trojan_checks: 520, direct_drops: 200, matrix_drops: 232, model_answers: 339 }),
+    ("pbft", RunWork { queries: 153, shared_hits: 0, subsumption_hits: 3, certified_unsat: 17, branch_checks: 108, model_reuse_hits: 0, completed_paths: 10, trojan_checks: 20, direct_drops: 7, matrix_drops: 0, model_answers: 8 }),
+    ("paxos", RunWork { queries: 21, shared_hits: 0, subsumption_hits: 0, certified_unsat: 5, branch_checks: 10, model_reuse_hits: 0, completed_paths: 3, trojan_checks: 5, direct_drops: 2, matrix_drops: 0, model_answers: 1 }),
+    ("twopc", RunWork { queries: 30, shared_hits: 0, subsumption_hits: 0, certified_unsat: 6, branch_checks: 18, model_reuse_hits: 0, completed_paths: 4, trojan_checks: 7, direct_drops: 3, matrix_drops: 0, model_answers: 4 }),
+    ("gossip", RunWork { queries: 30, shared_hits: 0, subsumption_hits: 0, certified_unsat: 6, branch_checks: 18, model_reuse_hits: 0, completed_paths: 4, trojan_checks: 7, direct_drops: 3, matrix_drops: 0, model_answers: 4 }),
+    ("shardexec", RunWork { queries: 68, shared_hits: 0, subsumption_hits: 2, certified_unsat: 13, branch_checks: 40, model_reuse_hits: 2, completed_paths: 6, trojan_checks: 11, direct_drops: 9, matrix_drops: 6, model_answers: 12 }),
 ];
 
 #[rustfmt::skip]
 const PINNED_SESSIONS: &[(&str, SessionWork)] = &[
-    ("fsp", SessionWork { hits: 28, cross_epoch_hits: 0, misses: 1292, inserts: 1091, core_subsumption_hits: 201, cores_indexed: 469, certified_unsat: 469 }),
+    ("fsp", SessionWork { hits: 28, cross_epoch_hits: 0, misses: 748, inserts: 696, core_subsumption_hits: 52, cores_indexed: 160, certified_unsat: 160 }),
     ("pbft", SessionWork { hits: 0, cross_epoch_hits: 0, misses: 0, inserts: 0, core_subsumption_hits: 0, cores_indexed: 0, certified_unsat: 0 }),
     ("paxos", SessionWork { hits: 0, cross_epoch_hits: 0, misses: 0, inserts: 0, core_subsumption_hits: 0, cores_indexed: 0, certified_unsat: 0 }),
-    ("twopc", SessionWork { hits: 1, cross_epoch_hits: 0, misses: 50, inserts: 50, core_subsumption_hits: 0, cores_indexed: 13, certified_unsat: 13 }),
-    ("gossip", SessionWork { hits: 3, cross_epoch_hits: 0, misses: 72, inserts: 72, core_subsumption_hits: 0, cores_indexed: 18, certified_unsat: 18 }),
-    ("shardexec", SessionWork { hits: 9, cross_epoch_hits: 0, misses: 147, inserts: 145, core_subsumption_hits: 2, cores_indexed: 32, certified_unsat: 32 }),
+    ("twopc", SessionWork { hits: 1, cross_epoch_hits: 0, misses: 44, inserts: 44, core_subsumption_hits: 0, cores_indexed: 13, certified_unsat: 13 }),
+    ("gossip", SessionWork { hits: 3, cross_epoch_hits: 0, misses: 64, inserts: 64, core_subsumption_hits: 0, cores_indexed: 17, certified_unsat: 17 }),
+    ("shardexec", SessionWork { hits: 9, cross_epoch_hits: 0, misses: 128, inserts: 126, core_subsumption_hits: 2, cores_indexed: 31, certified_unsat: 31 }),
 ];
+
+/// The solver kernel's work over fsp's whole 1-worker `run()`: client
+/// extraction, preprocessing and the server search share the engine's
+/// solver, and only full searches count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct KernelWork {
+    normalized: u64,
+    literals_asserted: u64,
+    clause_evals: u64,
+}
+
+const PINNED_FSP_KERNEL: KernelWork = KernelWork {
+    normalized: 25528,
+    literals_asserted: 25547,
+    clause_evals: 25904,
+};
 
 fn run_work() -> Vec<(&'static str, RunWork)> {
     builtin_registry()
@@ -95,6 +115,7 @@ fn run_work() -> Vec<(&'static str, RunWork)> {
                 trojan_checks: report.search_stats.trojan_checks,
                 direct_drops: report.search_stats.direct_drops,
                 matrix_drops: report.search_stats.matrix_drops,
+                model_answers: report.search_stats.model_answers,
             };
             (spec.name(), work)
         })
@@ -127,5 +148,23 @@ fn session_cache_work_is_pinned_at_one_worker() {
     assert_eq!(
         actual, PINNED_SESSIONS,
         "1-worker run_sessions() shared-cache work changed; measured rows:\n{actual:#?}"
+    );
+}
+
+#[test]
+fn fsp_kernel_work_is_pinned_at_one_worker() {
+    let registry = builtin_registry();
+    let fsp = registry.get("fsp").expect("fsp is registered");
+    let mut session = AchillesSession::new(&**fsp).workers(1);
+    session.run();
+    let search = session.engine().solver.stats().search;
+    let actual = KernelWork {
+        normalized: search.normalized,
+        literals_asserted: search.literals_asserted,
+        clause_evals: search.clause_evals,
+    };
+    assert_eq!(
+        actual, PINNED_FSP_KERNEL,
+        "1-worker fsp run() kernel work changed"
     );
 }

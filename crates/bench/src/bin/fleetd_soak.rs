@@ -165,7 +165,7 @@ fn main() {
         row(
             "fork-server savings",
             format!(
-                "{} boots for {} plans ({} saved), {} restores",
+                "{} boots for {} plans ({} saved), {} clones",
                 one_stats.boots,
                 one_stats.fork_plans,
                 one_stats.boots_saved(),

@@ -18,7 +18,7 @@
 //! Every run re-sweeps the campaign at `workers ∈ {1, 4}` with fresh
 //! caches and asserts the sensitivity matrices are bit-identical — scaling
 //! must never buy speed with soundness. By default fresh cells replay
-//! through the snapshot fork-server (prefix-shared execution trees); a
+//! through the fork-server (prefix-shared execution trees); a
 //! third cold-boot pass asserts fork classifications are bit-identical to
 //! per-cell boots and times the two for the fork-vs-cold comparison.
 //! `--no-fork` turns the fork-server off everywhere (the CI baseline
@@ -332,7 +332,7 @@ fn main() {
                     row(
                         "  fork-server",
                         format!(
-                            "{} boots for {} cells ({} saved), {} restores, mean \
+                            "{} boots for {} cells ({} saved), {} clones, mean \
                              shared prefix {:.2}; fork {:.3}s vs cold {:.3}s @4 \
                              workers",
                             par.fork.boots,

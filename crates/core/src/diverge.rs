@@ -10,9 +10,9 @@
 //!
 //! * a [`StateRoot`] is one node's canonical state digest at an instant;
 //! * a [`DivergenceProbe`] rides inside a multi-node target's fork
-//!   session (it is `Clone`, so it snapshots and restores with the engine
-//!   state) and records the first delivery index at which the roots
-//!   split;
+//!   session (it is `Clone`, so it is copied with the engine state when
+//!   the session is cloned) and records the first delivery index at which
+//!   the roots split;
 //! * [`DivergenceProbe::finish`] folds the observation into effect
 //!   strings (`diverge:at:<idx>`, `diverge:root:<node>:<digest>`, or
 //!   `root:agree:<digest>`) that flow through the ordinary
@@ -120,11 +120,10 @@ impl RootHasher {
 /// Observes per-node state roots after every delivery of a plan and
 /// renders the outcome as effect strings at the end.
 ///
-/// The probe is plain `Clone` data: multi-node fork sessions embed it in
-/// their [`TargetSnapshot`](crate::TargetSnapshot) payload, so
-/// snapshot/restore rewinds the observation history together with the
-/// engine state and the fork-server equivalence law holds with no extra
-/// machinery.
+/// The probe is plain `Clone` data: multi-node fork sessions embed it as
+/// a field and derive `Clone`, so a cloned session carries the
+/// observation history together with the engine state and the
+/// fork-server equivalence law holds with no extra machinery.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DivergenceProbe {
     delivered: usize,

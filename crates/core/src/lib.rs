@@ -56,7 +56,7 @@
 //! use std::sync::Arc;
 //! use achilles::{
 //!     AchillesSession, Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec,
-//!     SnapshotReplayTarget, TargetSnapshot, TargetSpec,
+//!     SnapshotReplayTarget, TargetSpec,
 //! };
 //! use achilles_solver::Width;
 //! use achilles_symvm::{MessageLayout, NodeProgram, PathResult, SymEnv, SymMessage};
@@ -104,15 +104,14 @@
 //!     fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> { Box::new(Figure2Server) }
 //! }
 //!
-//! // The booted server, fed one delivery at a time. It keeps no state, so
-//! // its snapshot is `()`.
+//! // The booted server, fed one delivery at a time. The fork-server copies
+//! // it by `Clone`; it keeps no state, so the copy is free.
+//! #[derive(Clone)]
 //! struct Figure2Server;
 //! impl SnapshotReplayTarget for Figure2Server {
 //!     fn deliver(&mut self, (wire, _): &Delivery, outcome: &mut InjectionOutcome) {
 //!         outcome.accepted_each.push(wire[0] == 1); // the buggy dispatch, concretely
 //!     }
-//!     fn snapshot(&self) -> TargetSnapshot { TargetSnapshot::of(()) }
-//!     fn restore(&mut self, _snapshot: &TargetSnapshot) {}
 //! }
 //!
 //! // The spec bundles it all: this is the entire onboarding surface. The
@@ -164,9 +163,9 @@
 //!    `boot` returns a freshly booted deployment as a
 //!    [`SnapshotReplayTarget`]: `deliver` feeds it one datagram and
 //!    records acceptance plus structural effect strings, `finish` appends
-//!    end-of-plan effects (filesystem diffs, final decisions), and
-//!    `snapshot`/`restore` copy and rewind its state (step 7). The
-//!    provided `inject` — boot, deliver each, finish — is cold replay.
+//!    end-of-plan effects (filesystem diffs, final decisions), and the
+//!    session derives `Clone` (step 7). The provided `inject` — boot,
+//!    deliver each, finish — is cold replay.
 //! 3. **Implement [`TargetSpec`].** Return the client programs as one
 //!    list from [`clients`](TargetSpec::clients), and the single message
 //!    from [`message`](TargetSpec::message) as a one-slot [`SessionSpec`]:
@@ -228,24 +227,27 @@
 //!    seed→sync→read session is the shipped reference;
 //!    `examples/quickstart.rs` runs a mini-sweep on its hello→request
 //!    session.
-//! 7. **Make snapshots exact** (required — the fork session *is* the
-//!    deployment). Sweeps do not boot one deployment per (witness,
-//!    schedule) cell: the fork-server boots the step-2 session once and
-//!    executes each witness's schedules as a delivery-prefix trie,
-//!    restoring from the deepest shared ancestor. What to clone in
-//!    [`snapshot`](SnapshotReplayTarget::snapshot): *every* piece of state
-//!    a delivery can mutate — the protocol engine (node, cluster,
+//! 7. **Make the session `Clone`, and deep** (required — the fork session
+//!    *is* the deployment). Sweeps do not boot one deployment per
+//!    (witness, schedule) cell: the fork-server boots the step-2 session
+//!    once and executes each witness's schedules as a delivery-prefix
+//!    trie, running each sibling subtree on a clone of the branch-point
+//!    session ([`CloneSession::clone_session`], implemented for every
+//!    `Clone` session). So the session must hold *every* piece of state a
+//!    delivery can mutate — the protocol engine (node, cluster,
 //!    coordinator, simulated filesystem + network) *and* the injection
-//!    bookkeeping (login flags, tracked witness keys). Clones must be deep:
-//!    a snapshot that aliases a live `Arc<Mutex<…>>` corrupts every sibling
-//!    branch, and restoring the boot-state snapshot must be
-//!    indistinguishable from a fresh boot. Snapshots may never change
-//!    results — only wall time: the `fork_server_equivalence` suite
-//!    compares every sweep against cold per-cell replay (`--no-fork`,
-//!    `CampaignConfig::without_fork`), and the conformance suite's snapshot
-//!    contract covers every registered target. `examples/quickstart.rs`
-//!    runs its mini-sweep through the fork-server and asserts
-//!    `boots_saved > 0`.
+//!    bookkeeping (login flags, tracked witness keys) — and its `Clone`
+//!    must be deep: a derived `Clone` over a live `Arc<Mutex<…>>` aliases
+//!    that state into every sibling branch. Data fixed at boot may sit
+//!    behind a plain `Arc`, so a clone copies only what a delivery can
+//!    change. Clones may never change results — only wall time: the
+//!    `fork_server_equivalence` suite compares every sweep against cold
+//!    per-cell replay (`--no-fork`, `CampaignConfig::without_fork`), and
+//!    the conformance suite's clone law (a clone at boot replays like a
+//!    fresh boot, a driven clone leaves its source untouched, a clone
+//!    mid-plan resumes like the uncloned run) covers every registered
+//!    target. `examples/quickstart.rs` runs its mini-sweep through the
+//!    fork-server and asserts `boots_saved > 0`.
 //! 8. **Serve campaigns** (optional — for fleets that keep producing
 //!    witnesses). The batch bins run one corpus to completion and exit;
 //!    `achilles-fleetd` is the resident alternative: a campaign service
@@ -269,8 +271,8 @@
 //!    detonates as *silent state divergence* — every node keeps running
 //!    and two replicas produce different canonical state hashes. Give
 //!    each modeled node a canonical digest (build it with
-//!    [`RootHasher`]), embed a [`DivergenceProbe`] in the fork session's
-//!    snapshot payload, call
+//!    [`RootHasher`]), embed a [`DivergenceProbe`] as a field of the
+//!    `Clone` fork session, call
 //!    [`observe`](diverge::DivergenceProbe::observe) after every applied
 //!    delivery, and fold [`finish`](diverge::DivergenceProbe::finish)
 //!    into the outcome's effects; override
@@ -308,7 +310,7 @@
 //! 11. **Instrument the run** (optional — zero code for the built-in
 //!     spans). Discovery, sweep, replay, and service runs are already
 //!     instrumented through `achilles-obs`: pipeline phases, worker
-//!     claim/steal/merge, solver verdicts, fork-server boots/restores,
+//!     claim/steal/merge, solver verdicts, fork-server boots/clones,
 //!     sweep cells, and fleetd requests all emit spans and counters.
 //!     Pass `--trace FILE` to `sweep_campaign` / `fig10_discovery` /
 //!     `parallel_scaling` / `fleetd_soak` and load the file in Perfetto
@@ -467,6 +469,6 @@ pub use search::{
 };
 pub use session::{AchillesSession, SessionReport, TargetRegistry};
 pub use target::{
-    fields_to_wire, layout_widths, wire_to_fields, Delivery, InjectionOutcome, ReplayTarget,
-    SessionSlot, SessionSpec, SnapshotReplayTarget, TargetSnapshot, TargetSpec, WireError,
+    fields_to_wire, layout_widths, wire_to_fields, CloneSession, Delivery, InjectionOutcome,
+    ReplayTarget, SessionSlot, SessionSpec, SnapshotReplayTarget, TargetSpec, WireError,
 };

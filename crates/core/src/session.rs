@@ -115,7 +115,7 @@ impl TargetRegistry {
 /// # use std::sync::Arc;
 /// # use achilles::{
 /// #     Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec, SnapshotReplayTarget,
-/// #     TargetSnapshot, TargetSpec,
+/// #     TargetSpec,
 /// # };
 /// # use achilles_solver::Width;
 /// # use achilles_symvm::{MessageLayout, NodeProgram, PathResult, SymEnv, SymMessage};
@@ -130,13 +130,12 @@ impl TargetRegistry {
 /// #     fn slot_generable(&self, _: usize, fields: &[u64]) -> bool { fields[1] < 1024 }
 /// #     fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> { Box::new(KvServer) }
 /// # }
+/// # #[derive(Clone)]
 /// # struct KvServer;
 /// # impl SnapshotReplayTarget for KvServer {
 /// #     fn deliver(&mut self, (w, _): &Delivery, outcome: &mut InjectionOutcome) {
 /// #         outcome.accepted_each.push(w[0] == 1 && u64::from(w[1]) * 256 + u64::from(w[2]) < 4096);
 /// #     }
-/// #     fn snapshot(&self) -> TargetSnapshot { TargetSnapshot::of(()) }
-/// #     fn restore(&mut self, _: &TargetSnapshot) {}
 /// # }
 /// # struct KvSpec;
 /// # fn client(env: &mut SymEnv<'_>) -> PathResult<()> {
@@ -382,7 +381,6 @@ mod tests {
     use super::*;
     use crate::target::{
         Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec, SnapshotReplayTarget,
-        TargetSnapshot,
     };
     use achilles_solver::Width;
     use achilles_symvm::{PathResult, SymEnv, SymMessage};
@@ -439,15 +437,12 @@ mod tests {
     }
 
     /// A stateless deployment that accepts every delivery.
+    #[derive(Clone)]
     struct KvServer;
     impl SnapshotReplayTarget for KvServer {
         fn deliver(&mut self, _delivery: &Delivery, outcome: &mut InjectionOutcome) {
             outcome.accepted_each.push(true);
         }
-        fn snapshot(&self) -> TargetSnapshot {
-            TargetSnapshot::of(())
-        }
-        fn restore(&mut self, _snapshot: &TargetSnapshot) {}
     }
 
     struct KvSpec;

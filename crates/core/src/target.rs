@@ -26,8 +26,6 @@
 //! See the crate-level docs ("Porting a protocol") for the step-by-step
 //! guide.
 
-use std::any::Any;
-use std::fmt;
 use std::sync::Arc;
 
 pub use achilles_netsim::bytes::WireError;
@@ -103,8 +101,8 @@ pub struct InjectionOutcome {
 /// booted deployment every call, so the outcome of a delivery plan is a
 /// function of the plan alone. That purity is what makes replay results
 /// bit-identical across worker counts, runs, and machines — and what lets
-/// the sweep fork-server resume cells from snapshots of one booted
-/// session instead of booting per cell.
+/// the sweep fork-server resume cells from clones of one booted session
+/// instead of booting per cell.
 pub trait ReplayTarget: Sync {
     /// Short system name used in crash signatures (`"fsp"`, `"pbft"`, …).
     fn name(&self) -> &'static str;
@@ -125,8 +123,8 @@ pub trait ReplayTarget: Sync {
     /// Boots a fresh deployment as a live [`SnapshotReplayTarget`] session:
     /// the one execution surface of replay. Cold replay is
     /// [`ReplayTarget::inject`] (boot → deliver each → finish); the sweep
-    /// fork-server boots once and walks a delivery-prefix trie with
-    /// snapshot/restore.
+    /// fork-server boots once and walks a delivery-prefix trie on clones
+    /// of the booted session.
     fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_>;
 
     /// Boots a fresh deployment and fires the delivery plan at it: one
@@ -158,71 +156,23 @@ pub trait ReplayTarget: Sync {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot fork sessions
+// Fork sessions
 // ---------------------------------------------------------------------------
 
-/// An opaque, clone-able copy of a fork session's mutable engine state.
-///
-/// Produced by [`SnapshotReplayTarget::snapshot`] and consumed only by the
-/// matching target's [`SnapshotReplayTarget::restore`] — the payload type
-/// is private to the target implementation. Snapshots are deep copies:
-/// restoring one must not alias live state (no shared `Arc<Mutex<…>>`
-/// interiors), so a restored session and the session it forked from evolve
-/// independently.
-pub struct TargetSnapshot(Box<dyn AnyState>);
-
-impl TargetSnapshot {
-    /// Wraps a deep copy of a fork session's mutable state.
-    pub fn of<T: Clone + Send + 'static>(state: T) -> TargetSnapshot {
-        TargetSnapshot(Box::new(state))
-    }
-
-    /// Recovers the state payload, if this snapshot holds a `T`.
-    ///
-    /// Targets call this from [`SnapshotReplayTarget::restore`] and may
-    /// `expect` the downcast: the fork-server only ever hands a session
-    /// snapshots that same session (or a sibling of the same target)
-    /// produced.
-    pub fn get<T: Clone + Send + 'static>(&self) -> Option<&T> {
-        self.0.as_any().downcast_ref::<T>()
-    }
-}
-
-impl Clone for TargetSnapshot {
-    fn clone(&self) -> TargetSnapshot {
-        TargetSnapshot(self.0.clone_box())
-    }
-}
-
-impl fmt::Debug for TargetSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("TargetSnapshot(..)")
-    }
-}
-
-/// Object-safe `Clone + Any` bridge for snapshot payloads.
-trait AnyState: Send {
-    fn clone_box(&self) -> Box<dyn AnyState>;
-    fn as_any(&self) -> &dyn Any;
-}
-
-impl<T: Clone + Send + 'static> AnyState for T {
-    fn clone_box(&self) -> Box<dyn AnyState> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// One booted deployment driven incrementally, with snapshot/restore at
-/// arbitrary points — what [`ReplayTarget::boot`] returns.
+/// One booted deployment driven incrementally — what
+/// [`ReplayTarget::boot`] returns. A fork is a clone: the session is
+/// `Clone`, and [`CloneSession::clone_session`] copies it behind the
+/// trait object.
 ///
 /// Cold replay ([`ReplayTarget::inject`]) boots one session per delivery
 /// plan and feeds it every delivery; the sweep fork-server boots once and
-/// walks a delivery-prefix trie, snapshotting at branch points and
-/// restoring from the deepest shared ancestor instead of booting every
-/// cell (the AFL-style fork-server move).
+/// walks a delivery-prefix trie, running each sibling subtree on a clone
+/// of the branch-point session instead of booting every cell (the
+/// AFL-style fork-server move).
+///
+/// A porter writes `deliver` (plus `finish` / `state_roots` where the
+/// deployment has them) and derives `Clone`; the blanket
+/// [`CloneSession`] impl does the rest.
 ///
 /// # Contract
 ///
@@ -230,25 +180,22 @@ impl<T: Clone + Send + 'static> AnyState for T {
 ///   onto `outcome.accepted_each` and appends any per-delivery effects.
 /// - [`finish`](SnapshotReplayTarget::finish) appends the end-of-plan
 ///   effects (filesystem diffs, final decisions). It may leave the engine
-///   state unspecified — the fork-server always restores a snapshot before
-///   reusing the session.
-/// - `snapshot` → any deliveries → `restore` must put the session back
-///   bit-exactly (re-delivering yields identical outcomes), and restoring
-///   the boot-state snapshot must be indistinguishable from a fresh boot —
-///   the law fork-server replay's bit-identity with cold replay rests on.
-pub trait SnapshotReplayTarget {
+///   state unspecified — the fork-server never delivers to a session it
+///   has finished.
+/// - The clone is deep: a clone and its source evolve independently, a
+///   clone taken at boot replays exactly like a fresh boot, and a clone
+///   taken mid-plan resumes exactly like the uncloned session — the law
+///   fork-server replay's bit-identity with cold replay rests on. A
+///   derived `Clone` over an `Arc<Mutex<…>>` aliases live state and breaks
+///   it; the conformance suite's clone law catches that.
+pub trait SnapshotReplayTarget: CloneSession {
     /// Feeds one delivery to the live deployment, recording acceptance and
     /// effects into `outcome`.
     fn deliver(&mut self, delivery: &Delivery, outcome: &mut InjectionOutcome);
 
-    /// Deep-copies the mutable engine state.
-    fn snapshot(&self) -> TargetSnapshot;
-
-    /// Rewinds the session to a previously captured snapshot.
-    fn restore(&mut self, snapshot: &TargetSnapshot);
-
     /// Appends the end-of-plan effects (none by default). May consume the
-    /// session state; callers restore a snapshot before delivering again.
+    /// session state; the fork-server finishes a clone (or the last
+    /// consumer of a state) and never delivers to it again.
     fn finish(&mut self, outcome: &mut InjectionOutcome) {
         let _ = outcome;
     }
@@ -257,11 +204,23 @@ pub trait SnapshotReplayTarget {
     /// them (`None` — the default — for single-node targets).
     ///
     /// The roots must be a pure function of the deliveries applied since
-    /// boot, and snapshot/restore must rewind them with the rest of the
-    /// engine state — the probe and the digests belong in the
-    /// [`TargetSnapshot`] payload.
+    /// boot, so a clone must carry the probe and the digests with the rest
+    /// of the engine state.
     fn state_roots(&self) -> Option<Vec<StateRoot>> {
         None
+    }
+}
+
+/// The object-safe clone of a fork session, implemented for every
+/// `Clone` [`SnapshotReplayTarget`] — porters never write it.
+pub trait CloneSession {
+    /// A deep copy of this session, at its current state.
+    fn clone_session(&self) -> Box<dyn SnapshotReplayTarget + '_>;
+}
+
+impl<T: SnapshotReplayTarget + Clone> CloneSession for T {
+    fn clone_session(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+        Box::new(self.clone())
     }
 }
 
@@ -473,15 +432,12 @@ mod tests {
     }
 
     /// A stateless deployment that accepts every delivery.
+    #[derive(Clone)]
     struct NullSession;
     impl SnapshotReplayTarget for NullSession {
         fn deliver(&mut self, _delivery: &Delivery, outcome: &mut InjectionOutcome) {
             outcome.accepted_each.push(true);
         }
-        fn snapshot(&self) -> TargetSnapshot {
-            TargetSnapshot::of(())
-        }
-        fn restore(&mut self, _snapshot: &TargetSnapshot) {}
     }
 
     impl TargetSpec for KvSpec {

@@ -7,7 +7,10 @@
 //! request (from either transport) drains the queue, persists the state
 //! dir, and exits the process cleanly. Each connection runs
 //! [`serve_stream`], which answers a request line longer than
-//! `MAX_LINE_BYTES` with `ERR` instead of buffering it.
+//! `MAX_LINE_BYTES` with `ERR` instead of buffering it. Each listener
+//! serves at most [`MAX_CONNECTIONS`] connections at once; one more is
+//! answered `BUSY connection limit 64`, closed, and counted in
+//! `achilles_fleetd_connections_refused_total`.
 
 use std::io::{ErrorKind, Write};
 use std::net::TcpListener;
@@ -19,8 +22,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use achilles_fleetd::{serve_stream, Fleetd, FleetdConfig};
+use achilles_fleetd::{serve_stream, Fleetd, FleetdConfig, Reply};
 use achilles_targets::builtin_registry;
+
+/// Live connection handlers one listener admits.
+const MAX_CONNECTIONS: usize = 64;
 
 const USAGE: &str = "usage: achilles-fleetd [--listen ADDR] [--uds PATH] [--state DIR] \
      [--shards N] [--workers N] [--max-cells N] [--quick] [--no-fork]";
@@ -150,7 +156,8 @@ fn main() -> ExitCode {
 /// Accept loop for one listener: non-blocking accept polling the stop
 /// flag, one serving thread per connection. Each accept first joins the
 /// handlers of connections that have closed, so the acceptor holds
-/// handles only for live connections.
+/// handles only for live connections; with [`MAX_CONNECTIONS`] of them
+/// live, the new connection is refused instead.
 fn spawn_acceptor<L>(listener: L, service: &Arc<Fleetd>, stop: &Arc<AtomicBool>) -> JoinHandle<()>
 where
     L: Acceptor + Send + 'static,
@@ -164,6 +171,10 @@ where
             match listener.accept_stream() {
                 Ok(stream) => {
                     reap_finished(&mut handlers);
+                    if handlers.len() >= MAX_CONNECTIONS {
+                        refuse(stream);
+                        continue;
+                    }
                     let service = Arc::clone(&service);
                     let stop = Arc::clone(&stop);
                     handlers.push(std::thread::spawn(move || {
@@ -180,6 +191,19 @@ where
             let _ = handler.join();
         }
     })
+}
+
+/// Answers a connection past the cap with one `BUSY` line, closes it, and
+/// counts the refusal.
+fn refuse(mut stream: impl Write) {
+    let busy = Reply::Busy(format!("connection limit {MAX_CONNECTIONS}")).render();
+    let _ = writeln!(stream, "{busy}");
+    achilles_obs::global().add(
+        achilles_obs::Class::Wall,
+        "achilles_fleetd_connections_refused_total",
+        &[],
+        1,
+    );
 }
 
 /// Joins and removes the handlers whose threads have returned; handlers
@@ -229,9 +253,74 @@ impl Acceptor for UnixListener {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_options, reap_finished};
-    use std::sync::mpsc;
+    use super::{parse_options, reap_finished, spawn_acceptor, MAX_CONNECTIONS};
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::{UnixListener, UnixStream};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Arc};
     use std::time::Duration;
+
+    use achilles::TargetRegistry;
+    use achilles_fleetd::{Fleetd, FleetdConfig};
+
+    fn read_line(stream: &mut BufReader<UnixStream>) -> String {
+        let mut line = String::new();
+        stream.read_line(&mut line).expect("read a reply line");
+        line
+    }
+
+    #[test]
+    fn connections_past_the_cap_are_refused_busy_and_the_acceptor_joins() {
+        let dir = std::env::temp_dir().join(format!("achilles-fleetd-cap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("fleetd.sock");
+        let listener = UnixListener::bind(&path).expect("bind the socket");
+        let service = Arc::new(
+            Fleetd::start(TargetRegistry::new(), FleetdConfig::default().shards(0))
+                .expect("an empty service starts"),
+        );
+        let stop = Arc::new(AtomicBool::new(false));
+        let refused = || {
+            achilles_obs::global()
+                .value("achilles_fleetd_connections_refused_total", &[])
+                .unwrap_or(0)
+        };
+        let refused_before = refused();
+        let acceptor = spawn_acceptor(listener, &service, &stop);
+
+        // Every admitted connection is served, so its handler is live
+        // before the next one connects.
+        let mut admitted: Vec<BufReader<UnixStream>> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let mut stream = UnixStream::connect(&path).expect("connect");
+                writeln!(stream, "HELLO").expect("send HELLO");
+                let mut stream = BufReader::new(stream);
+                assert!(read_line(&mut stream).starts_with("OK "));
+                stream
+            })
+            .collect();
+        let mut extra = BufReader::new(UnixStream::connect(&path).expect("connect"));
+        assert_eq!(read_line(&mut extra), "BUSY connection limit 64\n");
+        assert_eq!(
+            read_line(&mut extra),
+            "",
+            "the refused connection is closed"
+        );
+        assert_eq!(refused() - refused_before, 1);
+
+        // The admitted connections keep being served until they close.
+        writeln!(admitted[0].get_mut(), "HELLO").expect("send HELLO");
+        assert!(read_line(&mut admitted[0]).starts_with("OK "));
+        drop(admitted);
+        drop(extra);
+        stop.store(true, Ordering::SeqCst);
+        acceptor
+            .join()
+            .expect("the acceptor joins its handlers and returns");
+        service.shutdown().expect("shutdown");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn reaping_joins_returned_handlers_and_keeps_running_ones() {

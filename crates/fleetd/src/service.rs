@@ -69,7 +69,7 @@ pub struct FleetdConfig {
     /// The schedule space planned per witness (must match the batch
     /// campaign's for bit-identical answers).
     pub sweep: SweepConfig,
-    /// Replay through the snapshot fork-server when targets support it.
+    /// Replay through the fork-server when targets support it.
     pub fork: bool,
     /// Durable state directory (`<target>.sweep` caches +
     /// `<target>.<session>.witnesses` corpora); `None` = in-memory only.
@@ -146,7 +146,8 @@ pub struct ServiceStats {
     pub fork_plans: usize,
     /// Deployment boots performed.
     pub boots: usize,
-    /// Snapshot restores performed.
+    /// Fork sessions cloned
+    /// ([`ForkStats::snapshot_restores`](achilles_replay::ForkStats::snapshot_restores)).
     pub snapshot_restores: usize,
     /// Ingests refused with `BUSY`.
     pub busy_rejections: usize,

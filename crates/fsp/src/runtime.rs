@@ -18,7 +18,8 @@ use crate::server::{FspServer, FspServerConfig, ReplyCode};
 pub struct FspServerRuntime {
     fs: Arc<Mutex<SimFs>>,
     server: FspServer,
-    addr: Addr,
+    /// Fixed at deployment, so copies share it.
+    addr: Arc<Addr>,
     pool: TermPool,
     solver: Solver,
     /// Messages processed.
@@ -28,10 +29,11 @@ pub struct FspServerRuntime {
 }
 
 impl Clone for FspServerRuntime {
-    /// A deep copy for snapshot/restore: a fresh filesystem `Arc` (cloned
-    /// from the live one) with the server re-bound onto it, so clone and
-    /// original evolve independently. The solver is rebuilt empty — it is
-    /// a pure query cache, so an empty one is semantically identical.
+    /// A deep copy, which is what forks a replay session: a fresh
+    /// filesystem `Arc` (cloned from the live one) with the server
+    /// re-bound onto it, so clone and original evolve independently. The
+    /// solver is rebuilt empty — it is a pure query cache, so an empty one
+    /// is semantically identical.
     fn clone(&self) -> FspServerRuntime {
         let fs = Arc::new(Mutex::new(
             self.fs.lock().expect("state lock poisoned").clone(),
@@ -39,7 +41,7 @@ impl Clone for FspServerRuntime {
         FspServerRuntime {
             server: self.server.deep_clone_onto(Arc::clone(&fs)),
             fs,
-            addr: self.addr.clone(),
+            addr: Arc::clone(&self.addr),
             pool: self.pool.clone(),
             solver: Solver::new(),
             handled: self.handled,
@@ -61,7 +63,7 @@ impl FspServerRuntime {
         FspServerRuntime {
             server: FspServer::with_fs(config, Arc::clone(&fs)),
             fs,
-            addr,
+            addr: Arc::new(addr),
             pool: TermPool::new(),
             solver: Solver::new(),
             handled: 0,
@@ -116,12 +118,12 @@ impl FspServerRuntime {
     /// Drains this endpoint's inbox on `net`, processing every datagram and
     /// replying to the sender.
     pub fn poll(&mut self, net: &mut Network) {
-        while let Some(d) = net.recv(&self.addr.clone()) {
+        while let Some(d) = net.recv(&self.addr) {
             let reply = self.handle(&d.payload);
             if let Some((code, data)) = reply {
                 let mut payload = vec![code as u8];
                 payload.extend(&data);
-                net.send(self.addr.clone(), d.from, payload);
+                net.send(Addr::clone(&self.addr), d.from, payload);
             }
         }
     }

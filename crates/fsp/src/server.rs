@@ -87,7 +87,8 @@ impl Default for FspServerConfig {
 /// the filesystem action and send a reply, which the impact demos use.
 #[derive(Clone, Debug, Default)]
 pub struct FspServer {
-    config: FspServerConfig,
+    /// Fixed for the server's life, so copies share it.
+    config: Arc<FspServerConfig>,
     fs: Option<Arc<Mutex<SimFs>>>,
     protections: Arc<Mutex<HashMap<String, u8>>>,
 }
@@ -96,7 +97,7 @@ impl FspServer {
     /// A server for symbolic analysis (no filesystem effects).
     pub fn new(config: FspServerConfig) -> FspServer {
         FspServer {
-            config,
+            config: Arc::new(config),
             fs: None,
             protections: Arc::default(),
         }
@@ -105,7 +106,7 @@ impl FspServer {
     /// A concrete server operating on `fs`.
     pub fn with_fs(config: FspServerConfig, fs: Arc<Mutex<SimFs>>) -> FspServer {
         FspServer {
-            config,
+            config: Arc::new(config),
             fs: Some(fs),
             protections: Arc::default(),
         }
@@ -119,8 +120,8 @@ impl FspServer {
     /// A genuinely independent copy of this server operating on `fs`.
     ///
     /// The derived `Clone` aliases the filesystem and protection-table
-    /// `Arc`s (fine for sharing one live server); snapshot/restore needs
-    /// the opposite — deep copies that evolve independently. The caller
+    /// `Arc`s (fine for sharing one live server); forking a replay session
+    /// needs the opposite — deep copies that evolve independently. The caller
     /// supplies the already-deep-copied filesystem handle; the protection
     /// table is deep-copied here.
     pub fn deep_clone_onto(&self, fs: Arc<Mutex<SimFs>>) -> FspServer {
@@ -130,7 +131,7 @@ impl FspServer {
             .expect("protection table lock")
             .clone();
         FspServer {
-            config: self.config.clone(),
+            config: Arc::clone(&self.config),
             fs: Some(fs),
             protections: Arc::new(Mutex::new(protections)),
         }

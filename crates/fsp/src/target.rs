@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use achilles::{
     wire_to_fields, AchillesConfig, Delivery, InjectionOutcome, ReplayTarget, SessionSlot,
-    SessionSpec, SnapshotReplayTarget, TargetSnapshot, TargetSpec, TrojanReport,
+    SessionSpec, SnapshotReplayTarget, TargetSpec, TrojanReport,
 };
 use achilles_netsim::{Addr, Network, SimFs};
 use achilles_symvm::{ExploreConfig, MessageLayout, NodeProgram};
@@ -129,12 +129,16 @@ impl ReplayTarget for FspTarget {
 
 /// The booted FSP deployment behind both FSP targets: one server endpoint
 /// fed deliveries one at a time, with an optional login gate in front.
+/// `FspServerRuntime::clone` is the deep copy of the server; what boot
+/// fixes sits behind an `Arc`, so a clone copies only what a delivery can
+/// change.
+#[derive(Clone)]
 pub(crate) struct FspForkSession {
     net: Network,
     server: FspServerRuntime,
-    client_addr: Addr,
-    /// Root listing at boot, immutable — `finish` diffs against it.
-    before: Vec<String>,
+    client_addr: Arc<Addr>,
+    /// Root listing at boot — `finish` diffs against it.
+    before: Arc<[String]>,
     /// `Some(logged_in)` when the login gate is active (the session
     /// target); `None` for the single-message target.
     login: Option<bool>,
@@ -143,11 +147,11 @@ pub(crate) struct FspForkSession {
 impl FspForkSession {
     pub(crate) fn boot(target: &FspTarget, login_gate: bool) -> FspForkSession {
         let (net, server, client_addr) = target.boot_endpoint();
-        let before = server.fs().list("/").unwrap_or_default();
+        let before = server.fs().list("/").unwrap_or_default().into();
         FspForkSession {
             net,
             server,
-            client_addr,
+            client_addr: Arc::new(client_addr),
             before,
             login: login_gate.then_some(false),
         }
@@ -189,7 +193,7 @@ impl SnapshotReplayTarget for FspForkSession {
         let accepted_before = self.server.accepted;
         let server_addr = self.server.addr().clone();
         self.net
-            .send(self.client_addr.clone(), server_addr, wire.clone());
+            .send(Addr::clone(&self.client_addr), server_addr, wire.clone());
         self.server.poll(&mut self.net);
         outcome
             .accepted_each
@@ -211,22 +215,6 @@ impl SnapshotReplayTarget for FspForkSession {
         }
     }
 
-    fn snapshot(&self) -> TargetSnapshot {
-        // `FspServerRuntime::clone` is the deep copy (fresh filesystem and
-        // protection-table `Arc`s); `before` is boot-immutable and lives in
-        // the session itself.
-        TargetSnapshot::of((self.net.clone(), self.server.clone(), self.login))
-    }
-
-    fn restore(&mut self, snapshot: &TargetSnapshot) {
-        let (net, server, login) = snapshot
-            .get::<(Network, FspServerRuntime, Option<bool>)>()
-            .expect("an FSP fork session restores FSP snapshots");
-        self.net = net.clone();
-        self.server = server.clone();
-        self.login = *login;
-    }
-
     fn finish(&mut self, outcome: &mut InjectionOutcome) {
         let after = self.server.fs().list("/").unwrap_or_default();
         for name in &after {
@@ -234,7 +222,7 @@ impl SnapshotReplayTarget for FspForkSession {
                 outcome.effects.push(format!("fs:+{name}"));
             }
         }
-        for name in &self.before {
+        for name in self.before.iter() {
             if !after.contains(name) {
                 outcome.effects.push(format!("fs:-{name}"));
             }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use achilles::{
     Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec, SnapshotReplayTarget,
-    TargetSnapshot, TargetSpec, TrojanReport,
+    TargetSpec, TrojanReport,
 };
 use achilles_symvm::{MessageLayout, NodeProgram};
 
@@ -91,6 +91,7 @@ impl ReplayTarget for GossipTarget {
 
 /// The booted deployment behind [`GossipTarget`]: one live node plus the
 /// tracked witness key.
+#[derive(Clone)]
 struct GossipForkSession {
     node: GossipNode,
     witness_key: Option<u8>,
@@ -133,18 +134,6 @@ impl SnapshotReplayTarget for GossipForkSession {
             self.witness_key = Some(seed.key);
         }
         seed_effects(&self.node, seed.key, outcome);
-    }
-
-    fn snapshot(&self) -> TargetSnapshot {
-        TargetSnapshot::of((self.node.clone(), self.witness_key))
-    }
-
-    fn restore(&mut self, snapshot: &TargetSnapshot) {
-        let (node, witness_key) = snapshot
-            .get::<(GossipNode, Option<u8>)>()
-            .expect("a gossip fork session restores gossip snapshots");
-        self.node = node.clone();
-        self.witness_key = *witness_key;
     }
 
     fn finish(&mut self, outcome: &mut InjectionOutcome) {
@@ -219,6 +208,7 @@ impl ReplayTarget for GossipSessionTarget {
 /// The incremental deployment behind [`GossipSessionTarget`]: one live
 /// node dispatching on the kind byte. No end-of-plan step — the session's
 /// read slot is the detonation point.
+#[derive(Clone)]
 struct GossipSessionForkSession {
     node: GossipNode,
 }
@@ -320,17 +310,6 @@ impl SnapshotReplayTarget for GossipSessionForkSession {
                 outcome.effects.push("ignored:unknown-kind".to_string());
             }
         }
-    }
-
-    fn snapshot(&self) -> TargetSnapshot {
-        TargetSnapshot::of(self.node.clone())
-    }
-
-    fn restore(&mut self, snapshot: &TargetSnapshot) {
-        self.node = snapshot
-            .get::<GossipNode>()
-            .expect("a gossip session restores gossip snapshots")
-            .clone();
     }
 }
 

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use achilles::{
     wire_to_fields, Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec,
-    SnapshotReplayTarget, TargetSnapshot, TargetSpec,
+    SnapshotReplayTarget, TargetSpec,
 };
 use achilles_symvm::{MessageLayout, NodeProgram};
 
@@ -74,6 +74,7 @@ impl ReplayTarget for PaxosTarget {
 
 /// The booted deployment behind [`PaxosTarget`]: one live acceptor
 /// mid-scenario. No end-of-plan step.
+#[derive(Clone)]
 struct PaxosForkSession {
     target: PaxosTarget,
     acceptor: Acceptor,
@@ -118,17 +119,6 @@ impl SnapshotReplayTarget for PaxosForkSession {
                 outcome.effects.push("value:foreign".to_string());
             }
         }
-    }
-
-    fn snapshot(&self) -> TargetSnapshot {
-        TargetSnapshot::of(self.acceptor.clone())
-    }
-
-    fn restore(&mut self, snapshot: &TargetSnapshot) {
-        self.acceptor = snapshot
-            .get::<Acceptor>()
-            .expect("a paxos fork session restores paxos snapshots")
-            .clone();
     }
 }
 

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use achilles::{
     AchillesConfig, Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec,
-    SnapshotReplayTarget, TargetSnapshot, TargetSpec, TrojanReport,
+    SnapshotReplayTarget, TargetSpec, TrojanReport,
 };
 use achilles_symvm::{ExploreConfig, MessageLayout, NodeProgram};
 
@@ -66,6 +66,7 @@ impl ReplayTarget for PbftTarget {
 
 /// The booted deployment behind [`PbftTarget`]: one live 4-replica
 /// cluster. No end-of-plan step.
+#[derive(Clone)]
 struct PbftForkSession {
     cluster: PbftCluster,
 }
@@ -100,17 +101,6 @@ impl SnapshotReplayTarget for PbftForkSession {
                 outcome.effects.push(format!("bad_macs:{bad}"));
             }
         }
-    }
-
-    fn snapshot(&self) -> TargetSnapshot {
-        TargetSnapshot::of(self.cluster.clone())
-    }
-
-    fn restore(&mut self, snapshot: &TargetSnapshot) {
-        self.cluster = snapshot
-            .get::<PbftCluster>()
-            .expect("a pbft fork session restores pbft snapshots")
-            .clone();
     }
 }
 

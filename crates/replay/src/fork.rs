@@ -9,20 +9,23 @@
 //! schedule into its [`SessionPlan`](crate::target::SessionPlan), folds
 //! the plans into a
 //! *delivery-prefix trie* keyed on post-fault-application [`Delivery`]
-//! bytes, and walks the trie depth-first over one live
-//! [`SnapshotReplayTarget`] session *per worker*, snapshotting at branch
-//! points and restoring from the deepest shared ancestor — the boot state
-//! at minimum — instead of cold-booting (the AFL fork-server move,
-//! transplanted to deterministic replay).
+//! bytes, and walks the trie depth-first over one booted
+//! [`SnapshotReplayTarget`] session. A fork is a clone: at a branch point
+//! every sibling subtree but the last runs on a clone of the session
+//! ([`CloneSession::clone_session`](achilles::CloneSession::clone_session)),
+//! and the last continues in place — the AFL fork-server move,
+//! transplanted to deterministic replay.
 //!
 //! Classification reuses [`classify_session`] on the per-plan
 //! [`InjectionOutcome`]s, so fork-server results are bit-identical to
 //! cold-boot results by construction — the equivalence suite
 //! (`tests/fork_server_equivalence.rs`) pins this for every registered
 //! target and worker count against the explicit cold path
-//! ([`ForkServer::detached`] with `fork = false`).
+//! ([`ForkServer::detached`] with `fork = false`), and the conformance
+//! suite's clone law pins the property it rests on: a clone is an exact,
+//! independent copy of its source.
 
-use achilles::{SnapshotReplayTarget, TargetSnapshot};
+use achilles::SnapshotReplayTarget;
 use achilles_symvm::{parallel_map, parallel_map_with};
 
 use crate::target::{
@@ -34,20 +37,23 @@ use crate::witness::SessionWitness;
 /// Instrumentation from one [`replay_session_forked`] call: how much
 /// booting the prefix trie saved.
 ///
-/// `boots` is the only field that may vary with the worker count (each
-/// parallel worker keeps one live session); every other field — and every
-/// replay result — is worker-count invariant.
+/// `boots` and `snapshot_restores` may vary with the worker count (each
+/// parallel worker boots its own template session); every other field —
+/// and every replay result — is worker-count invariant.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ForkStats {
     /// Cells (schedules) executed.
     pub plans: usize,
     /// Deployment boots actually performed. Cold replay boots once per
-    /// cell; the fork-server boots once per worker session (plus one for
-    /// cells whose schedule drops every delivery) and resumes everything
-    /// else from snapshots.
+    /// cell; the fork-server boots once (once per worker when the walk
+    /// runs in parallel) and forks everything else from clones.
     pub boots: usize,
-    /// Snapshot restores performed while walking the trie (branch-point
-    /// restores and boot-state restores between subtrees alike).
+    /// Session clones taken: one per sibling subtree and per terminal
+    /// that must leave its branch point untouched, plus one per walk
+    /// started from a booted template (a persistent server's replays, a
+    /// parallel walk's root subtrees). The field keeps its name for the
+    /// `achilles_fork_snapshot_restores_total` series and the fleetd and
+    /// bench counters that read it.
     pub snapshot_restores: usize,
     /// Sum over cells of their shared prefix depth: the number of leading
     /// deliveries of the cell's plan that at least one other cell's plan
@@ -171,16 +177,34 @@ impl Trie {
         }
         node.terminals.push(plan_index);
     }
+
+    /// Splits the root into independent parts, each walkable from its own
+    /// boot state: the root's terminals (cells whose schedule drops every
+    /// delivery), then one single-child root per subtree.
+    fn into_root_parts(self) -> Vec<Trie> {
+        let terminals = (!self.terminals.is_empty()).then(|| Trie {
+            children: Vec::new(),
+            plans_through: self.terminals.len(),
+            terminals: self.terminals,
+        });
+        let subtrees = self.children.into_iter().map(|child| Trie {
+            plans_through: child.1.plans_through,
+            children: vec![child],
+            terminals: Vec::new(),
+        });
+        terminals.into_iter().chain(subtrees).collect()
+    }
 }
 
-/// Walks `node`'s subtree on a live session whose state already reflects
-/// the path from the root to `node`. Appends `(plan_index, outcome)` pairs
-/// for every terminal reached. `outcome` at entry holds the accumulated
-/// prefix outcome for this path — it is extended in place and truncated
-/// back on backtrack (cheaper than cloning per edge), so only the one
-/// per-cell clone the cold path also pays remains. `shared_depth` is the
-/// depth of the deepest ancestor (this node included) whose prefix ≥ 2
-/// plans share.
+/// Walks `node`'s subtree on `session`, whose state reflects the path
+/// from the root to `node`, and consumes the session: the caller does not
+/// use it again. Appends `(plan_index, outcome)` pairs for every terminal
+/// reached. `outcome` at entry holds the accumulated prefix outcome for
+/// this path — it is extended in place and rewound after each branch
+/// (cheaper than copying it per edge), so only the one per-cell outcome
+/// copy the cold path also pays remains. `shared_depth` is the depth of
+/// the deepest ancestor (this node included) whose prefix ≥ 2 plans
+/// share.
 fn walk(
     node: &Trie,
     session: &mut dyn SnapshotReplayTarget,
@@ -190,61 +214,75 @@ fn walk(
     out: &mut Vec<(usize, InjectionOutcome)>,
     stats: &mut ForkStats,
 ) {
-    // Terminals: each needs `finish` run on the state *at this node*. All
-    // but the last consumer of this state must restore afterwards; when
-    // this node is a leaf, the final terminal may finish in place.
-    let must_preserve = !node.children.is_empty();
-    if !node.terminals.is_empty() {
-        let here = (must_preserve || node.terminals.len() > 1).then(|| session.snapshot());
-        let mark = (outcome.accepted_each.len(), outcome.effects.len());
-        for (i, &plan_index) in node.terminals.iter().enumerate() {
-            let last = i + 1 == node.terminals.len();
+    let mark = (outcome.accepted_each.len(), outcome.effects.len());
+    let rewind = |outcome: &mut InjectionOutcome| {
+        outcome.accepted_each.truncate(mark.0);
+        outcome.effects.truncate(mark.1);
+    };
+    // Terminals: each runs `finish` on the state at this node. The last
+    // consumer of that state — the final terminal of a leaf — finishes it
+    // in place; every other terminal finishes a clone.
+    for (i, &plan_index) in node.terminals.iter().enumerate() {
+        if node.children.is_empty() && i + 1 == node.terminals.len() {
             session.finish(outcome);
-            out.push((plan_index, outcome.clone()));
-            outcome.accepted_each.truncate(mark.0);
-            outcome.effects.truncate(mark.1);
-            stats.shared_prefix_depth_sum += shared_depth;
-            if must_preserve || !last {
-                let snap = here
-                    .as_ref()
-                    .expect("snapshot taken when state must survive");
-                session.restore(snap);
-                stats.snapshot_restores += 1;
-            }
+        } else {
+            fork(session, stats).finish(outcome);
         }
+        out.push((plan_index, outcome.clone()));
+        rewind(outcome);
+        stats.shared_prefix_depth_sum += shared_depth;
     }
-    // Children: a single child extends the path in place; siblings fork
-    // from a snapshot of this node's state.
-    let child_shared = |child: &Trie| {
-        if child.plans_through >= 2 {
+    // Children: every sibling but the last walks a clone of this node's
+    // session; the last continues in place.
+    for (i, (delivery, child)) in node.children.iter().enumerate() {
+        let shared = if child.plans_through >= 2 {
             depth + 1
         } else {
             shared_depth
-        }
-    };
-    let here = (node.children.len() > 1).then(|| session.snapshot());
-    let mark = (outcome.accepted_each.len(), outcome.effects.len());
-    for (i, (delivery, child)) in node.children.iter().enumerate() {
-        if i > 0 {
-            let snap = here.as_ref().expect("snapshot taken for sibling subtrees");
-            session.restore(snap);
-            stats.snapshot_restores += 1;
-            outcome.accepted_each.truncate(mark.0);
-            outcome.effects.truncate(mark.1);
-        }
+        };
+        let mut sibling;
+        let session: &mut dyn SnapshotReplayTarget = if i + 1 < node.children.len() {
+            sibling = fork(session, stats);
+            sibling.as_mut()
+        } else {
+            &mut *session
+        };
         session.deliver(delivery, outcome);
-        let shared = child_shared(child);
         walk(child, session, outcome, depth + 1, shared, out, stats);
-    }
-    if node.children.len() > 1 {
-        // Leave the outcome as the caller handed it over (the session
-        // state is the caller's responsibility — it restores around us).
-        outcome.accepted_each.truncate(mark.0);
-        outcome.effects.truncate(mark.1);
+        rewind(outcome);
     }
 }
 
-/// The trie executor both fork paths share: expands every schedule into
+/// Walks the whole of `trie` on `session`, which sits at boot state.
+fn walk_root(
+    trie: &Trie,
+    session: &mut dyn SnapshotReplayTarget,
+    stats: &mut ForkStats,
+) -> Vec<(usize, InjectionOutcome)> {
+    let mut out = Vec::new();
+    walk(
+        trie,
+        session,
+        &mut InjectionOutcome::default(),
+        0,
+        0,
+        &mut out,
+        stats,
+    );
+    out
+}
+
+/// A clone of `session` for a branch that must leave it untouched,
+/// counted in `stats`.
+fn fork<'s>(
+    session: &'s dyn SnapshotReplayTarget,
+    stats: &mut ForkStats,
+) -> Box<dyn SnapshotReplayTarget + 's> {
+    stats.snapshot_restores += 1;
+    session.clone_session()
+}
+
+/// The trie executor every fork path shares: expands every schedule into
 /// its plan, folds the plans into the delivery-prefix trie, hands the trie
 /// to `run` — which executes every terminal and returns each plan's
 /// outcome — and classifies the cells in schedule order.
@@ -252,7 +290,7 @@ fn execute_trie(
     target: &dyn ReplayTarget,
     witness: &SessionWitness,
     schedules: &[&FaultSchedule],
-    run: impl FnOnce(&Trie, &mut ForkStats) -> Vec<(usize, InjectionOutcome)>,
+    run: impl FnOnce(Trie, &mut ForkStats) -> Vec<(usize, InjectionOutcome)>,
 ) -> (Vec<SessionReplayResult>, ForkStats) {
     let plans: Vec<_> = schedules
         .iter()
@@ -271,7 +309,7 @@ fn execute_trie(
         ..ForkStats::default()
     };
     let mut executed: Vec<Option<InjectionOutcome>> = vec![None; plans.len()];
-    for (index, outcome) in run(&trie, &mut stats) {
+    for (index, outcome) in run(trie, &mut stats) {
         executed[index] = Some(outcome);
     }
     let results = plans
@@ -283,47 +321,6 @@ fn execute_trie(
         })
         .collect();
     (results, stats)
-}
-
-/// Runs the trie root's terminals — the cells whose schedule drops every
-/// delivery — on `session`, which sits at boot state.
-fn run_root_terminals(
-    trie: &Trie,
-    session: &mut dyn SnapshotReplayTarget,
-    stats: &mut ForkStats,
-) -> Vec<(usize, InjectionOutcome)> {
-    let root = Trie {
-        children: Vec::new(),
-        terminals: trie.terminals.clone(),
-        plans_through: trie.terminals.len(),
-    };
-    let mut out = Vec::new();
-    walk(
-        &root,
-        session,
-        &mut InjectionOutcome::default(),
-        0,
-        0,
-        &mut out,
-        stats,
-    );
-    out
-}
-
-/// Runs one of the trie root's subtrees on `session`, which sits at boot
-/// state: delivers the subtree's first delivery, then walks the rest.
-fn run_subtree(
-    delivery: &Delivery,
-    child: &Trie,
-    session: &mut dyn SnapshotReplayTarget,
-    stats: &mut ForkStats,
-) -> Vec<(usize, InjectionOutcome)> {
-    let mut outcome = InjectionOutcome::default();
-    session.deliver(delivery, &mut outcome);
-    let shared = usize::from(child.plans_through >= 2);
-    let mut out = Vec::new();
-    walk(child, session, &mut outcome, 1, shared, &mut out, stats);
-    out
 }
 
 /// Boots a fresh fork session of `target` under a `fork:boot` span.
@@ -338,15 +335,17 @@ fn boot(target: &dyn ReplayTarget) -> Box<dyn SnapshotReplayTarget + '_> {
 ///
 /// Results are bit-identical to calling [`replay_session`] per schedule:
 /// plan expansion and classification are the exact same code, and the trie
-/// walk executes the exact same delivery sequence per cell against state
-/// rebuilt by snapshot/restore.
+/// walk executes the exact same delivery sequence per cell against cloned
+/// state.
 ///
-/// Work is parallelized over the trie root's subtrees with the same
-/// order-preserving pool the cold path uses; each worker thread keeps
-/// **one** live session for its whole run, restoring the boot-state
-/// snapshot between subtrees, so the boot count is `min(workers,
-/// subtrees)` rather than one per cell. The result vector — and every
-/// signature in it — is independent of `workers`.
+/// At one worker a single boot walks the whole trie. With more workers
+/// the trie root splits into independent parts — its terminals (cells
+/// whose schedule drops every delivery) and one part per subtree — shared
+/// out with the same order-preserving pool the cold path uses; each
+/// worker thread boots **one** template session and walks every part it
+/// claims on a clone of it, so the boot count is `min(workers, parts)`
+/// rather than one per cell. The result vector — and every signature in
+/// it — is independent of `workers`.
 pub fn replay_session_forked(
     target: &dyn ReplayTarget,
     witness: &SessionWitness,
@@ -357,74 +356,34 @@ pub fn replay_session_forked(
         return (Vec::new(), ForkStats::default());
     }
     execute_trie(target, witness, schedules, |trie, stats| {
-        let mut out = Vec::new();
-        // Root terminals (schedules that drop every delivery) run on one
-        // boot of their own; each root child is an independent subtree for
-        // the worker pool.
-        if !trie.terminals.is_empty() {
-            let mut session = boot(target);
+        let parts = trie.children.len() + usize::from(!trie.terminals.is_empty());
+        if workers <= 1 || parts < 2 {
             stats.boots += 1;
-            out.extend(run_root_terminals(trie, session.as_mut(), stats));
+            return walk_root(&trie, boot(target).as_mut(), stats);
         }
-        if trie.children.is_empty() {
-            return out;
-        }
-        // One live session per worker thread: boot, snapshot the boot
-        // state, and restore it between the subtrees the worker claims —
-        // mirroring `parallel_map_with`'s context behavior (one context
-        // inline when sequential, one per spawned worker otherwise).
-        let clamped = workers.max(1).min(trie.children.len());
-        stats.boots += if clamped <= 1 || trie.children.len() < 2 {
-            1
-        } else {
-            clamped
-        };
-        let subtree_results = parallel_map_with(
-            workers.max(1),
-            &trie.children,
-            |_| {
-                let session = boot(target);
-                let at_boot = session.snapshot();
-                (session, at_boot, false)
-            },
-            |(session, at_boot, used), _, (delivery, child)| {
-                let mut worker_stats = ForkStats::default();
-                if *used {
-                    session.restore(at_boot);
-                    worker_stats.snapshot_restores += 1;
-                }
-                *used = true;
-                let out = run_subtree(delivery, child, session.as_mut(), &mut worker_stats);
-                (out, worker_stats)
+        let parts = trie.into_root_parts();
+        stats.boots += workers.min(parts.len());
+        let walked = parallel_map_with(
+            workers,
+            &parts,
+            |_| boot(target),
+            |template, _, part| {
+                let mut part_stats = ForkStats::default();
+                let out = walk_root(
+                    part,
+                    fork(template.as_ref(), &mut part_stats).as_mut(),
+                    &mut part_stats,
+                );
+                (out, part_stats)
             },
         );
-        for (subtree, worker_stats) in subtree_results {
-            stats.snapshot_restores += worker_stats.snapshot_restores;
-            stats.shared_prefix_depth_sum += worker_stats.shared_prefix_depth_sum;
-            out.extend(subtree);
+        let mut out = Vec::new();
+        for (part, part_stats) in walked {
+            stats.absorb(&part_stats);
+            out.extend(part);
         }
         out
     })
-}
-
-/// One live fork session kept warm across [`ForkServer`] replays.
-struct LiveSession<'t> {
-    session: Box<dyn SnapshotReplayTarget + 't>,
-    /// Snapshot of the freshly-booted state; restored between replays
-    /// instead of cold-booting (restore-to-boot ≡ fresh boot is part of
-    /// the snapshot equivalence law the conformance suite pins).
-    boot: TargetSnapshot,
-    /// Whether the session state has diverged from `boot` since the last
-    /// restore (a clean session skips the restore entirely).
-    dirty: bool,
-}
-
-impl std::fmt::Debug for LiveSession<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LiveSession")
-            .field("dirty", &self.dirty)
-            .finish_non_exhaustive()
-    }
 }
 
 /// A reusable fork-server over one replay target: the unit of *per-target
@@ -433,13 +392,13 @@ impl std::fmt::Debug for LiveSession<'_> {
 /// [`replay_session_forked`] amortizes boots across the schedules of one
 /// witness; a `ForkServer` amortizes them across *witnesses and campaign
 /// rounds*: in **persistent** mode ([`ForkServer::new`]) it boots the
-/// deployment once, snapshots the boot state, and serves every subsequent
-/// replay — any witness of the same target — by restoring that snapshot,
-/// so a service that sweeps a stream of ingested witnesses pays one boot
-/// per executor, not one per witness. Results are bit-identical to the
-/// batch paths: plan expansion, the trie walk, and classification are the
-/// exact same code, and restore-to-boot ≡ fresh-boot is pinned by the
-/// snapshot conformance suite.
+/// deployment once and keeps that session as a template that is never
+/// driven; every replay — any witness of the same target — walks its trie
+/// on a clone of the template, so a service that sweeps a stream of
+/// ingested witnesses pays one boot per executor, not one per witness.
+/// Results are bit-identical to the batch paths: plan expansion, the trie
+/// walk, and classification are the exact same code, and a clone taken at
+/// boot replays like a fresh boot (the conformance suite's clone law).
 ///
 /// **Detached** mode ([`ForkServer::detached`]) reproduces the batch
 /// executor's behavior exactly — fresh cells through
@@ -448,16 +407,17 @@ impl std::fmt::Debug for LiveSession<'_> {
 /// server (`achilles_sweep`'s `sweep_witness_on`) serves both the one-shot
 /// bins and the daemon without divergence.
 ///
-/// Persistent mode engages when `fork` is on and `workers <= 1` (one live
-/// session is inherently sequential; with more workers the server
-/// delegates to the per-witness parallel fork path, which boots per
-/// worker).
+/// Persistent mode engages when `fork` is on and `workers <= 1` (one
+/// template serves the walks one after another; with more workers the
+/// server delegates to the per-witness parallel fork path, which boots
+/// per worker).
 pub struct ForkServer<'t> {
     target: &'t dyn ReplayTarget,
     workers: usize,
     fork: bool,
     persistent: bool,
-    live: Option<LiveSession<'t>>,
+    /// The booted session persistent replays clone; never driven itself.
+    template: Option<Box<dyn SnapshotReplayTarget + 't>>,
     lifetime: ForkStats,
     baselines: usize,
 }
@@ -469,7 +429,7 @@ impl std::fmt::Debug for ForkServer<'_> {
             .field("workers", &self.workers)
             .field("fork", &self.fork)
             .field("persistent", &self.persistent)
-            .field("live", &self.live)
+            .field("booted", &self.template.is_some())
             .field("lifetime", &self.lifetime)
             .field("baselines", &self.baselines)
             .finish()
@@ -485,7 +445,7 @@ impl<'t> ForkServer<'t> {
             workers: 1,
             fork: true,
             persistent: true,
-            live: None,
+            template: None,
             lifetime: ForkStats::default(),
             baselines: 0,
         }
@@ -500,7 +460,7 @@ impl<'t> ForkServer<'t> {
             workers: workers.max(1),
             fork,
             persistent: false,
-            live: None,
+            template: None,
             lifetime: ForkStats::default(),
             baselines: 0,
         }
@@ -516,8 +476,8 @@ impl<'t> ForkServer<'t> {
         self.workers
     }
 
-    /// Whether replays are currently served by the persistent live
-    /// session (as opposed to the delegated batch paths).
+    /// Whether replays are currently served by clones of the persistent
+    /// template session (as opposed to the delegated batch paths).
     pub fn is_persistent(&self) -> bool {
         self.persistent && self.fork && self.workers <= 1
     }
@@ -537,9 +497,8 @@ impl<'t> ForkServer<'t> {
     }
 
     /// Replays `witness` under the fault-free schedule — the sweep
-    /// baseline. Persistent mode serves it from the live session (one
-    /// restore, no boot); detached mode is byte-for-byte
-    /// [`replay_session`].
+    /// baseline. Persistent mode serves it from a clone of the template
+    /// (no boot); detached mode is byte-for-byte [`replay_session`].
     pub fn replay_baseline(&mut self, witness: &SessionWitness) -> SessionReplayResult {
         let _span = achilles_obs::span("fork:baseline", "fork");
         achilles_obs::global().add(
@@ -586,47 +545,27 @@ impl<'t> ForkServer<'t> {
         (results, stats)
     }
 
-    /// The live session, booted on first use and otherwise restored to
-    /// boot state; marked dirty, since the caller is about to deliver.
-    fn at_boot(&mut self, stats: &mut ForkStats) -> &mut dyn SnapshotReplayTarget {
-        if self.live.is_none() {
-            let session = boot(self.target);
-            stats.boots += 1;
-            let at_boot = session.snapshot();
-            self.live = Some(LiveSession {
-                session,
-                boot: at_boot,
-                dirty: false,
-            });
-        }
-        let live = self.live.as_mut().expect("booted above");
-        if live.dirty {
-            let _span = achilles_obs::span("fork:restore", "fork");
-            live.session.restore(&live.boot);
-            stats.snapshot_restores += 1;
-        }
-        live.dirty = true;
-        live.session.as_mut()
-    }
-
     /// The persistent execution path: the same trie the parallel fork
-    /// path builds, walked sequentially over the one live session.
+    /// path builds, walked on a clone of the template session (booted on
+    /// first use).
     fn replay_persistent(
         &mut self,
         witness: &SessionWitness,
         schedules: &[&FaultSchedule],
     ) -> (Vec<SessionReplayResult>, ForkStats) {
-        execute_trie(self.target, witness, schedules, |trie, stats| {
-            let mut out = Vec::new();
-            if !trie.terminals.is_empty() {
-                let session = self.at_boot(stats);
-                out.extend(run_root_terminals(trie, session, stats));
-            }
-            for (delivery, child) in &trie.children {
-                let session = self.at_boot(stats);
-                out.extend(run_subtree(delivery, child, session, stats));
-            }
-            out
+        let target = self.target;
+        let booted = self.template.is_none();
+        let template = self.template.get_or_insert_with(|| boot(target));
+        execute_trie(target, witness, schedules, |trie, stats| {
+            stats.boots += usize::from(booted);
+            // Traced as `fork:restore`, the name the trace's
+            // `self_ms.fork.restore` layer reads: the copy each persistent
+            // replay starts from.
+            let mut session = {
+                let _span = achilles_obs::span("fork:restore", "fork");
+                fork(template.as_ref(), stats)
+            };
+            walk_root(&trie, session.as_mut(), stats)
         })
     }
 }

@@ -25,7 +25,7 @@
 //! drives the whole sequence through [`ReplayTarget::inject`], and every
 //! stage above is the same code for one slot or many. The sweep
 //! fork-server ([`fork`]) replays many schedules of one witness as a
-//! delivery-prefix trie over snapshots of one booted deployment.
+//! delivery-prefix trie over clones of one booted deployment.
 //!
 //! [`validate_trojans`] drives 1–5 as the pipeline's opt-in `validate`
 //! phase, fanning out over [`achilles_symvm::parallel_map`] workers with

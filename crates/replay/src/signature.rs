@@ -34,11 +34,12 @@ impl CrashSignature {
     /// equality is insensitive to observation order.
     ///
     /// Effect notes are sanitized *here* — the corpus line format's
-    /// delimiters (`|`, `;`, newline) become `_` — so the in-memory
-    /// signature always equals its serialized round trip. Witness bytes
-    /// flow into effects (an FSP filename can contain `;`), and a
-    /// signature that mutates on save/load would break corpus dedup
-    /// across runs.
+    /// delimiters (`|`, `;`, newline, carriage return) become `_` — so the
+    /// in-memory signature always equals its serialized round trip.
+    /// Witness bytes flow into effects (an FSP filename can contain `;`),
+    /// and a signature that mutates on save/load would break corpus dedup
+    /// across runs. (A carriage return ending a store line would be read
+    /// as part of a `\r\n` line break and lost.)
     pub fn for_session(
         system: &str,
         verdict: ReplayVerdict,
@@ -47,7 +48,7 @@ impl CrashSignature {
     ) -> CrashSignature {
         let mut effects: Vec<String> = effects
             .into_iter()
-            .map(|e| e.replace(['|', '\n', ';'], "_"))
+            .map(|e| e.replace(['|', '\n', '\r', ';'], "_"))
             .collect();
         effects.sort();
         effects.dedup();

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use achilles::{
     Delivery, DivergenceProbe, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec,
-    SnapshotReplayTarget, StateRoot, TargetSnapshot, TargetSpec, TrojanReport,
+    SnapshotReplayTarget, StateRoot, TargetSpec, TrojanReport,
 };
 use achilles_symvm::{MessageLayout, NodeProgram};
 
@@ -109,8 +109,9 @@ impl ReplayTarget for ShardexecTarget {
 }
 
 /// The booted deployment behind [`ShardexecTarget`]: one live cluster
-/// plus the divergence probe. The probe rides in the snapshot payload, so
-/// a restored session rewinds the observation history with the cluster.
+/// plus the divergence probe. The probe is a field of the session, so a
+/// clone carries the observation history with the cluster.
+#[derive(Clone)]
 struct ShardexecForkSession {
     cluster: ShardCluster,
     probe: DivergenceProbe,
@@ -148,18 +149,6 @@ impl SnapshotReplayTarget for ShardexecForkSession {
             }
         }
         self.probe.observe(&self.cluster.roots());
-    }
-
-    fn snapshot(&self) -> TargetSnapshot {
-        TargetSnapshot::of((self.cluster.clone(), self.probe.clone()))
-    }
-
-    fn restore(&mut self, snapshot: &TargetSnapshot) {
-        let (cluster, probe) = snapshot
-            .get::<(ShardCluster, DivergenceProbe)>()
-            .expect("a shardexec fork session restores shardexec snapshots");
-        self.cluster = cluster.clone();
-        self.probe = probe.clone();
     }
 
     fn finish(&mut self, outcome: &mut InjectionOutcome) {
@@ -231,6 +220,7 @@ impl ReplayTarget for ShardexecSessionTarget {
 
 /// The incremental deployment behind [`ShardexecSessionTarget`]: one
 /// live cluster plus the divergence probe, dispatching on the kind byte.
+#[derive(Clone)]
 struct ShardexecSessionForkSession {
     cluster: ShardCluster,
     probe: DivergenceProbe,
@@ -316,18 +306,6 @@ impl SnapshotReplayTarget for ShardexecSessionForkSession {
             }
         }
         self.probe.observe(&self.cluster.roots());
-    }
-
-    fn snapshot(&self) -> TargetSnapshot {
-        TargetSnapshot::of((self.cluster.clone(), self.probe.clone()))
-    }
-
-    fn restore(&mut self, snapshot: &TargetSnapshot) {
-        let (cluster, probe) = snapshot
-            .get::<(ShardCluster, DivergenceProbe)>()
-            .expect("a shardexec session restores shardexec snapshots");
-        self.cluster = cluster.clone();
-        self.probe = probe.clone();
     }
 
     fn finish(&mut self, outcome: &mut InjectionOutcome) {

@@ -291,8 +291,9 @@ impl SweepCache {
                 line: lineno,
                 reason,
             };
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
+            // A cell line is parsed as written: its last field is the
+            // signature, whose last effect may end in whitespace.
+            if line.trim().is_empty() || line.starts_with('#') {
                 continue;
             }
             let mut parts = line.splitn(4, '|');

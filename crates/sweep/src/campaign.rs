@@ -37,7 +37,7 @@ pub struct CampaignConfig {
     /// Worker threads for the per-witness schedule fan-out (and the
     /// session discovery; 0/1 = inline).
     pub workers: usize,
-    /// Replay fresh cells through the snapshot fork-server (default).
+    /// Replay fresh cells through the fork-server (default).
     /// `false` forces cold per-cell boots — the `--no-fork` baseline;
     /// classifications are bit-identical either way.
     pub fork: bool,

@@ -23,7 +23,7 @@
 //!    [`SweepCache`] that makes re-campaigns incremental. Fresh cells go
 //!    through the replay fork-server
 //!    ([`achilles_replay::replay_session_forked`]): schedules sharing a
-//!    delivery prefix resume from a snapshot instead of cold-booting, with
+//!    delivery prefix resume from a clone instead of cold-booting, with
 //!    classifications pinned bit-identical to cold replay (disable via
 //!    [`CampaignConfig::without_fork`]).
 //! 3. **Triage** ([`matrix`]): each outcome is classified

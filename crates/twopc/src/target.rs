@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use achilles::{
     Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec, SnapshotReplayTarget,
-    TargetSnapshot, TargetSpec, TrojanReport,
+    TargetSpec, TrojanReport,
 };
 use achilles_symvm::{MessageLayout, NodeProgram};
 
@@ -75,6 +75,7 @@ impl ReplayTarget for TwopcTarget {
 /// The incremental deployment behind [`TwopcTarget`]: the quorum-complete
 /// coordinator plus the tracked witness transaction; `finish` performs the
 /// final decision read.
+#[derive(Clone)]
 struct TwopcForkSession {
     coordinator: Coordinator,
     witness_tx: Option<u16>,
@@ -132,18 +133,6 @@ impl SnapshotReplayTarget for TwopcForkSession {
         if self.coordinator.crashed() && !crashed_before {
             outcome.effects.push("crash:decision-jump-oob".to_string());
         }
-    }
-
-    fn snapshot(&self) -> TargetSnapshot {
-        TargetSnapshot::of((self.coordinator.clone(), self.witness_tx))
-    }
-
-    fn restore(&mut self, snapshot: &TargetSnapshot) {
-        let (coordinator, witness_tx) = snapshot
-            .get::<(Coordinator, Option<u16>)>()
-            .expect("a 2PC fork session restores 2PC snapshots");
-        self.coordinator = coordinator.clone();
-        self.witness_tx = *witness_tx;
     }
 
     fn finish(&mut self, outcome: &mut InjectionOutcome) {
@@ -223,6 +212,7 @@ impl ReplayTarget for TwopcSessionTarget {
 /// The incremental deployment behind [`TwopcSessionTarget`]: a fresh
 /// coordinator dispatching on the kind byte, plus the tracked witness
 /// transaction; `finish` reads the witness transaction's decision.
+#[derive(Clone)]
 struct TwopcSessionForkSession {
     coordinator: Coordinator,
     witness_tx: Option<u16>,
@@ -297,18 +287,6 @@ impl SnapshotReplayTarget for TwopcSessionForkSession {
                 outcome.effects.push("ignored:unknown-kind".to_string());
             }
         }
-    }
-
-    fn snapshot(&self) -> TargetSnapshot {
-        TargetSnapshot::of((self.coordinator.clone(), self.witness_tx))
-    }
-
-    fn restore(&mut self, snapshot: &TargetSnapshot) {
-        let (coordinator, witness_tx) = snapshot
-            .get::<(Coordinator, Option<u16>)>()
-            .expect("a 2PC session restores 2PC snapshots");
-        self.coordinator = coordinator.clone();
-        self.witness_tx = *witness_tx;
     }
 
     fn finish(&mut self, outcome: &mut InjectionOutcome) {

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use achilles::{
     AchillesSession, Delivery, DivergenceProbe, FieldMask, InjectionOutcome, ReplayTarget,
     RootHasher, SessionSlot, SessionSpec, SnapshotReplayTarget, StateRoot, TargetRegistry,
-    TargetSnapshot, TargetSpec,
+    TargetSpec,
 };
 use achilles_replay::{
     validate_spec, validate_spec_sessions, ReplayCorpus, ReplayVerdict, ValidateConfig,
@@ -234,8 +234,8 @@ impl ReplayTarget for QuickstartTarget {
 }
 
 /// The booted §2 server: the same checks as the symbolic program, acting
-/// on a real data array — its whole state, so a snapshot (step 7) is a
-/// copy of the array.
+/// on a real data array — its whole state, so its derived `Clone` (step 7)
+/// is the deep copy the fork-server forks with.
 #[derive(Clone)]
 struct QuickstartServer {
     data: Vec<u32>,
@@ -277,17 +277,6 @@ impl SnapshotReplayTarget for QuickstartServer {
         } else {
             outcome.effects.push("read:reply".to_string());
         }
-    }
-
-    fn snapshot(&self) -> TargetSnapshot {
-        TargetSnapshot::of(self.clone())
-    }
-
-    fn restore(&mut self, snapshot: &TargetSnapshot) {
-        *self = snapshot
-            .get::<QuickstartServer>()
-            .expect("a quickstart server restores quickstart snapshots")
-            .clone();
     }
 }
 
@@ -440,17 +429,6 @@ impl SnapshotReplayTarget for QuickstartSessionFork {
             }
         }
         self.probe.observe(&self.roots());
-    }
-
-    fn snapshot(&self) -> TargetSnapshot {
-        TargetSnapshot::of(self.clone())
-    }
-
-    fn restore(&mut self, snapshot: &TargetSnapshot) {
-        *self = snapshot
-            .get::<QuickstartSessionFork>()
-            .expect("a quickstart fork session restores quickstart snapshots")
-            .clone();
     }
 
     fn finish(&mut self, outcome: &mut InjectionOutcome) {
@@ -742,8 +720,8 @@ fn main() {
         "prefix-sharing schedules must save boots"
     );
     println!(
-        "fork-server: {} cells on {} boots — {} boots saved, {} snapshot \
-         restores, mean shared prefix depth {:.2}.",
+        "fork-server: {} cells on {} boots — {} boots saved, {} session \
+         clones, mean shared prefix depth {:.2}.",
         sweep_stats.fork.plans,
         sweep_stats.fork.boots,
         sweep_stats.fork.boots_saved(),

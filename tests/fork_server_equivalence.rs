@@ -1,12 +1,12 @@
-//! The fork-server differential suite: snapshot-resumed replay must be
+//! The fork-server differential suite: clone-resumed replay must be
 //! bit-identical to cold-boot replay for every session-bearing spec in
 //! the registry, at every worker count, under full and capped schedule
 //! budgets.
 //!
 //! The sweep fork-server (`achilles_replay::replay_session_forked`)
 //! executes a delivery-prefix trie: cells sharing a delivery prefix
-//! resume from a snapshot of the deepest shared ancestor instead of
-//! cold-booting. Speed is only admissible if it buys nothing else —
+//! resume from a clone of the session at their deepest shared ancestor
+//! instead of cold-booting. Speed is only admissible if it buys nothing else —
 //! every cell's (schedule, class, signature) row, every matrix, and
 //! every campaign total must match the per-cell cold-boot path exactly.
 //! Symbolic discovery runs once per spec; each comparison sweeps the
@@ -147,9 +147,10 @@ fn fork_server_is_bit_identical_to_cold_boot_for_every_session_spec() {
     );
 }
 
-/// A *persistent* fork-server (fleetd's executor mode) keeps one live
-/// session across witnesses, restoring the boot snapshot between them.
-/// Restore-to-boot must be indistinguishable from a fresh boot: sweeping
+/// A *persistent* fork-server (fleetd's executor mode) keeps one booted
+/// template session across witnesses and walks each replay on a clone of
+/// it. A clone of the template must be indistinguishable from a fresh
+/// boot: sweeping
 /// every witness of a report through one shared server must produce the
 /// matrices detached per-witness servers produce, while booting the
 /// deployment only once.
@@ -204,7 +205,7 @@ fn persistent_fork_server_reuse_across_witnesses_is_bit_identical() {
                 assert_eq!(
                     &matrix.to_text(),
                     shared_text,
-                    "{scope}: restore-to-boot must equal fresh boot"
+                    "{scope}: a clone of the booted template must equal a fresh boot"
                 );
             }
         }

@@ -9,10 +9,17 @@
 //! memory must leave [`PINNED_STORE_DIGEST`] alone, and any change that
 //! claims "sweep results stay bit-identical" must leave
 //! [`PINNED_MATRIX_DIGEST`] alone.
+//!
+//! The same witnesses are swept a second time through one persistent
+//! [`ForkServer`] per session target (fleetd's executor mode), and the
+//! fork-server's work in both sweeps is pinned per target in
+//! [`PINNED_FORK_WORK`]: cells, boots, session clones, shared prefix depth
+//! and root branches. Timing cannot catch a fork-server that quietly boots
+//! or copies more; these counts can.
 
 use achilles::{AchillesSession, RootHasher};
-use achilles_replay::session_from_report;
-use achilles_sweep::{sweep_witness, SchedulePlanner, SweepCache, SweepConfig};
+use achilles_replay::{session_from_report, ForkServer, ForkStats};
+use achilles_sweep::{sweep_witness, sweep_witness_on, SchedulePlanner, SweepCache, SweepConfig};
 use achilles_targets::{builtin_registry, session_bearing};
 
 /// Size of the store's text form, in bytes.
@@ -24,37 +31,153 @@ const PINNED_STORE_DIGEST: u64 = 0xef87_6ab5_1bd6_510c;
 /// Digest folded over every matrix's text form, in sweep order.
 const PINNED_MATRIX_DIGEST: u64 = 0x229a_8a12_8203_8115;
 
+/// Per session-bearing target: the summed [`ForkStats`] of the one-shot
+/// sweep (a detached server per witness, fresh cells only) and the
+/// lifetime stats of the persistent servers (baselines included). A trie
+/// walk clones once per cell but one, since the last consumer of each
+/// state continues in place: one-shot clones are cells − boots. A
+/// persistent replay also clones its server's template to start from, so
+/// it clones once per cell.
+const PINNED_FORK_WORK: &[(&str, ForkStats, ForkStats)] = &[
+    (
+        "fsp",
+        ForkStats {
+            plans: 4788,
+            boots: 28,
+            snapshot_restores: 4760,
+            shared_prefix_depth_sum: 4564,
+            branches: 784,
+        },
+        ForkStats {
+            plans: 4816,
+            boots: 1,
+            snapshot_restores: 4816,
+            shared_prefix_depth_sum: 4564,
+            branches: 812,
+        },
+    ),
+    (
+        "twopc",
+        ForkStats {
+            plans: 91,
+            boots: 1,
+            snapshot_restores: 90,
+            shared_prefix_depth_sum: 67,
+            branches: 44,
+        },
+        ForkStats {
+            plans: 92,
+            boots: 1,
+            snapshot_restores: 92,
+            shared_prefix_depth_sum: 67,
+            branches: 45,
+        },
+    ),
+    (
+        "gossip",
+        ForkStats {
+            plans: 114,
+            boots: 1,
+            snapshot_restores: 113,
+            shared_prefix_depth_sum: 158,
+            branches: 45,
+        },
+        ForkStats {
+            plans: 115,
+            boots: 1,
+            snapshot_restores: 115,
+            shared_prefix_depth_sum: 158,
+            branches: 46,
+        },
+    ),
+    (
+        "shardexec",
+        ForkStats {
+            plans: 122,
+            boots: 1,
+            snapshot_restores: 121,
+            shared_prefix_depth_sum: 162,
+            branches: 45,
+        },
+        ForkStats {
+            plans: 123,
+            boots: 1,
+            snapshot_restores: 123,
+            shared_prefix_depth_sum: 162,
+            branches: 46,
+        },
+    ),
+];
+
 fn write_str(h: &mut RootHasher, s: &str) {
     h.write_u64(s.len() as u64);
     h.write_bytes(s.as_bytes());
 }
 
-/// Sweeps every session witness of the built-in registry into one store,
-/// returning the store and the matrix digest.
-fn sweep_registry() -> (SweepCache, u64) {
+/// Both sweeps of every session witness of the built-in registry.
+struct RegistrySweep {
+    /// The one-shot sweep's store.
+    cache: SweepCache,
+    /// Digest over the one-shot sweep's matrices.
+    matrix_digest: u64,
+    /// Per target: (name, one-shot fork work, persistent fork work).
+    fork_work: Vec<(&'static str, ForkStats, ForkStats)>,
+}
+
+/// Sweeps every session witness of the built-in registry into one store
+/// with one-shot sweeps, and again through one persistent server per
+/// session target into a second store; the two must agree on every
+/// matrix.
+fn sweep_registry() -> RegistrySweep {
     let registry = builtin_registry();
     let planner = SchedulePlanner::new(SweepConfig::default());
     let mut cache = SweepCache::new();
+    let mut persistent_cache = SweepCache::new();
     let mut matrices = RootHasher::new();
+    let mut fork_work = Vec::new();
     for spec in session_bearing(&registry) {
+        let (mut one_shot, mut persistent) = (ForkStats::default(), ForkStats::default());
         for report in AchillesSession::new(&**spec).run_sessions() {
             let target = spec.session_replay_target(&report.session);
             let scope = format!("{}/{}", spec.name(), report.session);
+            let mut server = ForkServer::new(&*target);
             for (i, trojan) in report.trojans.iter().enumerate() {
                 let witness = session_from_report(&report.layouts, i, trojan)
                     .expect("session layouts are wire-encodable");
-                let (matrix, _) =
+                let (matrix, stats) =
                     sweep_witness(&*target, &scope, &witness, &planner, 1, true, &mut cache);
+                one_shot.absorb(&stats.fork);
                 write_str(&mut matrices, &matrix.to_text());
+                let (served, _) = sweep_witness_on(
+                    &mut server,
+                    &scope,
+                    &witness,
+                    &planner.plan(&witness),
+                    &mut persistent_cache,
+                );
+                assert!(
+                    served.to_text() == matrix.to_text(),
+                    "{scope}: the persistent server's matrix equals the one-shot sweep's"
+                );
             }
+            persistent.absorb(&server.lifetime_stats());
         }
+        fork_work.push((spec.name(), one_shot, persistent));
     }
-    (cache, matrices.finish())
+    RegistrySweep {
+        cache,
+        matrix_digest: matrices.finish(),
+        fork_work,
+    }
 }
 
 #[test]
 fn sweep_store_text_and_matrices_are_pinned() {
-    let (cache, matrix_digest) = sweep_registry();
+    let RegistrySweep {
+        cache,
+        matrix_digest,
+        ..
+    } = sweep_registry();
     let text = cache.to_text();
     assert_eq!(text.len(), PINNED_STORE_BYTES, "store text size");
     assert_eq!(text.lines().count(), PINNED_STORE_LINES, "store text lines");
@@ -77,5 +200,14 @@ fn sweep_store_text_and_matrices_are_pinned() {
     assert!(
         reloaded.to_text() == text,
         "from_text(to_text()) renders the same bytes"
+    );
+}
+
+#[test]
+fn fork_server_work_is_pinned_at_one_worker() {
+    assert_eq!(
+        sweep_registry().fork_work,
+        PINNED_FORK_WORK,
+        "per-target fork-server work"
     );
 }

@@ -44,22 +44,26 @@
 //! agreement — removing the poison removes the split.
 //!
 //! Every replay target — the message's and one per declared session —
-//! also clears the snapshot contract: on the session
-//! [`ReplayTarget::boot`](achilles::ReplayTarget::boot) returns,
-//! snapshot → mutate via the benign sequence → restore → re-deliver must
-//! yield the identical outcome and [`CrashSignature`] as a fresh boot —
-//! the law the sweep fork-server's correctness rests on.
+//! also clears the clone law on the session
+//! [`ReplayTarget::boot`](achilles::ReplayTarget::boot) returns: a clone
+//! taken at boot replays the benign sequence exactly like a fresh boot,
+//! its source still does after the clone was driven, and a clone taken
+//! after slot 0 resumes exactly like the uncloned run — the law the sweep
+//! fork-server's correctness rests on. A session whose derived `Clone`
+//! aliases live state (an `Arc<Mutex<_>>`) fails it.
 //!
 //! Adding a protocol crate + one registry registration automatically puts
 //! it under this contract — that is the point of the API.
 
+use std::sync::{Arc, Mutex};
+
 use achilles::{
-    fields_to_wire, split_fields_by_counts, wire_to_fields, AchillesSession, InjectionOutcome,
-    ReplayTarget, SessionSpec, TargetSpec, TrojanReport,
+    fields_to_wire, split_fields_by_counts, wire_to_fields, AchillesSession, Delivery,
+    InjectionOutcome, ReplayTarget, SessionSpec, SnapshotReplayTarget, TargetSpec, TrojanReport,
 };
 use achilles_replay::{
-    replay_session, validate_spec, validate_spec_sessions, CrashSignature, FaultSchedule,
-    ReplayCorpus, ReplayVerdict, SessionWitness, ValidateConfig, ValidationSummary,
+    replay_session, validate_spec, validate_spec_sessions, FaultSchedule, ReplayCorpus,
+    ReplayVerdict, SessionWitness, ValidateConfig, ValidationSummary,
 };
 use achilles_targets::builtin_registry;
 
@@ -174,55 +178,120 @@ fn every_declared_session_meets_the_session_contract() {
     );
 }
 
+/// The clone law the fork-server rests on, checked on `target`'s
+/// all-benign session: a clone taken at boot replays exactly like a fresh
+/// boot; after that clone was driven, its source still does; and a clone
+/// taken after slot 0 resumes exactly like the uncloned run. Returns the
+/// first broken check.
+fn clone_law(label: &str, target: &dyn ReplayTarget) -> Result<(), String> {
+    let deliveries: Vec<Delivery> = benign_witness(label, target)
+        .wire
+        .into_iter()
+        .map(|wire| (wire, true))
+        .collect();
+    let fresh = target.inject(&deliveries);
+    let resume = |session: &mut dyn SnapshotReplayTarget, mut outcome: InjectionOutcome| {
+        let done = outcome.accepted_each.len();
+        for delivery in &deliveries[done..] {
+            session.deliver(delivery, &mut outcome);
+        }
+        session.finish(&mut outcome);
+        outcome
+    };
+    let check = |holds: bool, law: &str| {
+        if holds {
+            Ok(())
+        } else {
+            Err(format!("{label}: {law}"))
+        }
+    };
+
+    let mut source = target.boot();
+    let at_boot = resume(source.clone_session().as_mut(), InjectionOutcome::default());
+    check(
+        at_boot == fresh,
+        "a clone taken at boot must replay like a fresh boot",
+    )?;
+    check(
+        resume(source.as_mut(), InjectionOutcome::default()) == fresh,
+        "after its clone was driven, the source must still replay like a fresh boot",
+    )?;
+
+    let mut source = target.boot();
+    let mut after_slot0 = InjectionOutcome::default();
+    source.deliver(&deliveries[0], &mut after_slot0);
+    let resumed = resume(source.clone_session().as_mut(), after_slot0.clone());
+    let uncloned = resume(source.as_mut(), after_slot0);
+    check(
+        resumed == uncloned && uncloned == fresh,
+        "a clone taken after slot 0 must resume like the uncloned run",
+    )
+}
+
 #[test]
-fn every_snapshottable_target_honors_the_snapshot_contract() {
-    // Snapshot → mutate via the whole benign sequence → restore →
-    // re-deliver must be indistinguishable from a fresh boot, for outcome
-    // and signature alike, on every replay target — single-message and
-    // session. The per-slot benign messages stand in for the witness so
-    // the contract costs no symbolic discovery.
+fn every_replay_target_honors_the_clone_law() {
+    // The per-slot benign messages stand in for the witness so the law
+    // costs no symbolic discovery.
     let registry = builtin_registry();
     let mut checked = 0usize;
     for spec in registry.iter() {
         for (label, target, _) in replay_targets(&**spec) {
             checked += 1;
-            let witness = benign_witness(&label, &*target);
-            let fresh = replay_session(&*target, &witness, &FaultSchedule::none());
-
-            let mut session = target.boot();
-            let snap = session.snapshot();
-            let mut scratch = InjectionOutcome::default();
-            for slot_wire in &witness.wire {
-                session.deliver(&(slot_wire.clone(), true), &mut scratch);
+            if let Err(broken) = clone_law(&label, &*target) {
+                panic!("{broken}");
             }
-            session.finish(&mut scratch);
-            session.restore(&snap);
-            let mut outcome = InjectionOutcome::default();
-            for slot_wire in &witness.wire {
-                session.deliver(&(slot_wire.clone(), true), &mut outcome);
-            }
-            session.finish(&mut outcome);
-            assert_eq!(
-                outcome, fresh.outcome,
-                "{label}: restored delivery must match a fresh boot's outcome"
-            );
-            let mut effects = outcome.effects.clone();
-            effects.extend(
-                fresh
-                    .trojan_slots
-                    .iter()
-                    .map(|s| format!("trojan-slot:{s}")),
-            );
-            assert_eq!(
-                CrashSignature::for_session(target.name(), fresh.verdict, witness.slots(), effects),
-                fresh.signature,
-                "{label}: restored delivery must reproduce the fresh signature"
-            );
         }
     }
     assert!(
         checked >= 10,
         "six single-message and four session replay targets (found {checked})"
+    );
+}
+
+/// A deliberately broken deployment: its session derives `Clone` over an
+/// `Arc<Mutex<_>>`, so every clone shares its source's delivery count.
+struct AliasingTarget;
+
+impl ReplayTarget for AliasingTarget {
+    fn name(&self) -> &'static str {
+        "aliasing"
+    }
+    fn slot_layouts(&self) -> Vec<Arc<achilles_symvm::MessageLayout>> {
+        vec![achilles_symvm::MessageLayout::builder("msg")
+            .field("op", achilles_solver::Width::W8)
+            .build()]
+    }
+    fn slot_benign_fields(&self, _slot: usize) -> Vec<u64> {
+        vec![1]
+    }
+    fn slot_generable(&self, _slot: usize, _fields: &[u64]) -> bool {
+        true
+    }
+    fn boot(&self) -> Box<dyn SnapshotReplayTarget + '_> {
+        Box::new(AliasingSession::default())
+    }
+}
+
+#[derive(Clone, Default)]
+struct AliasingSession {
+    delivered: Arc<Mutex<usize>>,
+}
+
+impl SnapshotReplayTarget for AliasingSession {
+    fn deliver(&mut self, _delivery: &Delivery, outcome: &mut InjectionOutcome) {
+        let mut delivered = self.delivered.lock().expect("delivery count lock");
+        *delivered += 1;
+        outcome.accepted_each.push(*delivered == 1);
+        outcome.effects.push(format!("delivered:{delivered}"));
+    }
+}
+
+#[test]
+fn the_clone_law_rejects_a_clone_that_aliases_its_source() {
+    let broken = clone_law("aliasing", &AliasingTarget).expect_err("an aliasing clone is caught");
+    assert!(
+        broken.contains("after its clone was driven"),
+        "the driven clone leaks into its source: {broken}"
     );
 }
 

@@ -141,11 +141,38 @@ fn main() {
             format!("{cells_per_s:.0} cells/s ({} replays)", lat_stats.replays)
         )
     );
+    // The phase-1 service is the process's only replayer so far, so the
+    // global fork-server series must equal the service's own counters.
+    let metrics = service.metrics_text();
+    for (fork, fleetd) in [
+        (
+            "achilles_fork_plans_total",
+            "achilles_fleetd_fork_plans_total",
+        ),
+        ("achilles_fork_boots_total", "achilles_fleetd_boots_total"),
+        (
+            "achilles_fork_snapshot_restores_total",
+            "achilles_fleetd_snapshot_restores_total",
+        ),
+    ] {
+        let value = |name: &str| {
+            metrics
+                .lines()
+                .find_map(|line| {
+                    line.strip_prefix(name)?
+                        .strip_prefix(' ')?
+                        .parse::<u64>()
+                        .ok()
+                })
+                .unwrap_or_else(|| panic!("METRICS has no {name} series"))
+        };
+        assert_eq!(value(fork), value(fleetd), "{fork} must equal {fleetd}");
+    }
     if let Some(path) = arg_value_required("--metrics") {
         // Written from the pump-driven phase-1 service: single-threaded,
         // so the snapshot's `# deterministic` section is bit-identical
         // run to run — what the CI determinism gate diffs.
-        std::fs::write(&path, service.metrics_text()).expect("write metrics snapshot");
+        std::fs::write(&path, &metrics).expect("write metrics snapshot");
         println!("{}", row("metrics snapshot", &path));
     }
 

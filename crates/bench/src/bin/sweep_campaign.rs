@@ -2,7 +2,7 @@
 //! which delivery faults arm or disarm each session Trojan.
 //!
 //! The bin is registry-driven: it iterates every registered
-//! [`TargetSpec`](achilles::TargetSpec) that declares sessions (or one
+//! [`TargetSpec`] that declares sessions (or one
 //! selected with `--target NAME`), discovers its session Trojans, replays
 //! each witness under the planner's whole bounded schedule space, and
 //! prints the per-session sensitivity totals (Armed / Diverged /
@@ -15,14 +15,16 @@
 //! cargo run --release -p achilles-bench --bin sweep_campaign -- --json
 //! ```
 //!
-//! Every run re-sweeps the campaign at `workers ∈ {1, 4}` with fresh
-//! caches and asserts the sensitivity matrices are bit-identical — scaling
-//! must never buy speed with soundness. By default fresh cells replay
-//! through the fork-server (prefix-shared execution trees); a
-//! third cold-boot pass asserts fork classifications are bit-identical to
-//! per-cell boots and times the two for the fork-vs-cold comparison.
+//! Every run times three fresh-cache variants of each session sweep,
+//! interleaved: the fork-server at 1 and at 2 workers and cold replay at
+//! 2 workers. Workers fan out over witnesses, each holding one
+//! fork-server. Each variant repeats until it has timed ≥ 100 ms over
+//! ≥ 5 repetitions, and the JSON reports medians with their IQR. Every
+//! repetition's matrices must equal the 1-worker fork sweep's, and so
+//! must one more sweep at 4 workers — scaling must never buy speed with
+//! soundness, and fork classifications must equal per-cell cold boots.
 //! `--no-fork` turns the fork-server off everywhere (the CI baseline
-//! variant).
+//! variant; its cold-at-2 variant is then the 2-worker variant itself).
 //!
 //! With `--corpus DIR`, each target's sweep cells persist to
 //! `DIR/<name>.sweep` across runs (the CI cache wires this up keyed on
@@ -39,11 +41,15 @@
 //! two drivers of one sweep body, and this keeps them provably so.
 //!
 //! With `--json [PATH]`, emits `BENCH_sweep.json` including the host core
-//! count, the effective worker count, fork-server savings
-//! (`boots_saved`, `snapshot_restores`, `mean_shared_prefix_depth`,
-//! `fork_wall_s` vs `cold_wall_s`), and parallel `efficiency`
-//! (speedup ÷ min(effective workers, host cores)) of each row, so
-//! multicore measurements stay interpretable.
+//! count, the effective worker count (`min(workers, discovered)`: workers
+//! take whole witnesses), fork-server savings (`boots_saved`,
+//! `snapshot_restores`, `mean_shared_prefix_depth`) and the timed
+//! variants: `seq_wall_s` (fork, 1 worker), `fork_wall_s` (fork, 2
+//! workers) and `cold_wall_s` (cold, 2 workers) are medians over `reps`
+//! repetitions, each with its `*_iqr_s`; `speedup` is the 1-worker median
+//! over the 2-worker median, and `efficiency` is speedup ÷ min(effective
+//! 2-worker count, host cores), so multicore measurements stay
+//! interpretable. `wall_s` is the recorded run's single wall time.
 //!
 //! With `--check-proofs` (or `ACHILLES_CHECK_PROOFS=1`), the independent
 //! certificate checker audits every unsat verdict the discovery produces;
@@ -53,8 +59,10 @@
 //! configuration.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
 use achilles::export::session_witness_record;
+use achilles::{SessionReport, TargetSpec};
 use achilles_bench::{
     arg_present, arg_value, arg_value_required, header, host_cores, row, trace_path_from_args,
     write_trace,
@@ -65,6 +73,10 @@ use achilles_sweep::{
     schedule_token, sweep_report, CampaignConfig, ScheduleClass, SessionSweep, SweepCache,
 };
 use achilles_targets::builtin_registry;
+
+/// The least time, and the fewest repetitions, each timed variant takes.
+const MIN_VARIANT_WALL: Duration = Duration::from_millis(100);
+const MIN_REPS: usize = 5;
 
 fn sweep_cache_path(dir: &str, name: &str) -> PathBuf {
     PathBuf::from(dir).join(format!("{name}.sweep"))
@@ -85,20 +97,107 @@ fn campaign_key(sweeps: &[SessionSweep]) -> Vec<Vec<(String, ScheduleClass, Stri
         .collect()
 }
 
-/// Everything one JSON row needs: the recorded sweep plus the timing
-/// passes around it.
+/// Median and interquartile range of a variant's wall times, in seconds.
+#[derive(Clone, Copy, Default)]
+struct Spread {
+    median: f64,
+    iqr: f64,
+}
+
+impl Spread {
+    fn of(samples: &[f64]) -> Spread {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        // Linear interpolation between the two nearest ranks.
+        let at = |q: f64| {
+            let rank = q * (sorted.len() - 1) as f64;
+            let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+            sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+        };
+        Spread {
+            median: at(0.5),
+            iqr: at(0.75) - at(0.25),
+        }
+    }
+}
+
+/// The timed fresh-cache variants of one session sweep.
+struct Timing {
+    /// Repetitions each variant ran.
+    reps: usize,
+    /// Fork-server, 1 worker.
+    seq: Spread,
+    /// Fork-server, 2 workers.
+    par: Spread,
+    /// Cold replay, 2 workers (only when forking).
+    cold: Option<Spread>,
+    /// The last 2-worker sweep — the fork stats come from here.
+    par_sweep: SessionSweep,
+}
+
+/// Sweeps `report` with fresh caches under `base` at 1 and 2 workers and
+/// (when `base` forks) cold at 2 workers, interleaved, until every
+/// variant has timed [`MIN_VARIANT_WALL`] over at least [`MIN_REPS`]
+/// repetitions. Every repetition, and one more sweep at 4 workers, must
+/// reproduce the first 1-worker sweep's matrices.
+fn time_variants(spec: &dyn TargetSpec, report: &SessionReport, base: &CampaignConfig) -> Timing {
+    let name = format!("{}/{}", spec.name(), report.session);
+    let mut variants = vec![base.clone(), base.clone().with_workers(2)];
+    if base.fork {
+        variants.push(CampaignConfig::default().without_fork().with_workers(2));
+    }
+    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
+    let mut reference = None;
+    let mut par_sweep = None;
+    while samples
+        .iter()
+        .any(|s| s.len() < MIN_REPS || s.iter().sum::<f64>() < MIN_VARIANT_WALL.as_secs_f64())
+    {
+        for (i, config) in variants.iter().enumerate() {
+            let sweep = sweep_report(spec, report, config, &mut SweepCache::new());
+            samples[i].push(sweep.elapsed.as_secs_f64());
+            let key = campaign_key(std::slice::from_ref(&sweep));
+            match &reference {
+                None => reference = Some(key),
+                Some(r) => assert!(
+                    r == &key,
+                    "{name}: sensitivity matrices must be identical for every \
+                     worker count and for fork and cold replay"
+                ),
+            }
+            if i == 1 {
+                par_sweep = Some(sweep);
+            }
+        }
+    }
+    let four = sweep_report(
+        spec,
+        report,
+        &base.clone().with_workers(4),
+        &mut SweepCache::new(),
+    );
+    assert!(
+        reference.as_ref() == Some(&campaign_key(std::slice::from_ref(&four))),
+        "{name}: sensitivity matrices must be identical at 4 workers"
+    );
+    Timing {
+        reps: samples[0].len(),
+        seq: Spread::of(&samples[0]),
+        par: Spread::of(&samples[1]),
+        cold: samples.get(2).map(|s| Spread::of(s)),
+        par_sweep: par_sweep.expect("at least one repetition"),
+    }
+}
+
+/// Everything one JSON row needs: the recorded sweep plus the timed
+/// variants around it.
 struct BenchRow {
     /// The recorded (cache-assisted) sweep.
     sweep: SessionSweep,
     /// Workers requested on the command line.
     requested: usize,
-    /// Fresh-cache sweep at workers=1 (the speedup denominator's mate).
-    seq_wall_s: f64,
-    /// Fresh-cache sweep at workers=4 — fork stats and the speedup
-    /// numerator come from here.
-    par: SessionSweep,
-    /// Fresh-cache cold-boot sweep at workers=4 (only when forking).
-    cold_wall_s: Option<f64>,
+    /// The timed fresh-cache variants.
+    timing: Timing,
     /// Replays performed by the warm second iteration (0 when the cache
     /// works).
     warm_replayed: usize,
@@ -199,45 +298,12 @@ fn main() {
             )
         );
 
-        // Worker-count bit-identity: fresh caches on both sides, so every
-        // cell is genuinely replayed and compared. With the fork-server
-        // on, a third cold pass pins fork ≡ cold as well.
-        let mut timing: Vec<(SessionSweep, f64, Option<f64>)> = Vec::new();
-        for report in &reports {
-            let seq = sweep_report(&**spec, report, &base_config, &mut SweepCache::new());
-            let par = sweep_report(
-                &**spec,
-                report,
-                &base_config.clone().with_workers(4),
-                &mut SweepCache::new(),
-            );
-            assert_eq!(
-                campaign_key(std::slice::from_ref(&seq)),
-                campaign_key(std::slice::from_ref(&par)),
-                "{name}/{}: sensitivity matrices must be identical for every \
-                 worker count",
-                report.session
-            );
-            let cold_wall_s = if fork_enabled {
-                let cold = sweep_report(
-                    &**spec,
-                    report,
-                    &CampaignConfig::default().without_fork().with_workers(4),
-                    &mut SweepCache::new(),
-                );
-                assert_eq!(
-                    campaign_key(std::slice::from_ref(&par)),
-                    campaign_key(std::slice::from_ref(&cold)),
-                    "{name}/{}: fork-server classifications must be \
-                     bit-identical to cold boots",
-                    report.session
-                );
-                Some(cold.elapsed.as_secs_f64())
-            } else {
-                None
-            };
-            timing.push((par, seq.elapsed.as_secs_f64(), cold_wall_s));
-        }
+        // Worker-count and fork ≡ cold bit-identity, timed: fresh caches
+        // everywhere, so every cell is genuinely replayed and compared.
+        let timing: Vec<Timing> = reports
+            .iter()
+            .map(|report| time_variants(&**spec, report, &base_config))
+            .collect();
 
         // The recorded run: cache-assisted and persistent when --corpus is
         // given — followed by a warm second iteration that must be
@@ -283,9 +349,7 @@ fn main() {
                 ));
             }
         }
-        for ((sweep, (par, seq_wall_s, cold_wall_s)), warm_sweep) in
-            sweeps.into_iter().zip(timing).zip(warm)
-        {
+        for ((sweep, timing), warm_sweep) in sweeps.into_iter().zip(timing).zip(warm) {
             assert_eq!(
                 sweep.confirmed_fault_free, sweep.discovered,
                 "{name}/{}: every session Trojan must confirm under the \
@@ -326,6 +390,7 @@ fn main() {
                     )
                 )
             );
+            let par = &timing.par_sweep;
             if fork_enabled {
                 println!(
                     "{}",
@@ -333,25 +398,39 @@ fn main() {
                         "  fork-server",
                         format!(
                             "{} boots for {} cells ({} saved), {} clones, mean \
-                             shared prefix {:.2}; fork {:.3}s vs cold {:.3}s @4 \
-                             workers",
+                             shared prefix {:.2} @2 workers",
                             par.fork.boots,
                             par.fork.plans,
                             par.boots_saved(),
                             par.fork.snapshot_restores,
                             par.mean_shared_prefix_depth(),
-                            par.elapsed.as_secs_f64(),
-                            cold_wall_s.unwrap_or_default(),
                         )
                     )
                 );
             }
+            println!(
+                "{}",
+                row(
+                    "  timing",
+                    format!(
+                        "median (IQR) over {} reps: 1 worker {:.4}s ({:.4}), \
+                         2 workers {:.4}s ({:.4}){}",
+                        timing.reps,
+                        timing.seq.median,
+                        timing.seq.iqr,
+                        timing.par.median,
+                        timing.par.iqr,
+                        timing
+                            .cold
+                            .map(|c| format!(", cold @2 {:.4}s ({:.4})", c.median, c.iqr))
+                            .unwrap_or_default(),
+                    )
+                )
+            );
             rows.push(BenchRow {
                 sweep,
                 requested: workers,
-                seq_wall_s,
-                par,
-                cold_wall_s,
+                timing,
                 warm_replayed: warm_sweep.replayed,
                 warm_cache_hits: warm_sweep.cache_hits,
                 certified_unsat: cache_stats.certified_unsat,
@@ -368,11 +447,8 @@ fn main() {
         // campaign just recorded — the service/batch differential, run
         // against the real binaries' configuration.
         header("serve-compat: fleetd vs batch bit-identity");
-        let service_config = FleetdConfig {
-            fork: fork_enabled,
-            ..FleetdConfig::default()
-        };
-        let service = Fleetd::start(builtin_registry(), service_config).expect("fleetd starts");
+        let service =
+            Fleetd::start(builtin_registry(), FleetdConfig::default()).expect("fleetd starts");
         for (target, session, record, _) in &serve_oracle {
             let reply = service.handle_line(&format!("REGISTER {target}"));
             assert!(reply.starts_with("OK "), "{reply}");
@@ -424,15 +500,19 @@ fn main() {
         json.push_str("  \"sessions\": [\n");
         for (i, r) in rows.iter().enumerate() {
             let s = &r.sweep;
-            let par_wall_s = r.par.elapsed.as_secs_f64();
-            let speedup = if par_wall_s > 0.0 {
-                r.seq_wall_s / par_wall_s
+            let t = &r.timing;
+            let speedup = if t.par.median > 0.0 {
+                t.seq.median / t.par.median
             } else {
                 1.0
             };
-            // Scaling efficiency: only as many workers as the host has
-            // cores can run at once, so the divisor is capped there.
-            let efficiency = speedup / r.par.workers_effective.min(cores).max(1) as f64;
+            // Scaling efficiency: workers take whole witnesses, and only
+            // as many workers as the host has cores run at once.
+            let efficiency = speedup / 2.min(s.discovered).min(cores).max(1) as f64;
+            let (fork, cold) = match t.cold {
+                Some(cold) => (t.par, cold),
+                None => (Spread::default(), t.par),
+            };
             json.push_str(&format!(
                 "    {{\"system\": \"{}\", \"session\": \"{}\", \"discovered\": {}, \
                  \"confirmed_fault_free\": {}, \"cells\": {}, \"armed\": {}, \
@@ -442,8 +522,11 @@ fn main() {
                  \"warm_cache_hits\": {}, \"workers\": {}, \
                  \"workers_effective\": {}, \"wall_s\": {:.4}, \
                  \"boots_saved\": {}, \"snapshot_restores\": {}, \
-                 \"mean_shared_prefix_depth\": {:.4}, \"fork_wall_s\": {:.4}, \
-                 \"cold_wall_s\": {:.4}, \"speedup\": {:.4}, \
+                 \"mean_shared_prefix_depth\": {:.4}, \"reps\": {}, \
+                 \"seq_wall_s\": {:.4}, \"seq_wall_iqr_s\": {:.4}, \
+                 \"fork_wall_s\": {:.4}, \"fork_wall_iqr_s\": {:.4}, \
+                 \"cold_wall_s\": {:.4}, \"cold_wall_iqr_s\": {:.4}, \
+                 \"speedup\": {:.4}, \
                  \"efficiency\": {:.4}, \"certified_unsat\": {}, \
                  \"core_subsumption_hits\": {}, \"proof_checked\": {}, \
                  \"proof_check_wall_s\": {:.4}}}{}\n",
@@ -462,17 +545,18 @@ fn main() {
                 r.warm_replayed,
                 r.warm_cache_hits,
                 r.requested,
-                s.workers_effective,
+                r.requested.min(s.discovered).max(1),
                 s.elapsed.as_secs_f64(),
-                r.par.boots_saved(),
-                r.par.fork.snapshot_restores,
-                r.par.mean_shared_prefix_depth(),
-                if r.cold_wall_s.is_some() {
-                    par_wall_s
-                } else {
-                    0.0
-                },
-                r.cold_wall_s.unwrap_or(par_wall_s),
+                t.par_sweep.boots_saved(),
+                t.par_sweep.fork.snapshot_restores,
+                t.par_sweep.mean_shared_prefix_depth(),
+                t.reps,
+                t.seq.median,
+                t.seq.iqr,
+                fork.median,
+                fork.iqr,
+                cold.median,
+                cold.iqr,
                 speedup,
                 efficiency,
                 r.certified_unsat,

@@ -229,11 +229,13 @@
 //!    session.
 //! 7. **Make the session `Clone`, and deep** (required — the fork session
 //!    *is* the deployment). Sweeps do not boot one deployment per
-//!    (witness, schedule) cell: the fork-server boots the step-2 session
-//!    once and executes each witness's schedules as a delivery-prefix
-//!    trie, running each sibling subtree on a clone of the branch-point
-//!    session ([`CloneSession::clone_session`], implemented for every
-//!    `Clone` session). So the session must hold *every* piece of state a
+//!    (witness, schedule) cell: each sweep worker holds one fork-server,
+//!    which boots the step-2 session once, keeps it as a template that is
+//!    never driven, and executes every witness's schedules as a
+//!    delivery-prefix trie on a clone of it, running each sibling subtree
+//!    on a clone of the branch-point session
+//!    ([`CloneSession::clone_session`], implemented for every `Clone`
+//!    session). So the session must hold *every* piece of state a
 //!    delivery can mutate — the protocol engine (node, cluster,
 //!    coordinator, simulated filesystem + network) *and* the injection
 //!    bookkeeping (login flags, tracked witness keys) — and its `Clone`
@@ -241,8 +243,9 @@
 //!    that state into every sibling branch. Data fixed at boot may sit
 //!    behind a plain `Arc`, so a clone copies only what a delivery can
 //!    change. Clones may never change results — only wall time: the
-//!    `fork_server_equivalence` suite compares every sweep against cold
-//!    per-cell replay (`--no-fork`, `CampaignConfig::without_fork`), and
+//!    `fork_server_equivalence` suite compares every sweep against the
+//!    sequential cold reference, one boot per cell (`--no-fork`,
+//!    `CampaignConfig::without_fork`), and
 //!    the conformance suite's clone law (a clone at boot replays like a
 //!    fresh boot, a driven clone leaves its source untouched, a clone
 //!    mid-plan resumes like the uncloned run) covers every registered

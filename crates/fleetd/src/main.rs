@@ -29,7 +29,7 @@ use achilles_targets::builtin_registry;
 const MAX_CONNECTIONS: usize = 64;
 
 const USAGE: &str = "usage: achilles-fleetd [--listen ADDR] [--uds PATH] [--state DIR] \
-     [--shards N] [--workers N] [--max-cells N] [--quick] [--no-fork]";
+     [--shards N] [--max-cells N] [--quick]";
 
 struct Options {
     listen: String,
@@ -69,12 +69,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| "--shards needs a number".to_string())?;
                 i += 2;
             }
-            "--workers" => {
-                options.config.workers = value(args, i, "--workers")?
-                    .parse()
-                    .map_err(|_| "--workers needs a number".to_string())?;
-                i += 2;
-            }
             "--max-cells" => {
                 options.config.max_queued_cells = value(args, i, "--max-cells")?
                     .parse()
@@ -83,10 +77,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--quick" => {
                 options.config = options.config.quick();
-                i += 1;
-            }
-            "--no-fork" => {
-                options.config.fork = false;
                 i += 1;
             }
             other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
@@ -353,12 +343,10 @@ mod tests {
             "--shards".into(),
             "4".into(),
             "--quick".into(),
-            "--no-fork".into(),
         ])
         .expect("valid flags parse");
         assert_eq!(options.listen, "127.0.0.1:0");
         assert_eq!(options.config.shards, 4);
-        assert!(!options.config.fork);
         assert!(parse_options(&["--bogus".into()]).is_err());
         assert!(
             parse_options(&["--shards".into()]).is_err(),

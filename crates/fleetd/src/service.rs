@@ -58,10 +58,6 @@ pub struct FleetdConfig {
     /// background executors: work queues up until [`Fleetd::pump`] drains
     /// it on the calling thread — the deterministic harness mode.
     pub shards: usize,
-    /// Per-item replay fan-out for the delegated batch paths (cold
-    /// replay, `fork` off). Executors keep `1` live session each
-    /// regardless — service parallelism comes from `shards`.
-    pub workers: usize,
     /// Backpressure bound: an ingest whose fresh cells would push the
     /// queue past this depth is refused with `BUSY` instead of queuing
     /// unboundedly.
@@ -69,8 +65,6 @@ pub struct FleetdConfig {
     /// The schedule space planned per witness (must match the batch
     /// campaign's for bit-identical answers).
     pub sweep: SweepConfig,
-    /// Replay through the fork-server when targets support it.
-    pub fork: bool,
     /// Durable state directory (`<target>.sweep` caches +
     /// `<target>.<session>.witnesses` corpora); `None` = in-memory only.
     pub state_dir: Option<PathBuf>,
@@ -80,10 +74,8 @@ impl Default for FleetdConfig {
     fn default() -> FleetdConfig {
         FleetdConfig {
             shards: 1,
-            workers: 1,
             max_queued_cells: 1 << 16,
             sweep: SweepConfig::default(),
-            fork: true,
             state_dir: None,
         }
     }
@@ -105,12 +97,6 @@ impl FleetdConfig {
     /// Plan the reduced [`SweepConfig::quick`] schedule space.
     pub fn quick(mut self) -> FleetdConfig {
         self.sweep = SweepConfig::quick();
-        self
-    }
-
-    /// Cold-boot every cell (no fork-server).
-    pub fn without_fork(mut self) -> FleetdConfig {
-        self.fork = false;
         self
     }
 
@@ -902,7 +888,7 @@ fn complete_warm(
     seed: &mut SweepCache,
 ) -> WitnessSweepStats {
     let target_impl = spec.session_replay_target(&shard.session);
-    let mut server = ForkServer::detached(&*target_impl, 1, shared.config.fork);
+    let mut server = ForkServer::new(&*target_impl);
     let (matrix, stats) = sweep_witness_on(&mut server, scope, witness, schedules, seed);
     debug_assert_eq!(stats.replayed, 0, "warm completion must not replay");
     shared
@@ -935,9 +921,8 @@ fn executor_loop(shared: &Shared, worker: usize) {
     }
 }
 
-/// Sweeps one same-scope batch through a single fork-server (persistent
-/// when the config forks: one boot for the whole batch), publishing each
-/// result under the state lock.
+/// Sweeps one same-scope batch through a single fork-server — one boot
+/// for the whole batch — publishing each result under the state lock.
 fn process_batch(shared: &Shared, batch: Vec<WorkItem>) {
     let _span = achilles_obs::span("fleetd:batch", "fleetd");
     let Some(spec) = shared.registry.get(&batch[0].target).cloned() else {
@@ -948,39 +933,14 @@ fn process_batch(shared: &Shared, batch: Vec<WorkItem>) {
         return;
     };
     let target_impl = spec.session_replay_target(&batch[0].session);
-    let mut server = if shared.config.fork {
-        ForkServer::new(&*target_impl)
-    } else {
-        ForkServer::detached(&*target_impl, shared.config.workers, false)
-    };
+    let mut server = ForkServer::new(&*target_impl);
     for mut item in batch {
-        let before = server.lifetime_stats();
         let (matrix, stats) = sweep_witness_on(
             &mut server,
             &item.scope,
             &item.witness,
             &item.schedules,
             &mut item.seed,
-        );
-        // Persistent-mode baselines replay through the server but are
-        // folded into its lifetime stats only; credit the per-item delta
-        // (everything absorbed beyond the published replay call) before
-        // releasing the item's queue depth, so a drained service's
-        // counters are exact — never "0 boots" for a batch that booted.
-        let after = server.lifetime_stats();
-        let c = &shared.counters;
-        c.fork_plans.fetch_add(
-            (after.plans - before.plans).saturating_sub(stats.fork.plans),
-            Ordering::SeqCst,
-        );
-        c.boots.fetch_add(
-            (after.boots - before.boots).saturating_sub(stats.fork.boots),
-            Ordering::SeqCst,
-        );
-        c.snapshot_restores.fetch_add(
-            (after.snapshot_restores - before.snapshot_restores)
-                .saturating_sub(stats.fork.snapshot_restores),
-            Ordering::SeqCst,
         );
         let cells = item.cells;
         publish(shared, item, matrix, &stats);

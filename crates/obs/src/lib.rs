@@ -5,9 +5,11 @@
 //! * **Metrics** ([`MetricsRegistry`]): named counter / gauge / histogram
 //!   series with Prometheus-style text rendering. Every series is classified
 //!   at the recording site as [`Class::Deterministic`] (bit-identical across
-//!   worker counts, fork vs cold boot, tracing on vs off — schedule- and
-//!   clock-independent by construction) or [`Class::Wall`] (anything touched
-//!   by wall clocks, thread scheduling, or batch affinity). `render()` keeps
+//!   worker counts and tracing on vs off — schedule- and clock-independent
+//!   by construction; between fork and cold boot, only the series counting
+//!   what was replayed, not the work series the fork-server exists to cut)
+//!   or [`Class::Wall`] (anything touched by wall clocks, thread
+//!   scheduling, or batch affinity). `render()` keeps
 //!   the two strictly segregated so determinism gates can diff the
 //!   deterministic section byte-for-byte while the wall section varies
 //!   freely.

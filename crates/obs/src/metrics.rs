@@ -7,8 +7,13 @@ use std::sync::Mutex;
 /// Determinism class of a series, fixed at the recording site.
 ///
 /// `Deterministic` series must be bit-identical across worker counts,
-/// fork-server vs cold-boot replay, subsumption on/off, and tracing on/off
-/// for the same logical workload. Everything else — wall clocks, queue
+/// subsumption on/off, and tracing on/off for the same logical workload.
+/// Between fork-server and cold-boot replay only the series that count
+/// what was replayed must match (the `achilles_sweep_*` series and the
+/// fork-server's plans and baselines); the work series — fork branches,
+/// shared prefix depth, and the `achilles_explore_*` / `achilles_solver_*`
+/// series a concrete replay mirrors per delivery — measure the work the
+/// fork-server saves, so they differ. Everything else — wall clocks, queue
 /// peaks, batch affinity, latency — is `Wall`. The renderer never mixes the
 /// two sections, so a determinism gate can diff `# deterministic` exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -1,32 +1,31 @@
-//! The replay fork-server: prefix-shared execution trees across fault
-//! schedules.
+//! The replay fork-server: one booted deployment serves every replay,
+//! and each replay shares its cells' delivery prefixes.
 //!
-//! A sweep campaign replays one [`SessionWitness`] under hundreds of
+//! A sweep campaign replays each [`SessionWitness`] under hundreds of
 //! [`FaultSchedule`]s against the same target. Cold replay boots a fresh
 //! deployment per cell, yet most cells share long delivery prefixes — a
 //! bit-flip at slot 3 of a 4-slot session re-executes slots 0–2
-//! identically. [`replay_session_forked`] exploits that: it expands every
+//! identically. A [`ForkServer`] boots the deployment once and keeps that
+//! session as a template that is never driven. Each replay expands every
 //! schedule into its [`SessionPlan`](crate::target::SessionPlan), folds
-//! the plans into a
-//! *delivery-prefix trie* keyed on post-fault-application [`Delivery`]
-//! bytes, and walks the trie depth-first over one booted
-//! [`SnapshotReplayTarget`] session. A fork is a clone: at a branch point
-//! every sibling subtree but the last runs on a clone of the session
+//! the plans into a *delivery-prefix trie* keyed on post-fault-application
+//! [`Delivery`] bytes, and walks the trie depth-first on a clone of the
+//! template. A fork is a clone: at a branch point every sibling subtree
+//! but the last runs on a clone of the session
 //! ([`CloneSession::clone_session`](achilles::CloneSession::clone_session)),
 //! and the last continues in place — the AFL fork-server move,
-//! transplanted to deterministic replay.
+//! transplanted to deterministic replay. Parallelism lives one level up:
+//! a sweep fans its witnesses out over workers, each holding one server.
 //!
 //! Classification reuses [`classify_session`] on the per-plan
 //! [`InjectionOutcome`]s, so fork-server results are bit-identical to
 //! cold-boot results by construction — the equivalence suite
 //! (`tests/fork_server_equivalence.rs`) pins this for every registered
-//! target and worker count against the explicit cold path
-//! ([`ForkServer::detached`] with `fork = false`), and the conformance
-//! suite's clone law pins the property it rests on: a clone is an exact,
-//! independent copy of its source.
+//! target against the sequential cold reference ([`ForkServer::cold`]),
+//! and the conformance suite's clone law pins the property it rests on: a
+//! clone is an exact, independent copy of its source.
 
 use achilles::SnapshotReplayTarget;
-use achilles_symvm::{parallel_map, parallel_map_with};
 
 use crate::target::{
     classify_session, plan_session, replay_session, Delivery, FaultSchedule, InjectionOutcome,
@@ -34,34 +33,33 @@ use crate::target::{
 };
 use crate::witness::SessionWitness;
 
-/// Instrumentation from one [`replay_session_forked`] call: how much
-/// booting the prefix trie saved.
+/// Instrumentation from one [`ForkServer`] replay: how much booting the
+/// template and sharing prefixes saved.
 ///
-/// `boots` and `snapshot_restores` may vary with the worker count (each
-/// parallel worker boots its own template session); every other field —
-/// and every replay result — is worker-count invariant.
+/// `boots` counts the servers that booted, so it depends on how a caller
+/// spreads its witnesses over servers; every other field — and every
+/// replay result — is fixed by the witnesses and their schedules.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ForkStats {
-    /// Cells (schedules) executed.
+    /// Cells (schedules) executed, fault-free baselines included.
     pub plans: usize,
     /// Deployment boots actually performed. Cold replay boots once per
-    /// cell; the fork-server boots once (once per worker when the walk
-    /// runs in parallel) and forks everything else from clones.
+    /// cell; a fork-server boots once, on its first replay, and clones
+    /// everything else from that boot.
     pub boots: usize,
-    /// Session clones taken: one per sibling subtree and per terminal
-    /// that must leave its branch point untouched, plus one per walk
-    /// started from a booted template (a persistent server's replays, a
-    /// parallel walk's root subtrees). The field keeps its name for the
-    /// `achilles_fork_snapshot_restores_total` series and the fleetd and
-    /// bench counters that read it.
+    /// Session clones taken: one to start each replay from the server's
+    /// template, plus one per sibling subtree and per terminal that must
+    /// leave its branch point untouched — one per cell in all. The field
+    /// keeps its name for the `achilles_fork_snapshot_restores_total`
+    /// series and the fleetd and bench counters that read it.
     pub snapshot_restores: usize,
     /// Sum over cells of their shared prefix depth: the number of leading
     /// deliveries of the cell's plan that at least one other cell's plan
     /// shares (0 when the cell diverges at its first delivery).
     /// `sum / plans` is the mean shared prefix depth.
     pub shared_prefix_depth_sum: usize,
-    /// Independent subtrees the trie root fans out into — the fork-server's
-    /// effective parallelism width.
+    /// Independent subtrees the trie root fans out into (one per cell
+    /// under cold replay).
     pub branches: usize,
 }
 
@@ -105,9 +103,11 @@ impl ForkStats {
     /// Mirrors one replay call's stats into the process metrics registry
     /// as `achilles_fork_*` series. Cell/trie-shape counters (`plans`,
     /// `branches`, prefix depth) are fixed by the schedule set and so
-    /// [`Deterministic`](achilles_obs::Class::Deterministic); `boots` and
-    /// `snapshot_restores` vary with the worker count and claim order and
-    /// are [`Wall`](achilles_obs::Class::Wall).
+    /// [`Deterministic`](achilles_obs::Class::Deterministic) — though
+    /// `branches` and prefix depth measure the work fork replay saves, so
+    /// they read differently under cold replay; `boots` depends on how
+    /// many servers ran, and it and `snapshot_restores` are
+    /// [`Wall`](achilles_obs::Class::Wall).
     pub fn record_metrics(&self) {
         use achilles_obs::Class::{Deterministic, Wall};
         let reg = achilles_obs::global();
@@ -177,29 +177,12 @@ impl Trie {
         }
         node.terminals.push(plan_index);
     }
-
-    /// Splits the root into independent parts, each walkable from its own
-    /// boot state: the root's terminals (cells whose schedule drops every
-    /// delivery), then one single-child root per subtree.
-    fn into_root_parts(self) -> Vec<Trie> {
-        let terminals = (!self.terminals.is_empty()).then(|| Trie {
-            children: Vec::new(),
-            plans_through: self.terminals.len(),
-            terminals: self.terminals,
-        });
-        let subtrees = self.children.into_iter().map(|child| Trie {
-            plans_through: child.1.plans_through,
-            children: vec![child],
-            terminals: Vec::new(),
-        });
-        terminals.into_iter().chain(subtrees).collect()
-    }
 }
 
 /// Walks `node`'s subtree on `session`, whose state reflects the path
 /// from the root to `node`, and consumes the session: the caller does not
-/// use it again. Appends `(plan_index, outcome)` pairs for every terminal
-/// reached. `outcome` at entry holds the accumulated prefix outcome for
+/// use it again. Stores each terminal's outcome in `out` at its plan
+/// index. `outcome` at entry holds the accumulated prefix outcome for
 /// this path — it is extended in place and rewound after each branch
 /// (cheaper than copying it per edge), so only the one per-cell outcome
 /// copy the cold path also pays remains. `shared_depth` is the depth of
@@ -211,7 +194,7 @@ fn walk(
     outcome: &mut InjectionOutcome,
     depth: usize,
     shared_depth: usize,
-    out: &mut Vec<(usize, InjectionOutcome)>,
+    out: &mut [Option<InjectionOutcome>],
     stats: &mut ForkStats,
 ) {
     let mark = (outcome.accepted_each.len(), outcome.effects.len());
@@ -228,7 +211,7 @@ fn walk(
         } else {
             fork(session, stats).finish(outcome);
         }
-        out.push((plan_index, outcome.clone()));
+        out[plan_index] = Some(outcome.clone());
         rewind(outcome);
         stats.shared_prefix_depth_sum += shared_depth;
     }
@@ -253,25 +236,6 @@ fn walk(
     }
 }
 
-/// Walks the whole of `trie` on `session`, which sits at boot state.
-fn walk_root(
-    trie: &Trie,
-    session: &mut dyn SnapshotReplayTarget,
-    stats: &mut ForkStats,
-) -> Vec<(usize, InjectionOutcome)> {
-    let mut out = Vec::new();
-    walk(
-        trie,
-        session,
-        &mut InjectionOutcome::default(),
-        0,
-        0,
-        &mut out,
-        stats,
-    );
-    out
-}
-
 /// A clone of `session` for a branch that must leave it untouched,
 /// counted in `stats`.
 fn fork<'s>(
@@ -282,15 +246,16 @@ fn fork<'s>(
     session.clone_session()
 }
 
-/// The trie executor every fork path shares: expands every schedule into
-/// its plan, folds the plans into the delivery-prefix trie, hands the trie
-/// to `run` — which executes every terminal and returns each plan's
-/// outcome — and classifies the cells in schedule order.
+/// Replays `witness` under every schedule as one delivery-prefix trie:
+/// expands each schedule into its plan, folds the plans into the trie,
+/// walks it on a clone of `template` (a session at boot state), and
+/// classifies the cells in schedule order. The stats leave `boots` to the
+/// caller.
 fn execute_trie(
     target: &dyn ReplayTarget,
+    template: &dyn SnapshotReplayTarget,
     witness: &SessionWitness,
     schedules: &[&FaultSchedule],
-    run: impl FnOnce(Trie, &mut ForkStats) -> Vec<(usize, InjectionOutcome)>,
 ) -> (Vec<SessionReplayResult>, ForkStats) {
     let plans: Vec<_> = schedules
         .iter()
@@ -308,10 +273,23 @@ fn execute_trie(
             .max(usize::from(!trie.terminals.is_empty())),
         ..ForkStats::default()
     };
+    // Traced as `fork:restore`, the name the trace's
+    // `self_ms.fork.restore` layer reads: the copy each replay starts
+    // from.
+    let mut session = {
+        let _span = achilles_obs::span("fork:restore", "fork");
+        fork(template, &mut stats)
+    };
     let mut executed: Vec<Option<InjectionOutcome>> = vec![None; plans.len()];
-    for (index, outcome) in run(trie, &mut stats) {
-        executed[index] = Some(outcome);
-    }
+    walk(
+        &trie,
+        session.as_mut(),
+        &mut InjectionOutcome::default(),
+        0,
+        0,
+        &mut executed,
+        &mut stats,
+    );
     let results = plans
         .into_iter()
         .zip(executed)
@@ -323,183 +301,77 @@ fn execute_trie(
     (results, stats)
 }
 
-/// Boots a fresh fork session of `target` under a `fork:boot` span.
-fn boot(target: &dyn ReplayTarget) -> Box<dyn SnapshotReplayTarget + '_> {
-    let _span = achilles_obs::span("fork:boot", "fork");
-    target.boot()
-}
-
-/// Replays one witness under every schedule through the delivery-prefix
-/// trie, returning per-schedule results in schedule order plus the
-/// [`ForkStats`] instrumentation.
+/// The replay executor over one target, shared by batch sweeps and the
+/// fleetd campaign executors.
 ///
-/// Results are bit-identical to calling [`replay_session`] per schedule:
-/// plan expansion and classification are the exact same code, and the trie
-/// walk executes the exact same delivery sequence per cell against cloned
-/// state.
+/// [`ForkServer::new`] boots the deployment on its first replay and keeps
+/// that session as a template that is never driven; every replay — a
+/// baseline or a schedule set, of any witness of the same target — walks
+/// its delivery-prefix trie on a clone of the template. A caller that
+/// sweeps many witnesses through one server pays one boot for all of
+/// them; a sweep fans witnesses out over workers and gives each worker
+/// one server. Results are bit-identical to cold replay: plan expansion
+/// and classification are the exact same code, and a clone taken at boot
+/// replays like a fresh boot (the conformance suite's clone law).
 ///
-/// At one worker a single boot walks the whole trie. With more workers
-/// the trie root splits into independent parts — its terminals (cells
-/// whose schedule drops every delivery) and one part per subtree — shared
-/// out with the same order-preserving pool the cold path uses; each
-/// worker thread boots **one** template session and walks every part it
-/// claims on a clone of it, so the boot count is `min(workers, parts)`
-/// rather than one per cell. The result vector — and every signature in
-/// it — is independent of `workers`.
-pub fn replay_session_forked(
-    target: &dyn ReplayTarget,
-    witness: &SessionWitness,
-    schedules: &[&FaultSchedule],
-    workers: usize,
-) -> (Vec<SessionReplayResult>, ForkStats) {
-    if schedules.is_empty() {
-        return (Vec::new(), ForkStats::default());
-    }
-    execute_trie(target, witness, schedules, |trie, stats| {
-        let parts = trie.children.len() + usize::from(!trie.terminals.is_empty());
-        if workers <= 1 || parts < 2 {
-            stats.boots += 1;
-            return walk_root(&trie, boot(target).as_mut(), stats);
-        }
-        let parts = trie.into_root_parts();
-        stats.boots += workers.min(parts.len());
-        let walked = parallel_map_with(
-            workers,
-            &parts,
-            |_| boot(target),
-            |template, _, part| {
-                let mut part_stats = ForkStats::default();
-                let out = walk_root(
-                    part,
-                    fork(template.as_ref(), &mut part_stats).as_mut(),
-                    &mut part_stats,
-                );
-                (out, part_stats)
-            },
-        );
-        let mut out = Vec::new();
-        for (part, part_stats) in walked {
-            stats.absorb(&part_stats);
-            out.extend(part);
-        }
-        out
-    })
-}
-
-/// A reusable fork-server over one replay target: the unit of *per-target
-/// affinity* for long-running campaign services.
-///
-/// [`replay_session_forked`] amortizes boots across the schedules of one
-/// witness; a `ForkServer` amortizes them across *witnesses and campaign
-/// rounds*: in **persistent** mode ([`ForkServer::new`]) it boots the
-/// deployment once and keeps that session as a template that is never
-/// driven; every replay — any witness of the same target — walks its trie
-/// on a clone of the template, so a service that sweeps a stream of
-/// ingested witnesses pays one boot per executor, not one per witness.
-/// Results are bit-identical to the batch paths: plan expansion, the trie
-/// walk, and classification are the exact same code, and a clone taken at
-/// boot replays like a fresh boot (the conformance suite's clone law).
-///
-/// **Detached** mode ([`ForkServer::detached`]) reproduces the batch
-/// executor's behavior exactly — fresh cells through
-/// [`replay_session_forked`] (or cold per-cell boots with `fork` off),
-/// baseline through [`replay_session`] — so code written against the
-/// server (`achilles_sweep`'s `sweep_witness_on`) serves both the one-shot
-/// bins and the daemon without divergence.
-///
-/// Persistent mode engages when `fork` is on and `workers <= 1` (one
-/// template serves the walks one after another; with more workers the
-/// server delegates to the per-witness parallel fork path, which boots
-/// per worker).
+/// [`ForkServer::cold`] is the reference the equivalence suite and
+/// `--no-fork` compare against: it replays every cell through
+/// [`replay_session`], one fresh boot per cell, one cell after another.
 pub struct ForkServer<'t> {
     target: &'t dyn ReplayTarget,
-    workers: usize,
     fork: bool,
-    persistent: bool,
-    /// The booted session persistent replays clone; never driven itself.
+    /// The booted session every fork replay clones; never driven itself.
     template: Option<Box<dyn SnapshotReplayTarget + 't>>,
     lifetime: ForkStats,
-    baselines: usize,
 }
 
 impl std::fmt::Debug for ForkServer<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ForkServer")
             .field("target", &self.target.name())
-            .field("workers", &self.workers)
             .field("fork", &self.fork)
-            .field("persistent", &self.persistent)
             .field("booted", &self.template.is_some())
             .field("lifetime", &self.lifetime)
-            .field("baselines", &self.baselines)
             .finish()
     }
 }
 
 impl<'t> ForkServer<'t> {
-    /// A persistent fork-server: one boot serves every replay of `target`
-    /// for the server's whole lifetime (sequential; see type docs).
+    /// A fork-server over `target`: one boot, taken on the first replay,
+    /// serves every replay for the server's lifetime.
     pub fn new(target: &'t dyn ReplayTarget) -> ForkServer<'t> {
         ForkServer {
             target,
-            workers: 1,
             fork: true,
-            persistent: true,
             template: None,
             lifetime: ForkStats::default(),
-            baselines: 0,
         }
     }
 
-    /// A detached (one-shot-semantics) server reproducing the batch
-    /// executor exactly: [`replay_session_forked`] per call when `fork`,
-    /// cold per-cell boots otherwise.
-    pub fn detached(target: &'t dyn ReplayTarget, workers: usize, fork: bool) -> ForkServer<'t> {
+    /// The cold reference over `target`: every cell boots its own
+    /// deployment through [`replay_session`], sequentially.
+    pub fn cold(target: &'t dyn ReplayTarget) -> ForkServer<'t> {
         ForkServer {
-            target,
-            workers: workers.max(1),
-            fork,
-            persistent: false,
-            template: None,
-            lifetime: ForkStats::default(),
-            baselines: 0,
+            fork: false,
+            ..ForkServer::new(target)
         }
-    }
-
-    /// The replay target this server fronts.
-    pub fn target(&self) -> &'t dyn ReplayTarget {
-        self.target
-    }
-
-    /// The worker-thread fan-out the delegated batch paths use.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Whether replays are currently served by clones of the persistent
-    /// template session (as opposed to the delegated batch paths).
-    pub fn is_persistent(&self) -> bool {
-        self.persistent && self.fork && self.workers <= 1
     }
 
     /// Cumulative [`ForkStats`] over every replay this server performed —
-    /// baselines included, so a persistent server's `boots` stays at 1
-    /// however many witnesses stream through it.
+    /// baselines included, so a fork-server's `boots` stays at 1 however
+    /// many witnesses stream through it.
     pub fn lifetime_stats(&self) -> ForkStats {
         self.lifetime
     }
 
-    /// Fault-free baselines replayed (persistent mode folds their boots
-    /// into [`ForkServer::lifetime_stats`]; detached mode cold-boots them
-    /// exactly like [`replay_session`], uncounted — the batch contract).
-    pub fn baselines(&self) -> usize {
-        self.baselines
-    }
-
     /// Replays `witness` under the fault-free schedule — the sweep
-    /// baseline. Persistent mode serves it from a clone of the template
-    /// (no boot); detached mode is byte-for-byte [`replay_session`].
-    pub fn replay_baseline(&mut self, witness: &SessionWitness) -> SessionReplayResult {
+    /// baseline, a cell like any other — returning its result and this
+    /// call's [`ForkStats`], and counts it in
+    /// `achilles_fork_baselines_total`.
+    pub fn replay_baseline(
+        &mut self,
+        witness: &SessionWitness,
+    ) -> (SessionReplayResult, ForkStats) {
         let _span = achilles_obs::span("fork:baseline", "fork");
         achilles_obs::global().add(
             achilles_obs::Class::Deterministic,
@@ -507,20 +379,13 @@ impl<'t> ForkServer<'t> {
             &[],
             1,
         );
-        self.baselines += 1;
-        let fault_free = FaultSchedule::none();
-        if self.is_persistent() {
-            let (mut results, stats) = self.replay_persistent(witness, &[&fault_free]);
-            self.lifetime.absorb(&stats);
-            results.pop().expect("one result per schedule")
-        } else {
-            replay_session(self.target, witness, &fault_free)
-        }
+        let (mut results, stats) = self.replay(witness, &[&FaultSchedule::none()]);
+        (results.pop().expect("one result per schedule"), stats)
     }
 
     /// Replays `witness` under every schedule, returning per-schedule
     /// results in schedule order plus this call's [`ForkStats`]. Results
-    /// are bit-identical across modes and worker counts.
+    /// are bit-identical between fork and cold servers.
     pub fn replay_schedules(
         &mut self,
         witness: &SessionWitness,
@@ -530,42 +395,36 @@ impl<'t> ForkServer<'t> {
             return (Vec::new(), ForkStats::default());
         }
         let _span = achilles_obs::span("fork:replay", "fork");
-        let (results, stats) = if !self.fork {
-            let cold = parallel_map(self.workers.max(1), schedules, |_, schedule| {
-                replay_session(self.target, witness, schedule)
-            });
-            (cold, ForkStats::cold(schedules.len()))
-        } else if self.is_persistent() {
-            self.replay_persistent(witness, schedules)
-        } else {
-            replay_session_forked(self.target, witness, schedules, self.workers)
-        };
-        self.lifetime.absorb(&stats);
-        stats.record_metrics();
-        (results, stats)
+        self.replay(witness, schedules)
     }
 
-    /// The persistent execution path: the same trie the parallel fork
-    /// path builds, walked on a clone of the template session (booted on
-    /// first use).
-    fn replay_persistent(
+    /// Replays the cells — through the trie on a clone of the template
+    /// (booted here on first use), or cold — and adds the call's stats to
+    /// the lifetime total and the metrics registry.
+    fn replay(
         &mut self,
         witness: &SessionWitness,
         schedules: &[&FaultSchedule],
     ) -> (Vec<SessionReplayResult>, ForkStats) {
         let target = self.target;
-        let booted = self.template.is_none();
-        let template = self.template.get_or_insert_with(|| boot(target));
-        execute_trie(target, witness, schedules, |trie, stats| {
-            stats.boots += usize::from(booted);
-            // Traced as `fork:restore`, the name the trace's
-            // `self_ms.fork.restore` layer reads: the copy each persistent
-            // replay starts from.
-            let mut session = {
-                let _span = achilles_obs::span("fork:restore", "fork");
-                fork(template.as_ref(), stats)
-            };
-            walk_root(&trie, session.as_mut(), stats)
-        })
+        let (results, stats) = if self.fork {
+            let booted = self.template.is_none();
+            let template = self.template.get_or_insert_with(|| {
+                let _span = achilles_obs::span("fork:boot", "fork");
+                target.boot()
+            });
+            let (results, mut stats) = execute_trie(target, template.as_ref(), witness, schedules);
+            stats.boots = usize::from(booted);
+            (results, stats)
+        } else {
+            let results = schedules
+                .iter()
+                .map(|schedule| replay_session(target, witness, schedule))
+                .collect();
+            (results, ForkStats::cold(schedules.len()))
+        };
+        self.lifetime.absorb(&stats);
+        stats.record_metrics();
+        (results, stats)
     }
 }

@@ -24,8 +24,11 @@
 //! [`SessionWitness`] carries one wire buffer per slot, [`replay_session`]
 //! drives the whole sequence through [`ReplayTarget::inject`], and every
 //! stage above is the same code for one slot or many. The sweep
-//! fork-server ([`fork`]) replays many schedules of one witness as a
-//! delivery-prefix trie over clones of one booted deployment.
+//! fork-server ([`ForkServer`]) boots its deployment once and replays
+//! every witness's schedules as a delivery-prefix trie over clones of
+//! that boot; sweeps run one server per worker, fanned out over
+//! witnesses, and [`ForkServer::cold`] is the one-boot-per-cell
+//! reference.
 //!
 //! [`validate_trojans`] drives 1–5 as the pipeline's opt-in `validate`
 //! phase, fanning out over [`achilles_symvm::parallel_map`] workers with
@@ -72,7 +75,7 @@ pub mod validate;
 pub mod witness;
 
 pub use corpus::{CorpusEntry, CorpusParseError, ReplayCorpus};
-pub use fork::{replay_session_forked, ForkServer, ForkStats};
+pub use fork::{ForkServer, ForkStats};
 pub use minimize::{minimize_session, minimize_session_divergence, MinimizedSessionWitness};
 pub use signature::CrashSignature;
 pub use target::{

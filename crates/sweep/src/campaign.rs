@@ -5,15 +5,18 @@
 //! [`TargetSpec`], discovers the spec's declared
 //! session Trojans through
 //! [`AchillesSession::run_sessions`](achilles::AchillesSession::run_sessions),
-//! and hands each [`SessionReport`] to [`sweep_report`] — which
-//! establishes every witness's fault-free baseline and fans the schedule
-//! space out over [`achilles_symvm::parallel_map`]. Replay is a pure
-//! function of the (witness, schedule) pair, so every matrix is
-//! bit-identical for every worker count. A [`SweepCache`] makes
-//! re-campaigns incremental: known pairs — the baseline included, under
-//! the `none` schedule token — are looked up, not replayed. Callers that
-//! already hold a [`SessionReport`] (a bench comparing worker counts,
-//! say) use [`sweep_report`] directly and pay for discovery once.
+//! and hands each [`SessionReport`] to [`sweep_report`]. A sweep runs the
+//! way the fleetd executors do: it plans each witness, fans the witnesses
+//! out over [`achilles_symvm::parallel_map_with`] workers that each hold
+//! one [`ForkServer`] for every witness they claim, sweeps each witness
+//! against its own extract of the [`SweepCache`], and merges the extracts
+//! back in witness order. Replay is a pure function of the (witness,
+//! schedule) pair, so every matrix and the cache's bytes are identical for
+//! every worker count. The cache makes re-campaigns incremental: known
+//! pairs — the baseline included, under the `none` schedule token — are
+//! looked up, not replayed. Callers that already hold a
+//! [`SessionReport`] (a bench comparing worker counts, say) use
+//! [`sweep_report`] directly and pay for discovery once.
 
 use std::time::{Duration, Instant};
 
@@ -22,6 +25,7 @@ use achilles::{AchillesSession, ReplayTarget, SessionReport, TargetSpec};
 use achilles_replay::{
     session_from_report, FaultSchedule, ForkServer, ForkStats, ReplayVerdict, SessionWitness,
 };
+use achilles_symvm::parallel_map_with;
 
 use crate::cache::{CachedCell, SweepCache};
 use crate::matrix::{
@@ -34,12 +38,13 @@ use crate::planner::{SchedulePlanner, SweepConfig};
 pub struct CampaignConfig {
     /// The schedule space enumerated per witness.
     pub sweep: SweepConfig,
-    /// Worker threads for the per-witness schedule fan-out (and the
-    /// session discovery; 0/1 = inline).
+    /// Worker threads the witnesses fan out over, one fork-server each
+    /// (and the session discovery's workers; 0/1 = inline).
     pub workers: usize,
     /// Replay fresh cells through the fork-server (default).
-    /// `false` forces cold per-cell boots — the `--no-fork` baseline;
-    /// classifications are bit-identical either way.
+    /// `false` replays through the cold reference, [`ForkServer::cold`] —
+    /// the `--no-fork` baseline; classifications are bit-identical either
+    /// way.
     pub fork: bool,
 }
 
@@ -54,7 +59,7 @@ impl Default for CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// Fan the replays out over `n` threads.
+    /// Fan the witnesses out over `n` threads.
     pub fn with_workers(mut self, n: usize) -> CampaignConfig {
         self.workers = n.max(1);
         self
@@ -75,14 +80,9 @@ pub struct WitnessSweepStats {
     pub replayed: usize,
     /// Lookups answered from the [`SweepCache`] (baseline included).
     pub cache_hits: usize,
-    /// Worker threads the replay fan-out could actually use
-    /// (`min(workers, independent replay units)`, at least 1 — cold
-    /// replay's units are the fresh cells, the fork-server's are the
-    /// prefix trie's root subtrees).
-    pub workers_effective: usize,
-    /// Fork-server accounting for the fresh-cell fan-out (cold stats —
-    /// one boot per cell, nothing shared — when the fork path was off or
-    /// unsupported).
+    /// Everything the server did for this witness, the baseline included
+    /// (cold stats — one boot per cell, nothing shared — on a cold
+    /// server).
     pub fork: ForkStats,
 }
 
@@ -91,11 +91,11 @@ pub struct WitnessSweepStats {
 /// classified [`SensitivityCell`] per schedule — all cache-assisted,
 /// the baseline included.
 ///
-/// One-shot form: plans the witness and builds a detached [`ForkServer`]
-/// reproducing the batch executor exactly, then delegates to
-/// [`sweep_witness_on`]. Callers that sweep a *stream* of witnesses
-/// against one target (the fleetd campaign executors) hold a persistent
-/// server instead and pay one boot for the whole stream.
+/// One-shot form of the body [`sweep_report`] runs over a report's
+/// witnesses: it plans the witness and sweeps it through a fresh
+/// [`ForkServer`] ([`ForkServer::cold`] when `fork` is off). `workers`
+/// counts threads over witnesses, so one witness runs on the calling
+/// thread.
 pub fn sweep_witness(
     target: &dyn ReplayTarget,
     scope: &str,
@@ -105,13 +105,65 @@ pub fn sweep_witness(
     fork: bool,
     cache: &mut SweepCache,
 ) -> (SensitivityMatrix, WitnessSweepStats) {
-    let schedules = planner.plan(witness);
-    let mut server = ForkServer::detached(target, workers, fork);
-    sweep_witness_on(&mut server, scope, witness, &schedules, cache)
+    sweep_witnesses(
+        target,
+        scope,
+        std::slice::from_ref(witness),
+        planner,
+        workers,
+        fork,
+        cache,
+    )
+    .pop()
+    .expect("one sweep per witness")
+}
+
+/// The sweep body behind [`sweep_witness`] and [`sweep_report`], in
+/// fleetd's executor shape: plans each witness, fans the witnesses out
+/// over `workers` threads that each hold one [`ForkServer`] (fork or
+/// cold) for every witness they claim, sweeps each witness against its
+/// own extract of `cache`, and merges the extracts back in witness order.
+fn sweep_witnesses(
+    target: &dyn ReplayTarget,
+    scope: &str,
+    witnesses: &[SessionWitness],
+    planner: &SchedulePlanner,
+    workers: usize,
+    fork: bool,
+    cache: &mut SweepCache,
+) -> Vec<(SensitivityMatrix, WitnessSweepStats)> {
+    let planned: Vec<(&SessionWitness, Vec<FaultSchedule>)> = witnesses
+        .iter()
+        .map(|witness| (witness, planner.plan(witness)))
+        .collect();
+    let store = &*cache;
+    let swept = parallel_map_with(
+        workers,
+        &planned,
+        |_| {
+            if fork {
+                ForkServer::new(target)
+            } else {
+                ForkServer::cold(target)
+            }
+        },
+        |server, _, (witness, schedules)| {
+            let mut seed = store.extract_witness(scope, witness);
+            let (matrix, stats) = sweep_witness_on(server, scope, witness, schedules, &mut seed);
+            (matrix, stats, seed)
+        },
+    );
+    swept
+        .into_iter()
+        .map(|(matrix, stats, seed)| {
+            cache.merge(seed);
+            (matrix, stats)
+        })
+        .collect()
 }
 
 /// Sweeps one witness over its planned `schedules` through an existing
-/// [`ForkServer`] — the shared body behind [`sweep_witness`] and the
+/// [`ForkServer`] — the shared body behind [`sweep_report`] and the
 /// fleetd campaign executors, so service answers are bit-identical to
 /// batch answers by construction: same baseline, same plan, same replay
 /// entry points, same classification. `schedules` is what
@@ -127,7 +179,6 @@ pub fn sweep_witness_on(
 ) -> (SensitivityMatrix, WitnessSweepStats) {
     let _span = achilles_obs::span("sweep:witness", "sweep");
     let mut stats = WitnessSweepStats::default();
-    let workers = server.workers();
     // The witness's record is formatted once; each of its cells is then
     // keyed by the schedule token alone.
     let known = cache.witness_cells(scope, session_witness_record(&witness.fields));
@@ -143,7 +194,8 @@ pub fn sweep_witness_on(
         }
         None => {
             stats.replayed += 1;
-            let result = server.replay_baseline(witness);
+            let (result, fork) = server.replay_baseline(witness);
+            stats.fork.absorb(&fork);
             let baseline = Baseline::of(&result);
             known.insert(
                 baseline_token,
@@ -183,9 +235,8 @@ pub fn sweep_witness_on(
         lookups.push((token, hit));
     }
     stats.replayed += fresh.len();
-    let (replayed, fork_stats) = server.replay_schedules(witness, &fresh);
-    stats.workers_effective = workers.max(1).min(fork_stats.branches).max(1);
-    stats.fork = fork_stats;
+    let (replayed, fork) = server.replay_schedules(witness, &fresh);
+    stats.fork.absorb(&fork);
 
     let mut replayed = replayed.into_iter();
     let cells: Vec<SensitivityCell> = schedules
@@ -310,11 +361,8 @@ pub struct SessionSweep {
     pub masked: usize,
     /// Cells classified [`ScheduleClass::NewSignature`].
     pub new_signature: usize,
-    /// Worker threads the replay fan-out could actually use (max over the
-    /// witnesses; 1 when everything was cached).
-    pub workers_effective: usize,
-    /// Fork-server accounting summed over the witnesses (cold stats when
-    /// the fork path was off or unsupported).
+    /// Fork-server accounting summed over the witnesses, baselines
+    /// included (cold stats on the cold path).
     pub fork: ForkStats,
     /// Wall-clock time of the whole session sweep (discovery excluded).
     pub elapsed: Duration,
@@ -353,11 +401,19 @@ pub fn sweep_report(
     config: &CampaignConfig,
     cache: &mut SweepCache,
 ) -> SessionSweep {
-    let workers = config.workers.max(1);
     let started = Instant::now();
     let target = spec.session_replay_target(&report.session);
     let scope = format!("{}/{}", spec.name(), report.session);
     let planner = SchedulePlanner::new(config.sweep.clone());
+    let witnesses: Vec<SessionWitness> = report
+        .trojans
+        .iter()
+        .enumerate()
+        .map(|(i, trojan)| {
+            session_from_report(&report.layouts, i, trojan)
+                .expect("session layouts are wire-encodable")
+        })
+        .collect();
     let mut sweep = SessionSweep {
         target: spec.name(),
         session: report.session.clone(),
@@ -372,29 +428,25 @@ pub fn sweep_report(
         disarmed: 0,
         masked: 0,
         new_signature: 0,
-        workers_effective: 1,
         fork: ForkStats::default(),
         elapsed: Duration::ZERO,
     };
-    for (i, trojan) in report.trojans.iter().enumerate() {
-        let witness = session_from_report(&report.layouts, i, trojan)
-            .expect("session layouts are wire-encodable");
-        let (matrix, stats) = sweep_witness(
-            &*target,
-            &scope,
-            &witness,
-            &planner,
-            workers,
-            config.fork,
-            cache,
-        );
+    let swept = sweep_witnesses(
+        &*target,
+        &scope,
+        &witnesses,
+        &planner,
+        config.workers.max(1),
+        config.fork,
+        cache,
+    );
+    for (matrix, stats) in swept {
         if matrix.baseline_verdict == ReplayVerdict::ConfirmedTrojan {
             sweep.confirmed_fault_free += 1;
         }
         sweep.cells += matrix.cells.len();
         sweep.replayed += stats.replayed;
         sweep.cache_hits += stats.cache_hits;
-        sweep.workers_effective = sweep.workers_effective.max(stats.workers_effective);
         sweep.fork.absorb(&stats.fork);
         sweep.armed += matrix.count(ScheduleClass::Armed);
         sweep.diverged += matrix.count(ScheduleClass::Diverged);

@@ -17,15 +17,16 @@
 //!    semantics provably treat identically (a drop masks the same slot's
 //!    other faults, out-of-range flips touch nothing).
 //! 2. **Execute** ([`campaign`]): [`run_campaign`] replays every
-//!    (witness, schedule) pair over
-//!    [`achilles_symvm::parallel_map`] — replay is pure, so matrices are
-//!    bit-identical for every worker count — with a persistent
-//!    [`SweepCache`] that makes re-campaigns incremental. Fresh cells go
-//!    through the replay fork-server
-//!    ([`achilles_replay::replay_session_forked`]): schedules sharing a
-//!    delivery prefix resume from a clone instead of cold-booting, with
-//!    classifications pinned bit-identical to cold replay (disable via
-//!    [`CampaignConfig::without_fork`]).
+//!    (witness, schedule) pair, fanning the witnesses out over
+//!    [`achilles_symvm::parallel_map_with`] workers — replay is pure, so
+//!    matrices are bit-identical for every worker count — with a
+//!    persistent [`SweepCache`] that makes re-campaigns incremental. Each
+//!    worker holds one replay fork-server
+//!    ([`achilles_replay::ForkServer`]) for every witness it claims: the
+//!    deployment boots once per worker, and schedules sharing a delivery
+//!    prefix resume from a clone instead of cold-booting, with
+//!    classifications pinned bit-identical to cold replay (the reference
+//!    path, via [`CampaignConfig::without_fork`]).
 //! 3. **Triage** ([`matrix`]): each outcome is classified
 //!    [`Armed`](ScheduleClass::Armed) /
 //!    [`Diverged`](ScheduleClass::Diverged) /

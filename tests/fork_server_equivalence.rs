@@ -3,14 +3,17 @@
 //! the registry, at every worker count, under full and capped schedule
 //! budgets.
 //!
-//! The sweep fork-server (`achilles_replay::replay_session_forked`)
-//! executes a delivery-prefix trie: cells sharing a delivery prefix
+//! The fork-server (`achilles_replay::ForkServer::new`) boots its target
+//! once, keeps that session as a template, and walks each replay's
+//! delivery-prefix trie on a clone of it: cells sharing a delivery prefix
 //! resume from a clone of the session at their deepest shared ancestor
-//! instead of cold-booting. Speed is only admissible if it buys nothing else —
-//! every cell's (schedule, class, signature) row, every matrix, and
-//! every campaign total must match the per-cell cold-boot path exactly.
-//! Symbolic discovery runs once per spec; each comparison sweeps the
-//! same reports with fresh caches so every cell is genuinely replayed.
+//! instead of cold-booting. A sweep fans witnesses out over workers, one
+//! server each. Speed is only admissible if it buys nothing else — every
+//! cell's (schedule, class, signature) row, every matrix, and every
+//! campaign total must match the sequential cold reference
+//! (`ForkServer::cold`, one boot per cell) exactly. Symbolic discovery
+//! runs once per spec; each comparison sweeps the same reports with fresh
+//! caches so every cell is genuinely replayed.
 
 use achilles::{AchillesSession, SessionReport, TargetSpec};
 use achilles_replay::{session_from_report, ForkServer};
@@ -110,9 +113,8 @@ fn assert_fork_equivalence(
             forked.fork.boots,
         );
         assert_eq!(
-            forked.fork.plans,
-            forked.replayed.saturating_sub(forked.discovered),
-            "{name}: every fresh non-baseline cell goes through the trie"
+            forked.fork.plans, forked.replayed,
+            "{name}: every fresh cell, baselines included, goes through the trie"
         );
     }
 }
@@ -147,13 +149,11 @@ fn fork_server_is_bit_identical_to_cold_boot_for_every_session_spec() {
     );
 }
 
-/// A *persistent* fork-server (fleetd's executor mode) keeps one booted
-/// template session across witnesses and walks each replay on a clone of
-/// it. A clone of the template must be indistinguishable from a fresh
-/// boot: sweeping
-/// every witness of a report through one shared server must produce the
-/// matrices detached per-witness servers produce, while booting the
-/// deployment only once.
+/// A fork-server keeps one booted template session across witnesses and
+/// walks each replay on a clone of it. A clone of the template must be
+/// indistinguishable from a fresh boot: sweeping every witness of a
+/// report through one shared server must produce the matrices a fresh
+/// server per witness produces, while booting the deployment only once.
 #[test]
 fn persistent_fork_server_reuse_across_witnesses_is_bit_identical() {
     let registry = builtin_registry();
@@ -194,9 +194,9 @@ fn persistent_fork_server_reuse_across_witnesses_is_bit_identical() {
             assert!(shared.lifetime_stats().snapshot_restores > 0);
 
             for (witness, shared_text) in witnesses.iter().zip(&shared_matrices) {
-                let mut detached = ForkServer::detached(&*target, 1, true);
+                let mut fresh = ForkServer::new(&*target);
                 let (matrix, _) = sweep_witness_on(
-                    &mut detached,
+                    &mut fresh,
                     &scope,
                     witness,
                     &planner.plan(witness),

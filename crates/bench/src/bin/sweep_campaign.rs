@@ -19,7 +19,7 @@
 //! interleaved: the fork-server at 1 and at 2 workers and cold replay at
 //! 2 workers. Workers fan out over witnesses, each holding one
 //! fork-server. Each variant repeats until it has timed ≥ 100 ms over
-//! ≥ 5 repetitions, and the JSON reports medians with their IQR. Every
+//! ≥ 15 repetitions, and the JSON reports medians with their IQR. Every
 //! repetition's matrices must equal the 1-worker fork sweep's, and so
 //! must one more sweep at 4 workers — scaling must never buy speed with
 //! soundness, and fork classifications must equal per-cell cold boots.
@@ -76,7 +76,7 @@ use achilles_targets::builtin_registry;
 
 /// The least time, and the fewest repetitions, each timed variant takes.
 const MIN_VARIANT_WALL: Duration = Duration::from_millis(100);
-const MIN_REPS: usize = 5;
+const MIN_REPS: usize = 15;
 
 fn sweep_cache_path(dir: &str, name: &str) -> PathBuf {
     PathBuf::from(dir).join(format!("{name}.sweep"))

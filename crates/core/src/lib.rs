@@ -414,17 +414,19 @@
 //! * **Metrics** accumulate in registries
 //!   ([`achilles_obs::global`] for process-wide series, a per-service
 //!   registry inside fleetd) and render as sorted Prometheus-style lines.
-//!   The existing stats structs ([`TrojanSearchStats`],
+//!   The stats structs ([`TrojanSearchStats`],
 //!   [`ExploreStats`](achilles_symvm::ExploreStats),
 //!   [`SolverStats`](achilles_solver::SolverStats), fork/sweep/service
-//!   counters) remain the canonical accumulators; each mirrors into the
-//!   registry at its natural merge point, so the stats view and the
-//!   metrics view are one measurement, never two.
+//!   counters) are the only accumulators, and each counter reaches the
+//!   registry once, folded by its owner at a coarse boundary: a discovery
+//!   run folds its explorations, Trojan search and shared-cache delta when
+//!   it ends, and a solver folds its work when it is dropped. No
+//!   exploration, query or replayed delivery writes to the registry.
 //! * **Determinism segregation.** Every series is classed
 //!   [`Deterministic`](achilles_obs::Class::Deterministic) (a pure
 //!   function of the workload: runs, cells, verdict counts) or
 //!   [`Wall`](achilles_obs::Class::Wall) (clocks, steal/boot/queue-depth
-//!   scheduling artifacts), and the renderer emits the two sections
+//!   scheduling artifacts, solver cache tiers), and the renderer emits the two sections
 //!   separately — so CI can diff the deterministic section bit-for-bit
 //!   across runs while wall timings float. The `parallel_determinism`
 //!   suite additionally pins the observer-effect contract: full discovery

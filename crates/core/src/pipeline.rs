@@ -323,9 +323,11 @@ impl Achilles {
     /// predicates, pre-processes them against a fresh symbolic slot
     /// message named by `message_name`, and runs the Trojan search over
     /// the session's slots ([`Achilles::analyze_server`]). Emits the
-    /// `phase:client`, `phase:preprocess` and `phase:server` spans, and
-    /// mirrors the Trojan-search, shared-cache and proof-audit counters
-    /// into the metrics registry.
+    /// `phase:client`, `phase:preprocess` and `phase:server` spans. Folds
+    /// the run's counters into the metrics registry once, when it ends:
+    /// the client and server explorations, the Trojan search, the shared
+    /// cache's delta, the proof audit and the engine solver's own work
+    /// (worker solvers fold theirs when they are dropped).
     ///
     /// # Panics
     ///
@@ -337,6 +339,7 @@ impl Achilles {
         message_name: impl Fn(&SessionSpec, &SessionSlot) -> String,
         config: &AchillesConfig,
     ) -> Discovery {
+        let cache_before = self.shared.stats();
         let phase = achilles_obs::timed("phase:client", "pipeline");
         let mut preds: Vec<Option<ClientPredicate>> = vec![None; clients.len()];
         let mut client_explore = ExploreStats::default();
@@ -389,7 +392,6 @@ impl Achilles {
             let slots: Vec<&PreparedClient> = prepared.iter().collect();
             let outcome = self.analyze_server(server, &slots, config);
             let server_time = phase.finish();
-            outcome.stats.record_metrics();
             found.push(SessionDiscovery {
                 prepared,
                 outcome,
@@ -397,7 +399,13 @@ impl Achilles {
                 server_time,
             });
         }
-        self.shared.stats().record_metrics();
+        client_explore.record_metrics();
+        for session in &found {
+            session.outcome.explore.record_metrics();
+            session.outcome.stats.record_metrics();
+        }
+        self.shared.stats().record_metrics_delta(&cache_before);
+        self.solver.fold_metrics();
         record_proof_audit_metrics();
         Discovery {
             client_time,
@@ -446,13 +454,13 @@ fn accumulate_stats(into: &mut ExploreStats, part: &ExploreStats) {
 
 /// Publishes the process-lifetime proof-audit totals (certificates checked
 /// by the independent `achilles-proofcheck` auditor, and the wall time it
-/// spent) as registry gauges. The count is workload-fixed when the audit is
-/// installed; the time is wall.
+/// spent) as registry gauges. Both are wall: how many certificates there
+/// are to audit follows the solvers' cache tiers.
 pub(crate) fn record_proof_audit_metrics() {
     let (checked, spent) = achilles_solver::proof_audit_stats();
     let reg = achilles_obs::global();
     reg.set(
-        achilles_obs::Class::Deterministic,
+        achilles_obs::Class::Wall,
         "achilles_solver_proof_audit_checked_total",
         &[],
         checked,

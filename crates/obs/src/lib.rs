@@ -6,10 +6,10 @@
 //!   series with Prometheus-style text rendering. Every series is classified
 //!   at the recording site as [`Class::Deterministic`] (bit-identical across
 //!   worker counts and tracing on vs off — schedule- and clock-independent
-//!   by construction; between fork and cold boot, only the series counting
-//!   what was replayed, not the work series the fork-server exists to cut)
-//!   or [`Class::Wall`] (anything touched by wall clocks, thread
-//!   scheduling, or batch affinity). `render()` keeps
+//!   by construction; between fork and cold boot, all but the two series
+//!   counting the work the fork-server exists to cut) or [`Class::Wall`]
+//!   (anything touched by wall clocks, thread scheduling, batch affinity,
+//!   or solver cache state). `render()` keeps
 //!   the two strictly segregated so determinism gates can diff the
 //!   deterministic section byte-for-byte while the wall section varies
 //!   freely.
@@ -24,11 +24,16 @@
 //!   or witness (pinned by the observer-effect guard in
 //!   `tests/parallel_determinism.rs`).
 //!
-//! The existing per-subsystem stats structs (`ExploreStats`, `SolverStats`,
-//! `ForkStats`, ...) remain the canonical deterministic accumulators; the
-//! instrumented crates mirror them into the registry at their natural merge
-//! points, so the registry is a live *view* over the same counters rather
-//! than a second source of truth.
+//! The per-subsystem stats structs (`ExploreStats`, `SolverStats`,
+//! `ForkStats`, ...) are the only accumulators. Each counter reaches the
+//! registry once, folded by the struct that owns it at a boundary that is
+//! already coarse: a solver folds the work it has not folded yet when it
+//! is dropped (and a discovery run folds its engine's solver when it
+//! ends), a discovery run folds its exploration, Trojan-search and
+//! shared-cache totals, and a replay folds its fork-server's stats. No hot
+//! path — no exploration, no query, no replayed delivery — writes to the
+//! registry, so the registry is a sum of the structs, never a second
+//! source of truth.
 
 mod metrics;
 mod trace;

@@ -2,20 +2,20 @@
 //! segregation and Prometheus-style text rendering.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Determinism class of a series, fixed at the recording site.
 ///
 /// `Deterministic` series must be bit-identical across worker counts,
-/// subsumption on/off, and tracing on/off for the same logical workload.
-/// Between fork-server and cold-boot replay only the series that count
-/// what was replayed must match (the `achilles_sweep_*` series and the
-/// fork-server's plans and baselines); the work series — fork branches,
-/// shared prefix depth, and the `achilles_explore_*` / `achilles_solver_*`
-/// series a concrete replay mirrors per delivery — measure the work the
-/// fork-server saves, so they differ. Everything else — wall clocks, queue
-/// peaks, batch affinity, latency — is `Wall`. The renderer never mixes the
-/// two sections, so a determinism gate can diff `# deterministic` exactly.
+/// subsumption on/off, and tracing on/off for the same logical workload,
+/// and between fork-server and cold-boot replay except for the two series
+/// that measure the work the fork-server saves:
+/// `achilles_fork_branches_total` and
+/// `achilles_fork_shared_prefix_depth_sum_total`. Everything else — wall
+/// clocks, queue peaks, batch affinity, latency, and every solver counter
+/// (cache tiers and search work move with the worker count and with the
+/// subsumption index) — is `Wall`. The renderer never mixes the two
+/// sections, so a determinism gate can diff `# deterministic` exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Class {
     Deterministic,
@@ -147,23 +147,22 @@ impl MetricsRegistry {
         }
     }
 
+    /// The series map. Updates under the lock are inserts and integer
+    /// adds, so the map stays valid whatever thread panicked holding it: a
+    /// poisoned lock is taken over, and a fold from a `Drop` impl never
+    /// panics here.
+    fn map(&self) -> MutexGuard<'_, BTreeMap<String, Series>> {
+        self.series.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Increment a counter series by `delta`.
     ///
     /// A zero `delta` still materializes the series so renders enumerate
     /// it: a zero counter is information (e.g. no errors yet), and
     /// determinism diffs need the same line set on both sides.
     pub fn add(&self, class: Class, name: &str, labels: &[(&str, &str)], delta: u64) {
-        let mut map = self.series.lock().unwrap();
-        // Every exploration mirrors its counters, concrete replays
-        // included: find an existing unlabeled series by `name` without
-        // building its key.
-        if labels.is_empty() {
-            if let Some(series) = map.get_mut(name) {
-                series.add(delta);
-                return;
-            }
-        }
-        map.entry(series_key(name, labels))
+        self.map()
+            .entry(series_key(name, labels))
             .or_insert(Series {
                 class,
                 value: Value::Counter(0),
@@ -171,16 +170,10 @@ impl MetricsRegistry {
             .add(delta);
     }
 
-    /// Create a counter series at its current value (possibly zero) without
-    /// incrementing it.
-    pub fn touch(&self, class: Class, name: &str, labels: &[(&str, &str)]) {
-        self.add(class, name, labels, 0);
-    }
-
     /// Set a gauge series to an absolute value.
     pub fn set(&self, class: Class, name: &str, labels: &[(&str, &str)], value: u64) {
         let key = series_key(name, labels);
-        let mut map = self.series.lock().unwrap();
+        let mut map = self.map();
         let entry = map.entry(key).or_insert(Series {
             class,
             value: Value::Gauge(value),
@@ -193,7 +186,7 @@ impl MetricsRegistry {
     /// Histograms measure wall time, so they are always [`Class::Wall`].
     pub fn observe_ns(&self, name: &str, labels: &[(&str, &str)], ns: u64) {
         let key = series_key(name, labels);
-        let mut map = self.series.lock().unwrap();
+        let mut map = self.map();
         let entry = map.entry(key).or_insert(Series {
             class: Class::Wall,
             value: Value::Histogram(Box::new(Histogram::new())),
@@ -206,7 +199,7 @@ impl MetricsRegistry {
     /// Snapshot a histogram series, if it exists.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistogramSnapshot> {
         let key = series_key(name, labels);
-        let map = self.series.lock().unwrap();
+        let map = self.map();
         match map.get(&key) {
             Some(Series {
                 value: Value::Histogram(h),
@@ -223,7 +216,7 @@ impl MetricsRegistry {
     /// Current value of a counter or gauge series, if it exists.
     pub fn value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
         let key = series_key(name, labels);
-        let map = self.series.lock().unwrap();
+        let map = self.map();
         match map.get(&key) {
             Some(Series {
                 value: Value::Counter(v),
@@ -237,15 +230,10 @@ impl MetricsRegistry {
         }
     }
 
-    /// Number of distinct series currently registered.
-    pub fn series_count(&self) -> usize {
-        self.series.lock().unwrap().len()
-    }
-
     /// Rendered lines (sorted by key) for one determinism class, without a
     /// section header. Histograms always land in the [`Class::Wall`] class.
     pub fn render_class(&self, class: Class) -> Vec<String> {
-        let map = self.series.lock().unwrap();
+        let map = self.map();
         let mut lines = Vec::new();
         for (key, series) in map.iter() {
             if series.class != class {
@@ -292,7 +280,7 @@ impl MetricsRegistry {
 
     /// Remove every series. Test-only hygiene for process-global registries.
     pub fn reset(&self) {
-        self.series.lock().unwrap().clear();
+        self.map().clear();
     }
 }
 

@@ -103,16 +103,23 @@ pub struct SharedCacheStats {
 }
 
 impl SharedCacheStats {
-    /// Publishes this cache's lifetime counters as `achilles_shared_cache_*`
-    /// registry gauges. The shared cache is raced by every worker of a
-    /// parallel exploration, so all of its counters are
+    /// Adds the counter delta `self - before` to the process-wide metrics
+    /// registry as `achilles_shared_cache_*` series, so each series is a
+    /// process total over every engine. The shared cache is raced by every
+    /// worker of a parallel exploration, so all of its counters are
     /// [`Wall`](achilles_obs::Class::Wall)-classed: hit/miss splits move
     /// with thread interleaving even when the exploration's *results* are
     /// bit-identical.
-    pub fn record_metrics(&self) {
+    pub fn record_metrics_delta(&self, before: &SharedCacheStats) {
         use achilles_obs::Class::Wall;
         let reg = achilles_obs::global();
-        for (name, value) in [
+        for ((name, now), (_, was)) in self.series().into_iter().zip(before.series()) {
+            reg.add(Wall, name, &[], now.saturating_sub(was));
+        }
+    }
+
+    fn series(&self) -> [(&'static str, u64); 7] {
+        [
             ("achilles_shared_cache_hits_total", self.hits),
             (
                 "achilles_shared_cache_cross_epoch_hits_total",
@@ -132,9 +139,7 @@ impl SharedCacheStats {
                 "achilles_shared_cache_certified_unsat_total",
                 self.certified_unsat,
             ),
-        ] {
-            reg.set(Wall, name, &[], value);
-        }
+        ]
     }
 }
 

@@ -51,108 +51,59 @@ pub struct SolverStats {
 }
 
 impl SolverStats {
-    /// Mirrors the counter delta `self - before` into the process-wide
-    /// metrics registry ([`achilles_obs::global`]). Explorations call this
-    /// once when their final stats are assembled, so the registry stays a
-    /// pure view over the same accumulators callers already see.
-    ///
-    /// Workload-fixed counters (queries, verdict splits, certificates,
-    /// subsumption answers, DPLL search work) are
-    /// [`Deterministic`](achilles_obs::Class::Deterministic); counters that
-    /// depend on cross-worker cache races or the clock (`shared_hits`,
-    /// `solve_time`) are [`Wall`](achilles_obs::Class::Wall).
-    pub fn record_metrics_delta(&self, before: &SolverStats) {
-        use achilles_obs::Class::{Deterministic, Wall};
-        let reg = achilles_obs::global();
-        let d = |a: u64, b: u64| a.saturating_sub(b);
-        for (name, after, prev) in [
-            (
-                "achilles_solver_queries_total",
-                self.queries,
-                before.queries,
-            ),
-            (
-                "achilles_solver_cache_hits_total",
-                self.cache_hits,
-                before.cache_hits,
-            ),
+    /// Every counter as its `achilles_solver_*` series. All are
+    /// [`Wall`](achilles_obs::Class::Wall): which tier answers a query,
+    /// and so how many full searches run, moves with the worker count and
+    /// with the subsumption index, and at two workers even the query count
+    /// can differ.
+    fn series(&self) -> [(&'static str, u64); 17] {
+        let search = &self.search;
+        [
+            ("achilles_solver_queries_total", self.queries),
+            ("achilles_solver_cache_hits_total", self.cache_hits),
+            ("achilles_solver_shared_hits_total", self.shared_hits),
             (
                 "achilles_solver_presorted_queries_total",
                 self.presorted_queries,
-                before.presorted_queries,
             ),
-            ("achilles_solver_sat_total", self.sat, before.sat),
-            ("achilles_solver_unsat_total", self.unsat, before.unsat),
-            (
-                "achilles_solver_unknown_total",
-                self.unknown,
-                before.unknown,
-            ),
-            (
-                "achilles_solver_certified_unsat_total",
-                self.certified_unsat,
-                before.certified_unsat,
-            ),
+            ("achilles_solver_sat_total", self.sat),
+            ("achilles_solver_unsat_total", self.unsat),
+            ("achilles_solver_unknown_total", self.unknown),
             (
                 "achilles_solver_core_subsumption_hits_total",
                 self.core_subsumption_hits,
-                before.core_subsumption_hits,
             ),
-            (
-                "achilles_solver_search_decisions_total",
-                self.search.decisions,
-                before.search.decisions,
-            ),
+            ("achilles_solver_search_decisions_total", search.decisions),
             (
                 "achilles_solver_search_propagations_total",
-                self.search.propagations,
-                before.search.propagations,
+                search.propagations,
             ),
             (
                 "achilles_solver_search_deferred_checks_total",
-                self.search.deferred_checks,
-                before.search.deferred_checks,
+                search.deferred_checks,
             ),
             (
                 "achilles_solver_search_verification_failures_total",
-                self.search.verification_failures,
-                before.search.verification_failures,
+                search.verification_failures,
             ),
             (
                 "achilles_solver_search_certificate_steps_total",
-                self.search.certificate_steps,
-                before.search.certificate_steps,
+                search.certificate_steps,
             ),
-            (
-                "achilles_solver_search_normalized_total",
-                self.search.normalized,
-                before.search.normalized,
-            ),
+            ("achilles_solver_search_normalized_total", search.normalized),
             (
                 "achilles_solver_search_literals_asserted_total",
-                self.search.literals_asserted,
-                before.search.literals_asserted,
+                search.literals_asserted,
             ),
             (
                 "achilles_solver_search_clause_evals_total",
-                self.search.clause_evals,
-                before.search.clause_evals,
+                search.clause_evals,
             ),
-        ] {
-            reg.add(Deterministic, name, &[], d(after, prev));
-        }
-        reg.add(
-            Wall,
-            "achilles_solver_shared_hits_total",
-            &[],
-            d(self.shared_hits, before.shared_hits),
-        );
-        reg.add(
-            Wall,
-            "achilles_solver_solve_time_ns_total",
-            &[],
-            self.solve_time.saturating_sub(before.solve_time).as_nanos() as u64,
-        );
+            (
+                "achilles_solver_solve_time_ns_total",
+                self.solve_time.as_nanos() as u64,
+            ),
+        ]
     }
 }
 
@@ -175,6 +126,9 @@ impl Cached {
 
 /// A caching satisfiability interface over a [`TermPool`].
 ///
+/// Its work reaches the metrics registry once: [`Solver::fold_metrics`]
+/// adds what was not folded yet, and dropping the solver folds the rest.
+///
 /// # Examples
 ///
 /// ```
@@ -193,6 +147,8 @@ impl Cached {
 pub struct Solver {
     config: SolverConfig,
     stats: SolverStats,
+    /// The stats as of the last [`Solver::fold_metrics`].
+    folded: SolverStats,
     cache: FastMap<Vec<TermId>, Cached>,
     shared: Option<Arc<SharedCache>>,
 }
@@ -205,10 +161,9 @@ impl Solver {
 
     /// Creates a solver with a custom configuration.
     pub fn with_config(config: SolverConfig) -> Solver {
-        Solver {
-            config,
-            ..Solver::default()
-        }
+        let mut solver = Solver::default();
+        solver.config = config;
+        solver
     }
 
     /// Attaches a cross-worker [`SharedCache`]: misses in the local cache
@@ -231,6 +186,21 @@ impl Solver {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &SolverStats {
         &self.stats
+    }
+
+    /// Adds the work done since the last fold to the process-wide metrics
+    /// registry ([`achilles_obs::global`]). Every counter moves only with
+    /// a query, so a solver that answered nothing new takes no lock.
+    pub fn fold_metrics(&mut self) {
+        use achilles_obs::Class::Wall;
+        if self.stats.queries == self.folded.queries {
+            return;
+        }
+        let reg = achilles_obs::global();
+        for ((name, now), (_, was)) in self.stats.series().into_iter().zip(self.folded.series()) {
+            reg.add(Wall, name, &[], now.saturating_sub(was));
+        }
+        self.folded = self.stats;
     }
 
     /// Clears the query cache (statistics are kept).
@@ -364,6 +334,12 @@ impl Solver {
             SatResult::Sat(m) => Some(m),
             _ => None,
         }
+    }
+}
+
+impl Drop for Solver {
+    fn drop(&mut self) {
+        self.fold_metrics();
     }
 }
 

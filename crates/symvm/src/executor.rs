@@ -292,8 +292,6 @@ impl<'a> Executor<'a> {
         stats.core_subsumption_hits =
             solver_after.core_subsumption_hits - solver_before.core_subsumption_hits;
         stats.wall_time = started.elapsed();
-        self.solver.stats().record_metrics_delta(&solver_before);
-        stats.record_metrics();
         ExploreResult { paths, stats }
     }
 

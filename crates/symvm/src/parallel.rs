@@ -487,7 +487,6 @@ fn merge<O>(
         } = outcome;
         stats.absorb_counters(&ws);
         // Each worker ran a fresh solver, so its stats are already deltas.
-        solver_stats.record_metrics_delta(&SolverStats::default());
         stats.shared_cache_hits += solver_stats.shared_hits;
         stats.certified_unsat += solver_stats.certified_unsat;
         stats.core_subsumption_hits += solver_stats.core_subsumption_hits;
@@ -551,7 +550,6 @@ fn merge<O>(
     stats.completed = merged.len();
     stats.cross_phase_cache_hits = shared.stats().cross_epoch_hits.saturating_sub(cross_before);
     stats.wall_time = started.elapsed();
-    stats.record_metrics();
 
     ParallelOutcome {
         result: ExploreResult {

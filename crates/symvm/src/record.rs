@@ -95,21 +95,21 @@ pub struct ExploreStats {
 }
 
 impl ExploreStats {
-    /// Mirrors this exploration's counters into the process-wide metrics
-    /// registry ([`achilles_obs::global`]) as `achilles_explore_*` series.
-    /// Called exactly once per exploration, at the point the final stats are
-    /// assembled (sequential loop end / parallel merge), so the registry is
-    /// a pure view over the same accumulators callers already receive.
+    /// Adds these counters to the process-wide metrics registry
+    /// ([`achilles_obs::global`]) as `achilles_explore_*` series. Only a
+    /// discovery run calls it, once for its client explorations and once
+    /// per session's server exploration; no exploration writes to the
+    /// registry itself. The certificate, subsumption and shared-cache
+    /// counters are the solvers' and shared cache's own series.
     ///
-    /// Workload-fixed counters (runs, verdict splits, branch checks,
-    /// certificates) are [`Deterministic`](achilles_obs::Class::Deterministic);
-    /// counters shaped by scheduling or incremental solver state (steals,
-    /// shared-cache hits, model reuse, wall time) are
+    /// Workload-fixed counters (runs, verdict splits, branch checks) are
+    /// [`Deterministic`](achilles_obs::Class::Deterministic); counters
+    /// shaped by scheduling or incremental solver state (steals, model
+    /// reuse, cross-phase cache hits, wall time) are
     /// [`Wall`](achilles_obs::Class::Wall).
     pub fn record_metrics(&self) {
         use achilles_obs::Class::{Deterministic, Wall};
         let reg = achilles_obs::global();
-        reg.add(Deterministic, "achilles_explore_explorations_total", &[], 1);
         for (name, value) in [
             ("achilles_explore_runs_total", self.runs as u64),
             ("achilles_explore_completed_total", self.completed as u64),
@@ -125,14 +125,6 @@ impl ExploreStats {
                 "achilles_explore_unknown_branches_total",
                 self.unknown_branches,
             ),
-            (
-                "achilles_explore_certified_unsat_total",
-                self.certified_unsat,
-            ),
-            (
-                "achilles_explore_core_subsumption_hits_total",
-                self.core_subsumption_hits,
-            ),
         ] {
             reg.add(Deterministic, name, &[], value);
         }
@@ -142,10 +134,6 @@ impl ExploreStats {
                 self.model_reuse_hits,
             ),
             ("achilles_explore_steals_total", self.steals),
-            (
-                "achilles_explore_shared_cache_hits_total",
-                self.shared_cache_hits,
-            ),
             (
                 "achilles_explore_cross_phase_cache_hits_total",
                 self.cross_phase_cache_hits,

@@ -19,8 +19,9 @@
 //! With `--validate`, the discovered Trojans (wildcard family included) are
 //! replayed against the concrete FSP deployment.
 
+use achilles::AchillesSession;
 use achilles_bench::{arg_present, bar, header, row, validate_spec_result, workers_from_args};
-use achilles_fsp::{run_analysis, FspAnalysisConfig};
+use achilles_fsp::FspSpec;
 use std::collections::BTreeMap;
 
 fn main() {
@@ -28,12 +29,13 @@ fn main() {
     header(&format!(
         "Figure 11 — matching client path predicates vs server path length (FSP, {workers} worker(s))"
     ));
-    let config = FspAnalysisConfig::wildcard().with_workers(workers);
-    let result = run_analysis(&config);
+    let spec = FspSpec::wildcard();
+    let result = AchillesSession::new(&spec).workers(workers).run();
     println!("{}", row("client path predicates", result.client.len()));
     println!("{}", row("samples collected", result.samples.len()));
 
-    // Aggregate: per path length, min/mean/max matching predicates.
+    // Aggregate: per path length, min/mean/max matching predicates (the
+    // samples' order is unspecified above one worker; the aggregate is not).
     let mut by_len: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for s in &result.samples {
         by_len.entry(s.path_len).or_default().push(s.matching);
@@ -72,7 +74,6 @@ fn main() {
     );
 
     if arg_present("--validate") {
-        let spec = achilles_fsp::FspSpec::new(config.clone());
         let summary = validate_spec_result(&spec, &result.trojans, workers);
         assert_eq!(
             summary.confirmed,

@@ -13,9 +13,9 @@
 //! * `utilization` = worker busy time ÷ (server wall × workers): how much
 //!   of the pool's time went into items rather than idling. It reads high
 //!   even when the pool does more total work than one worker would.
-//! * `efficiency` = speedup vs 1 worker ÷ min(effective workers, host
-//!   cores): how much of the available hardware parallelism turned into
-//!   server-phase speedup.
+//! * `efficiency` = speedup vs 1 worker ÷ min(workers, host cores): how
+//!   much of the available hardware parallelism turned into server-phase
+//!   speedup.
 //!
 //! ```text
 //! cargo run --release -p achilles-bench --bin parallel_scaling -- --json
@@ -23,15 +23,15 @@
 
 use std::time::Instant;
 
+use achilles::AchillesSession;
 use achilles_bench::{
     arg_present, arg_value, bar, fmt_secs, header, host_cores, row, trace_path_from_args,
     write_trace,
 };
-use achilles_fsp::{run_analysis, FspAnalysisConfig};
+use achilles_fsp::FspSpec;
 
 struct Sweep {
     workers: usize,
-    workers_effective: usize,
     wall_s: f64,
     server_s: f64,
     trojans: usize,
@@ -55,7 +55,7 @@ impl Sweep {
 
     /// Speedup divided by the parallelism the host could give this row.
     fn efficiency(&self, base: f64, cores: usize) -> f64 {
-        self.speedup(base) / self.workers_effective.min(cores).max(1) as f64
+        self.speedup(base) / self.workers.min(cores).max(1) as f64
     }
 }
 
@@ -82,11 +82,11 @@ fn main() {
     let mut sweeps: Vec<Sweep> = Vec::new();
     let mut witness_sets: Vec<Vec<Vec<u64>>> = Vec::new();
     for &workers in &sweep_counts {
-        let mut config = FspAnalysisConfig::accuracy().with_workers(workers);
-        config.server.post_parse_branching = depth;
+        let mut spec = FspSpec::accuracy();
+        spec.server.post_parse_branching = depth;
         let (_, audit_wall_before) = achilles_solver::proof_audit_stats();
         let started = Instant::now();
-        let result = run_analysis(&config);
+        let result = AchillesSession::new(&spec).workers(workers).run();
         let wall = started.elapsed();
         let (_, audit_wall_after) = achilles_solver::proof_audit_stats();
         witness_sets.push(
@@ -97,22 +97,22 @@ fn main() {
                 .collect(),
         );
         let busy: f64 = result
-            .worker_stats
+            .server_workers
             .iter()
             .map(|w| w.busy.as_secs_f64())
             .sum();
-        let server_s = result.server_time.as_secs_f64();
+        let server_s = result.phase_times.server.as_secs_f64();
+        let explore = &result.server_explore;
         sweeps.push(Sweep {
             workers,
-            workers_effective: result.explore_stats.workers_effective.max(1),
             wall_s: wall.as_secs_f64(),
             server_s,
             trojans: result.trojans.len(),
-            steals: result.explore_stats.steals,
-            shared_hits: result.explore_stats.shared_cache_hits,
-            solver_queries: result.worker_stats.iter().map(|w| w.queries).sum(),
-            certified_unsat: result.explore_stats.certified_unsat,
-            core_subsumption_hits: result.explore_stats.core_subsumption_hits,
+            steals: explore.steals,
+            shared_hits: explore.shared_cache_hits,
+            solver_queries: result.server_workers.iter().map(|w| w.queries).sum(),
+            certified_unsat: explore.certified_unsat,
+            core_subsumption_hits: explore.core_subsumption_hits,
             proof_check_wall_s: (audit_wall_after - audit_wall_before).as_secs_f64(),
             utilization: (busy / (server_s.max(1e-9) * workers as f64)).min(1.0),
         });
@@ -124,12 +124,12 @@ fn main() {
                     "{} total / {} server, {} trojans, {} steals, {} shared hits, \
                      {} certified unsat ({} subsumed), {:.0}% util",
                     fmt_secs(wall),
-                    format_args!("{:.3}s", result.server_time.as_secs_f64()),
+                    format_args!("{server_s:.3}s"),
                     result.trojans.len(),
-                    result.explore_stats.steals,
-                    result.explore_stats.shared_cache_hits,
-                    result.explore_stats.certified_unsat,
-                    result.explore_stats.core_subsumption_hits,
+                    explore.steals,
+                    explore.shared_cache_hits,
+                    explore.certified_unsat,
+                    explore.core_subsumption_hits,
                     sweeps.last().expect("just pushed").utilization * 100.0,
                 )
             )
@@ -179,7 +179,7 @@ fn main() {
         json.push_str("  \"sweep\": [\n");
         for (i, s) in sweeps.iter().enumerate() {
             json.push_str(&format!(
-                "    {{\"workers\": {}, \"workers_effective\": {}, \"wall_s\": {:.4}, \
+                "    {{\"workers\": {}, \"wall_s\": {:.4}, \
                  \"server_s\": {:.4}, \
                  \"speedup_vs_1\": {:.3}, \"trojans\": {}, \"steals\": {}, \
                  \"shared_cache_hits\": {}, \"solver_queries\": {}, \
@@ -187,7 +187,6 @@ fn main() {
                  \"proof_check_wall_s\": {:.4}, \"utilization\": {:.3}, \
                  \"efficiency\": {:.3}}}{}\n",
                 s.workers,
-                s.workers_effective,
                 s.wall_s,
                 s.server_s,
                 s.speedup(base),

@@ -284,9 +284,8 @@ fn main() {
     header(&format!("replay fan-out sweep ({sweep_name} witnesses)"));
     let sweep_spec = registry.get(sweep_name).expect("validated above");
     let sweep_counts = [1usize, 2, 4, 8];
-    // (workers requested, workers effective, passes, wall seconds over all
-    // passes, witnesses/sec).
-    let mut sweep: Vec<(usize, usize, usize, f64, f64)> = Vec::new();
+    // (workers, passes, wall seconds over all passes, witnesses/sec).
+    let mut sweep: Vec<(usize, usize, f64, f64)> = Vec::new();
     let mut reference: Option<Vec<(Vec<Vec<u64>>, String)>> = None;
     for &workers in &sweep_counts {
         let config = ValidateConfig::default().with_workers(workers);
@@ -331,7 +330,7 @@ fn main() {
                 )
             )
         );
-        sweep.push((workers, effective, passes, wall, wps));
+        sweep.push((workers, passes, wall, wps));
     }
 
     if arg_present("--json") {
@@ -377,10 +376,9 @@ fn main() {
             ));
         }
         json.push_str("  ],\n  \"sweep\": [\n");
-        for (i, (workers, effective, passes, wall, wps)) in sweep.iter().enumerate() {
+        for (i, (workers, passes, wall, wps)) in sweep.iter().enumerate() {
             json.push_str(&format!(
-                "    {{\"workers\": {workers}, \"workers_effective\": {effective}, \
-                 \"passes\": {passes}, \"wall_s\": {wall:.4}, \"pass_s\": {:.5}, \
+                "    {{\"workers\": {workers}, \"passes\": {passes}, \"wall_s\": {wall:.4}, \"pass_s\": {:.5}, \
                  \"witnesses_per_sec\": {wps:.1}}}{}\n",
                 wall / *passes as f64,
                 if i + 1 == sweep.len() { "" } else { "," },

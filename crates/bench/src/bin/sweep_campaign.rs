@@ -41,15 +41,14 @@
 //! two drivers of one sweep body, and this keeps them provably so.
 //!
 //! With `--json [PATH]`, emits `BENCH_sweep.json` including the host core
-//! count, the effective worker count (`min(workers, discovered)`: workers
-//! take whole witnesses), fork-server savings (`boots_saved`,
+//! count, fork-server savings (`boots_saved`,
 //! `snapshot_restores`, `mean_shared_prefix_depth`) and the timed
 //! variants: `seq_wall_s` (fork, 1 worker), `fork_wall_s` (fork, 2
 //! workers) and `cold_wall_s` (cold, 2 workers) are medians over `reps`
 //! repetitions, each with its `*_iqr_s`; `speedup` is the 1-worker median
-//! over the 2-worker median, and `efficiency` is speedup ÷ min(effective
-//! 2-worker count, host cores), so multicore measurements stay
-//! interpretable. `wall_s` is the recorded run's single wall time.
+//! over the 2-worker median, and `efficiency` is speedup ÷ min(2,
+//! discovered witnesses, host cores) — workers take whole witnesses — so
+//! multicore measurements stay interpretable. `wall_s` is the recorded run's single wall time.
 //!
 //! With `--check-proofs` (or `ACHILLES_CHECK_PROOFS=1`), the independent
 //! certificate checker audits every unsat verdict the discovery produces;
@@ -520,7 +519,7 @@ fn main() {
                  \"new_signature\": {}, \
                  \"replayed\": {}, \"cache_hits\": {}, \"warm_replayed\": {}, \
                  \"warm_cache_hits\": {}, \"workers\": {}, \
-                 \"workers_effective\": {}, \"wall_s\": {:.4}, \
+                 \"wall_s\": {:.4}, \
                  \"boots_saved\": {}, \"snapshot_restores\": {}, \
                  \"mean_shared_prefix_depth\": {:.4}, \"reps\": {}, \
                  \"seq_wall_s\": {:.4}, \"seq_wall_iqr_s\": {:.4}, \
@@ -545,7 +544,6 @@ fn main() {
                 r.warm_replayed,
                 r.warm_cache_hits,
                 r.requested,
-                r.requested.min(s.discovered).max(1),
                 s.elapsed.as_secs_f64(),
                 t.par_sweep.boots_saved(),
                 t.par_sweep.fork.snapshot_restores,

@@ -6,11 +6,10 @@
 //! cargo run --release -p achilles-bench --bin table1_accuracy
 //! ```
 
-use achilles::{classic_symex, FieldMask};
+use achilles::{classic_symex, AchillesSession, FieldMask};
 use achilles_bench::{fmt_secs, header, row};
 use achilles_fsp::{
-    expected_length_mismatch_trojans, is_trojan, run_analysis, FspAnalysisConfig, FspMessage,
-    FspServer, FspServerConfig,
+    expected_length_mismatch_trojans, is_trojan, FspMessage, FspServer, FspServerConfig, FspSpec,
 };
 use achilles_solver::{Solver, TermPool};
 use achilles_symvm::{ExploreConfig, SymMessage};
@@ -19,11 +18,12 @@ fn main() {
     header("Table 1 — Achilles vs classic symbolic execution (FSP, path length < 5)");
 
     // --- Achilles, the paper's accuracy configuration -------------------
-    let config = FspAnalysisConfig::accuracy();
-    let result = run_analysis(&config);
-    let expected = expected_length_mismatch_trojans(config.commands.len());
+    let spec = FspSpec::accuracy();
+    let result = AchillesSession::new(&spec).run();
+    let expected = expected_length_mismatch_trojans(spec.commands.len());
     let achilles_tp = result.trojans.iter().filter(|t| t.verified).count();
-    let achilles_fp = result.unverified();
+    let achilles_fp = result.trojans.len() - achilles_tp;
+    let times = result.phase_times;
 
     println!("{}", row("known Trojan message classes", expected));
     println!("{}", row("client path predicates", result.client.len()));
@@ -32,21 +32,15 @@ fn main() {
         "{}",
         row(
             "server paths pruned by Trojan-set check",
-            result.explore_stats.pruned
+            result.server_explore.pruned
         )
     );
+    println!("{}", row("phase: client predicate", fmt_secs(times.client)));
     println!(
         "{}",
-        row("phase: client predicate", fmt_secs(result.client_time))
+        row("phase: preprocessing", fmt_secs(times.preprocess))
     );
-    println!(
-        "{}",
-        row("phase: preprocessing", fmt_secs(result.preprocess_time))
-    );
-    println!(
-        "{}",
-        row("phase: server analysis", fmt_secs(result.server_time))
-    );
+    println!("{}", row("phase: server analysis", fmt_secs(times.server)));
 
     // --- Classic symbolic execution -------------------------------------
     // Vanilla exploration of the same server; one concrete test message per

@@ -175,8 +175,10 @@
 //!    [`session_server`](TargetSpec::session_server) and
 //!    [`session_replay_target`](TargetSpec::session_replay_target) serve
 //!    the server program and the step-2 deployment under the message's
-//!    name. Override the analysis defaults if needed; witnesses reach the
-//!    wire through [`fields_to_wire`] (big-endian field packing).
+//!    name. The spec holds no pipeline knob — workers, optimizations and
+//!    witness verification are set on the [`AchillesSession`] that runs
+//!    it; witnesses reach the wire through [`fields_to_wire`] (big-endian
+//!    field packing).
 //! 4. **Register.** Add one `registry.register(Arc::new(YourSpec))` call
 //!    (for the shipped set: in `achilles-targets`). Every driver picks the
 //!    protocol up by name: `--target yours` on the bench bins, a row in
@@ -347,8 +349,9 @@
 //!
 //! The server analysis scales across cores when
 //! [`ExploreConfig::workers`](achilles_symvm::ExploreConfig::workers) is
-//! raised above one (`AchillesConfig::server_explore.workers`, or
-//! `with_workers` on the FSP/PBFT analysis configs). Single-message and
+//! raised above one ([`AchillesSession::workers`], which fans out the
+//! client and pre-processing phases too, or
+//! `AchillesConfig::server_explore.workers`). Single-message and
 //! session discovery share it: both run [`run_trojan_search`] with the
 //! [`TrojanObserver`], over one slot or over a session's slots. The design,
 //! bottom to top:
@@ -388,10 +391,7 @@
 //!   shared depth-first bound, and the merge truncates to exactly the set
 //!   a sequential capped run completes — so even capped runs are
 //!   bit-identical for every worker count (execution counters may exceed
-//!   a sequential capped run's; the result set never differs).
-//!   BFS-ordered explorations always run sequentially (the pool schedules
-//!   depth-first per worker), and the downgrade is surfaced through
-//!   `ExploreStats::workers_effective` rather than silently. The
+//!   a sequential capped run's; the result set never differs). The
 //!   `parallel_determinism` integration suite pins the guarantee — capped
 //!   and uncapped, single-message and session — on the quickstart, FSP,
 //!   PBFT, Paxos, and twopc scenarios.

@@ -90,7 +90,9 @@ pub struct AchillesReport {
     pub trojans: Vec<TrojanReport>,
     /// Per-phase wall-clock times.
     pub phase_times: PhaseTimes,
-    /// Figure 11 samples (path length vs matching predicates).
+    /// Figure 11 samples (path length vs matching predicates), one per
+    /// server path-tree node: in depth-first order at one worker, in an
+    /// unspecified order above that (the multiset is the same).
     pub samples: Vec<MatchSample>,
     /// Search counters.
     pub search_stats: TrojanSearchStats,
@@ -445,7 +447,6 @@ pub(crate) struct SessionDiscovery {
 fn accumulate_stats(into: &mut ExploreStats, part: &ExploreStats) {
     into.absorb_counters(part);
     into.workers = into.workers.max(part.workers);
-    into.workers_effective = into.workers_effective.max(part.workers_effective);
     into.steals += part.steals;
     into.shared_cache_hits += part.shared_cache_hits;
     into.cross_phase_cache_hits += part.cross_phase_cache_hits;

@@ -705,7 +705,9 @@ pub struct TrojanSearchOutcome {
     /// For each report, the slots whose message is un-generable (`[0]` for
     /// every single-message report).
     pub trojan_slots: Vec<Vec<usize>>,
-    /// Figure 11 samples.
+    /// Figure 11 samples, one per server path-tree node. Their order is
+    /// depth-first at one worker and unspecified above that; the multiset
+    /// is the same at every worker count.
     pub samples: Vec<MatchSample>,
     /// Search counters, summed over workers.
     pub stats: TrojanSearchStats,
@@ -802,9 +804,9 @@ const SERVER_SYM_SALT: u64 = 0x5352_5600; // "SRV\0"
 /// receives, in `recv` order; the receive script is set from their
 /// symbolic messages. This is the one driver behind
 /// [`Achilles::analyze_server`](crate::pipeline::Achilles::analyze_server)
-/// (one slot),
+/// (one slot) and
 /// [`AchillesSession::run_sessions`](crate::session::AchillesSession::run_sessions)
-/// (a session's slots) and the FSP/Paxos analyses. In parallel mode every
+/// (a session's slots), and so behind every discovery. In parallel mode every
 /// worker runs its own [`TrojanObserver`] over a fork of `pool`;
 /// afterwards reports are imported back into `pool`, their path ids
 /// remapped to the canonical depth-first numbering, and the result sorted
@@ -827,9 +829,7 @@ pub fn run_trojan_search(
     if explore.sym_salt == 0 {
         explore.sym_salt = SERVER_SYM_SALT;
     }
-    // The work-stealing pool schedules depth-first per worker and cannot
-    // reproduce BFS completion order; keep BFS explorations sequential.
-    if explore.workers <= 1 || explore.order == achilles_symvm::ExploreOrder::Bfs {
+    if explore.workers <= 1 {
         let queries_before = solver.stats().queries;
         let solve_before = solver.stats().solve_time;
         let shared_before = solver.stats().shared_hits;

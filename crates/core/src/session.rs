@@ -1,12 +1,8 @@
 //! The builder-style front door: [`AchillesSession`] runs the pipeline
 //! against a [`TargetSpec`], and [`TargetRegistry`] selects specs by name.
 //!
-//! Before this API, every driver (bench bins, examples, tests) hand-wired
-//! the pipeline per protocol: build the client programs, extract and merge
-//! predicates, create the symbolic server message, call
-//! [`run_trojan_search`](crate::run_trojan_search), then match on the
-//! protocol again to boot a replay deployment. A session replaces all of
-//! that with
+//! Every discovery goes through this door — the bench bins, the examples,
+//! the tests and the registry-driven tools alike:
 //!
 //! ```text
 //! let registry = builtin_registry();            // assembled once, elsewhere
@@ -14,9 +10,11 @@
 //! let report = AchillesSession::new(&**spec).workers(4).run();
 //! ```
 //!
-//! and validation becomes `achilles_replay::validate_spec(&**spec, …)`.
-//! Protocols join by implementing [`TargetSpec`] and registering — no
-//! driver changes.
+//! and validation is `achilles_replay::validate_spec(&**spec, …)`. The spec
+//! describes the scenario (clients, server, layouts, patch toggles); the
+//! session owns the pipeline knobs (workers, optimizations, witness
+//! verification, budgets). Protocols join by implementing [`TargetSpec`]
+//! and registering — no driver changes.
 
 use std::fmt;
 use std::sync::Arc;
@@ -98,9 +96,9 @@ impl TargetRegistry {
 
 /// A builder-style pipeline run over one [`TargetSpec`].
 ///
-/// The session owns the engine (pool + solver), starts from the spec's
-/// [`TargetSpec::analysis_config`], and exposes the common knobs as
-/// chainable setters. [`AchillesSession::run`] discovers Trojans in the
+/// The session owns the engine (pool + solver) and every pipeline knob: it
+/// starts from [`AchillesConfig::verified`] and exposes the common knobs as
+/// chainable setters; the spec describes only the scenario. [`AchillesSession::run`] discovers Trojans in the
 /// spec's single message ([`TargetSpec::message`]) and
 /// [`AchillesSession::run_sessions`] in its declared sessions — one
 /// discovery body for both: client predicate extraction (merging each
@@ -185,12 +183,12 @@ impl fmt::Debug for AchillesSession<'_> {
 }
 
 impl<'s> AchillesSession<'s> {
-    /// A session over `spec`, configured with the spec's
-    /// [`TargetSpec::analysis_config`].
+    /// A session over `spec`, configured with [`AchillesConfig::verified`]:
+    /// one worker, every optimization on, witnesses verified.
     pub fn new(spec: &'s dyn TargetSpec) -> AchillesSession<'s> {
         AchillesSession {
             spec,
-            config: spec.analysis_config(),
+            config: AchillesConfig::verified(),
             engine: Achilles::new(),
         }
     }

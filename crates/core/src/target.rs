@@ -33,7 +33,6 @@ use achilles_netsim::bytes::{decode_fields, encode_fields};
 use achilles_symvm::{MessageLayout, NodeProgram};
 
 use crate::diverge::StateRoot;
-use crate::pipeline::AchillesConfig;
 use crate::predicate::FieldMask;
 use crate::report::TrojanReport;
 
@@ -323,11 +322,13 @@ impl SessionSpec {
 /// the target, supplies the symbolic client programs, declares what the
 /// server receives — the single message as a one-slot [`SessionSpec`],
 /// plus any multi-message sessions — and serves each declaration's
-/// symbolic server and concrete [`ReplayTarget`] by name. Drivers —
-/// [`AchillesSession`](crate::AchillesSession), the bench bins, the
-/// conformance suite — consume specs through a
-/// [`TargetRegistry`](crate::TargetRegistry) and never name a protocol in
-/// code.
+/// symbolic server and concrete [`ReplayTarget`] by name. Its eight hooks
+/// describe the scenario only: every pipeline knob (workers,
+/// optimizations, witness verification, budgets) belongs to the
+/// [`AchillesSession`](crate::AchillesSession) that runs it. Drivers —
+/// the session, the bench bins, the conformance suite — consume specs
+/// through a [`TargetRegistry`](crate::TargetRegistry) and never name a
+/// protocol in code.
 ///
 /// Specs are `Send + Sync`: a registry is shared across driver threads
 /// (the parallel pool, the fleetd campaign executors), so a spec must be
@@ -381,13 +382,6 @@ pub trait TargetSpec: Send + Sync {
     /// per [`SessionSlot`], configured consistently with
     /// [`TargetSpec::session_server`].
     fn session_replay_target(&self, session: &str) -> Box<dyn ReplayTarget>;
-
-    /// The pipeline configuration this protocol is normally analyzed with
-    /// (verification on by default). [`AchillesSession`](crate::AchillesSession)
-    /// starts from this and lets callers override knobs.
-    fn analysis_config(&self) -> AchillesConfig {
-        AchillesConfig::verified()
-    }
 
     /// Classifies a discovered report into a protocol-level family label
     /// (used for triage summaries; `"trojan"` when the protocol has a
@@ -482,7 +476,7 @@ mod tests {
         let spec = KvSpec;
         assert_eq!(spec.message().expected_trojans, None);
         assert!(spec.sessions().is_empty());
-        assert!(spec.analysis_config().verify_witnesses);
+        assert!(crate::AchillesSession::new(&spec).config().verify_witnesses);
         assert!(spec.description().is_empty());
     }
 }

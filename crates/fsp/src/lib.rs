@@ -14,13 +14,18 @@
 //! ## Quick analysis
 //!
 //! ```
-//! use achilles_fsp::{run_analysis, FspAnalysisConfig, expected_length_mismatch_trojans};
+//! use achilles::AchillesSession;
+//! use achilles_fsp::{classify, expected_length_mismatch_trojans, FspSpec, TrojanFamily};
 //!
 //! // One-utility slice of the paper's accuracy experiment (§6.2).
-//! let config = FspAnalysisConfig::accuracy().with_commands(1);
-//! let result = run_analysis(&config);
-//! assert_eq!(result.trojans.len(), expected_length_mismatch_trojans(1));
-//! assert_eq!(result.unverified(), 0); // no false positives
+//! let spec = FspSpec::accuracy().with_commands(1);
+//! let report = AchillesSession::new(&spec).run();
+//! assert_eq!(report.trojans.len(), expected_length_mismatch_trojans(1));
+//! assert!(report.trojans.iter().all(|t| t.verified)); // no false positives
+//! assert!(report
+//!     .trojans
+//!     .iter()
+//!     .all(|t| matches!(classify(t), TrojanFamily::LengthMismatch { .. })));
 //! ```
 
 #![warn(missing_docs)]
@@ -36,8 +41,7 @@ pub mod session;
 pub mod target;
 
 pub use analysis::{
-    classify, expected_length_mismatch_trojans, expected_wildcard_trojans, run_analysis,
-    run_analysis_with, FspAnalysisConfig, FspAnalysisResult, TrojanFamily,
+    classify, expected_length_mismatch_trojans, expected_wildcard_trojans, TrojanFamily,
 };
 pub use client::{extract_client_predicate, FspClient, FspClientConfig};
 pub use oracle::{

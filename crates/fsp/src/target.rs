@@ -1,9 +1,12 @@
 //! The FSP [`TargetSpec`]: one registration point from discovery to replay.
 //!
-//! [`FspSpec`] wraps an [`FspAnalysisConfig`] and exposes the eight client
-//! utilities, the server program, and the concrete deployment factory
-//! through the protocol-agnostic trait, so registry-driven tooling
-//! (`--target fsp`) runs the §6.2 analysis without naming FSP in code.
+//! [`FspSpec`] describes one FSP scenario — the utilities analyzed, the
+//! clients' glob model and the server's patch toggles — and exposes the
+//! client utilities, the server program, and the concrete deployment
+//! factory through the protocol-agnostic trait, so registry-driven tooling
+//! (`--target fsp`) runs the §6.2 analysis without naming FSP in code, and
+//! every other driver runs it through the same
+//! [`AchillesSession`](achilles::AchillesSession).
 //! [`FspTarget`] is the concrete deployment the factory boots: a stateful
 //! server endpoint over [`Network`]/[`SimFs`], previously hand-assembled
 //! inside the replay harness.
@@ -11,14 +14,14 @@
 use std::sync::Arc;
 
 use achilles::{
-    wire_to_fields, AchillesConfig, Delivery, InjectionOutcome, ReplayTarget, SessionSlot,
-    SessionSpec, SnapshotReplayTarget, TargetSpec, TrojanReport,
+    wire_to_fields, Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec,
+    SnapshotReplayTarget, TargetSpec, TrojanReport,
 };
 use achilles_netsim::{Addr, Network, SimFs};
-use achilles_symvm::{ExploreConfig, MessageLayout, NodeProgram};
+use achilles_symvm::{MessageLayout, NodeProgram};
 
-use crate::analysis::{classify, expected_length_mismatch_trojans, FspAnalysisConfig};
-use crate::client::FspClient;
+use crate::analysis::{classify, expected_length_mismatch_trojans};
+use crate::client::{FspClient, FspClientConfig};
 use crate::oracle::client_can_generate;
 use crate::protocol::{layout, Command, FspMessage};
 use crate::runtime::FspServerRuntime;
@@ -42,8 +45,8 @@ pub struct FspTarget {
 }
 
 impl FspTarget {
-    /// A target mirroring an analysis configuration, with a small canned
-    /// filesystem so commands have state to act on.
+    /// A target mirroring a spec's server and client glob model, with a
+    /// small canned filesystem so commands have state to act on.
     pub fn new(server: FspServerConfig, glob_expansion: bool) -> FspTarget {
         FspTarget {
             server,
@@ -230,34 +233,61 @@ impl SnapshotReplayTarget for FspForkSession {
     }
 }
 
-/// The FSP protocol as a [`TargetSpec`].
+/// The FSP protocol as a [`TargetSpec`]: one scenario of the §6.2–6.3
+/// experiments.
 ///
-/// Wraps an [`FspAnalysisConfig`]: the spec's client programs are the
-/// login utility and the configured utilities, the servers carry the
-/// configured patch toggles, and the replay factory boots an
-/// [`FspTarget`] (or, for the login→command session, an
-/// [`FspSessionTarget`]) mirroring both.
-#[derive(Clone, Debug, Default)]
+/// The spec's client programs are the login utility and the configured
+/// utilities, the servers carry the configured patch toggles, and the
+/// replay factory boots an [`FspTarget`] (or, for the login→command
+/// session, an [`FspSessionTarget`]) mirroring both. The spec holds no
+/// pipeline knob: the [`AchillesSession`](achilles::AchillesSession) that
+/// runs it owns workers, optimizations and witness verification.
+#[derive(Clone, Debug)]
 pub struct FspSpec {
-    /// The analysis configuration this spec describes.
-    pub analysis: FspAnalysisConfig,
+    /// Utilities/commands analyzed (default: the paper's eight).
+    pub commands: Vec<Command>,
+    /// Client-side config (glob expansion on/off).
+    pub client: FspClientConfig,
+    /// Server-side config (bug patches for control experiments).
+    pub server: FspServerConfig,
+}
+
+impl Default for FspSpec {
+    fn default() -> FspSpec {
+        FspSpec {
+            commands: Command::ANALYSIS_SET.to_vec(),
+            client: FspClientConfig::default(),
+            server: FspServerConfig::default(),
+        }
+    }
 }
 
 impl FspSpec {
-    /// A spec over `analysis`.
-    pub fn new(analysis: FspAnalysisConfig) -> FspSpec {
-        FspSpec { analysis }
-    }
-
-    /// The §6.2 accuracy setup (eight utilities, the 80 mismatched-length
-    /// classes) — the registry default.
+    /// The §6.2 accuracy setup: eight utilities, no glob modeling (isolates
+    /// the 80 mismatched-length classes) — the registry default.
     pub fn accuracy() -> FspSpec {
-        FspSpec::new(FspAnalysisConfig::accuracy())
+        FspSpec::default()
     }
 
-    /// The §6.3 wildcard setup (glob expansion modeled).
+    /// The §6.3 wildcard setup: glob expansion modeled, so literal `*`
+    /// becomes un-generable and the wildcard family appears.
     pub fn wildcard() -> FspSpec {
-        FspSpec::new(FspAnalysisConfig::wildcard())
+        FspSpec {
+            client: FspClientConfig {
+                glob_expansion: true,
+                ..FspClientConfig::default()
+            },
+            ..FspSpec::default()
+        }
+    }
+
+    /// Restricts the analysis to `n` commands (smaller, faster runs).
+    pub fn with_commands(mut self, n: usize) -> FspSpec {
+        self.commands.truncate(n.max(1));
+        // The server must dispatch the same subset or client messages for
+        // missing commands would all become trivially Trojan.
+        self.server.commands = self.commands.clone();
+        self
     }
 
     /// The utilities the login→command session exercises: a two-command
@@ -265,15 +295,15 @@ impl FspSpec {
     /// × command tree) proportionate while still covering both Trojan
     /// families.
     pub fn session_commands(&self) -> &[Command] {
-        let n = self.analysis.commands.len().min(2);
-        &self.analysis.commands[..n]
+        let n = self.commands.len().min(2);
+        &self.commands[..n]
     }
 
     /// The analyzed server configuration narrowed to the session commands.
     fn session_server_config(&self) -> FspServerConfig {
         FspServerConfig {
             commands: self.session_commands().to_vec(),
-            ..self.analysis.server.clone()
+            ..self.server.clone()
         }
     }
 }
@@ -296,20 +326,19 @@ impl TargetSpec for FspSpec {
         // Index 0 is the login utility; 1.. are the command utilities (the
         // session's commands are a prefix of them).
         let mut clients: Vec<Box<dyn NodeProgram + Sync + '_>> = vec![Box::new(FspLoginClient)];
-        clients.extend(self.analysis.commands.iter().map(|&cmd| {
-            Box::new(FspClient::new(cmd, self.analysis.client.clone()))
-                as Box<dyn NodeProgram + Sync>
+        clients.extend(self.commands.iter().map(|&cmd| {
+            Box::new(FspClient::new(cmd, self.client.clone())) as Box<dyn NodeProgram + Sync>
         }));
         clients
     }
 
     fn message(&self) -> SessionSpec {
-        let commands = self.analysis.commands.len();
+        let commands = self.commands.len();
         let slot = SessionSlot::new(COMMAND, layout(), (1..=commands).collect());
         SessionSpec {
             // Exact only for the parse-only length-mismatch model; wildcard
             // runs add one report per exact-length accepting path.
-            expected_trojans: (!self.analysis.client.glob_expansion)
+            expected_trojans: (!self.client.glob_expansion)
                 .then(|| expected_length_mismatch_trojans(commands)),
             ..SessionSpec::new(COMMAND, vec![slot])
         }
@@ -334,28 +363,16 @@ impl TargetSpec for FspSpec {
         if session == LOGIN_COMMAND {
             Box::new(FspSessionServer::new(self.session_server_config()))
         } else {
-            Box::new(FspServer::new(self.analysis.server.clone()))
+            Box::new(FspServer::new(self.server.clone()))
         }
     }
 
     fn session_replay_target(&self, session: &str) -> Box<dyn ReplayTarget> {
-        let glob = self.analysis.client.glob_expansion;
+        let glob = self.client.glob_expansion;
         if session == LOGIN_COMMAND {
             Box::new(FspSessionTarget::new(self.session_server_config(), glob))
         } else {
-            Box::new(FspTarget::new(self.analysis.server.clone(), glob))
-        }
-    }
-
-    fn analysis_config(&self) -> AchillesConfig {
-        AchillesConfig {
-            optimizations: self.analysis.optimizations,
-            verify_witnesses: self.analysis.verify_witnesses,
-            server_explore: ExploreConfig {
-                workers: self.analysis.workers.max(1),
-                ..ExploreConfig::default()
-            },
-            ..AchillesConfig::default()
+            Box::new(FspTarget::new(self.server.clone(), glob))
         }
     }
 
@@ -376,26 +393,53 @@ mod tests {
 
     #[test]
     fn spec_session_matches_the_legacy_pipeline() {
-        // Pin the session against `run_analysis_with` — the original
-        // hand-wired pipeline, which still ships independently — so a
-        // behavioral divergence in `AchillesSession` cannot hide behind
-        // the session-backed `run_analysis` shim.
-        let config = FspAnalysisConfig::accuracy().with_commands(2);
-        let direct = {
-            let mut pool = achilles_solver::TermPool::new();
-            let mut solver = achilles_solver::Solver::new();
-            crate::analysis::run_analysis_with(&mut pool, &mut solver, &config)
+        // Pin the session against the original hand-wired pipeline,
+        // rebuilt inline here (as paxos's twin test does), so a behavioral
+        // divergence in `AchillesSession` cannot hide behind the session.
+        use achilles::{prepare_client_workers, run_trojan_search, FieldMask, Optimizations};
+        use achilles_solver::{Solver, TermPool};
+        use achilles_symvm::{ExploreConfig, SymMessage};
+
+        let spec = FspSpec::accuracy().with_commands(2);
+        let legacy = {
+            let mut pool = TermPool::new();
+            let mut solver = Solver::new();
+            let client = crate::client::extract_client_predicate(
+                &mut pool,
+                &mut solver,
+                &spec.commands,
+                &spec.client,
+                &ExploreConfig::default(),
+            );
+            let server_msg = SymMessage::fresh(&mut pool, &layout(), "msg");
+            let prepared = prepare_client_workers(
+                &mut pool,
+                &mut solver,
+                client,
+                server_msg,
+                FieldMask::none(),
+                Optimizations::default(),
+                1,
+            );
+            run_trojan_search(
+                &mut pool,
+                &mut solver,
+                &[&prepared],
+                &FspServer::new(spec.server.clone()),
+                ExploreConfig::default(),
+                Optimizations::default(),
+                true,
+            )
         };
-        let spec = FspSpec::new(config);
         let report = AchillesSession::new(&spec).run();
-        assert_eq!(report.trojans.len(), direct.trojans.len());
+        assert_eq!(report.trojans.len(), legacy.reports.len());
         let fields = |ts: &[TrojanReport]| {
             ts.iter()
                 .map(|t| (t.server_path_id, t.witness_fields.clone(), t.verified))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(fields(&report.trojans), fields(&direct.trojans));
-        assert_eq!(report.server_paths, direct.server_paths);
+        assert_eq!(fields(&report.trojans), fields(&legacy.reports));
+        assert_eq!(report.server_paths, legacy.server_paths);
         assert_eq!(spec.message().expected_trojans, Some(report.trojans.len()));
     }
 
@@ -432,9 +476,8 @@ mod tests {
 
     #[test]
     fn replay_factory_mirrors_the_analyzed_server() {
-        let mut config = FspAnalysisConfig::accuracy().with_commands(1);
-        config.server.check_actual_length = true;
-        let spec = FspSpec::new(config);
+        let mut spec = FspSpec::accuracy().with_commands(1);
+        spec.server.check_actual_length = true;
         let target = spec.session_replay_target(COMMAND);
         assert_eq!(target.name(), "fsp");
         // A benign request is generable; the patched server still boots.

@@ -5,9 +5,11 @@
 //! the protocol is in its three phases. This crate provides
 //!
 //! * a small, concrete single-decree Paxos (proposer/acceptor) usable over
-//!   the simulated network, and
+//!   the simulated network;
 //! * node programs for Achilles analyses in each of the three local-state
-//!   modes — Concrete, Constructed Symbolic, and Over-approximate.
+//!   modes — Concrete, Constructed Symbolic, and Over-approximate; and
+//! * [`PaxosSpec`], one (proposer, acceptor) scenario as the spec an
+//!   [`AchillesSession`](achilles::AchillesSession) runs.
 //!
 //! The paper's scenario: "a Paxos Acceptor has just entered the second
 //! phase, with proposed value 7. It should only validate Accept messages for
@@ -24,7 +26,7 @@ pub mod target;
 
 pub use engine::{Acceptor, Ballot, Proposer, Value};
 pub use programs::{
-    accept_layout, analyze_local_state, AcceptorMode, AcceptorProgram, ProposerMode,
-    ProposerProgram, ACCEPT_KIND, MAX_PROPOSABLE_VALUE,
+    accept_layout, AcceptorMode, AcceptorProgram, ProposerMode, ProposerProgram, ACCEPT_KIND,
+    MAX_PROPOSABLE_VALUE,
 };
 pub use target::{PaxosSpec, PaxosTarget};

@@ -200,9 +200,9 @@ mod tests {
 
     #[test]
     fn spec_session_matches_the_legacy_pipeline() {
-        // Pin the session against the original hand-wired pipeline
-        // (rebuilt inline here, since `analyze_local_state` is now itself
-        // a session-backed shim and would move in lockstep).
+        // Pin the session against the original hand-wired pipeline,
+        // rebuilt inline here so it cannot move in lockstep with the
+        // session.
         let legacy = {
             use achilles::{prepare_client_workers, ClientPredicate, FieldMask, Optimizations};
             use achilles_solver::{Solver, TermPool};

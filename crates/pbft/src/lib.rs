@@ -11,16 +11,24 @@
 //!
 //! * [`protocol`] — the request wire format (bounded per §6.1);
 //! * [`client`] / [`replica`] — node programs for the symbolic analysis;
-//! * [`analysis`] — the canned Achilles run that rediscovers the attack;
+//! * [`target`] — the [`TargetSpec`](achilles::TargetSpec) an
+//!   [`AchillesSession`](achilles::AchillesSession) runs to rediscover the
+//!   attack, and the concrete cluster deployment witnesses replay against;
+//! * [`analysis`] — the Trojan family classifier;
 //! * [`mac`](mod@mac) — the toy keyed-MAC used by the concrete simulation;
 //! * [`cluster`] — a deterministic 4-replica simulation quantifying the
 //!   throughput collapse.
 //!
 //! ```
-//! use achilles_pbft::{run_analysis, PbftAnalysisConfig};
+//! use achilles::AchillesSession;
+//! use achilles_pbft::{classify, PbftSpec, PbftTrojanFamily};
 //!
-//! let result = run_analysis(&PbftAnalysisConfig::paper());
-//! assert_eq!(result.distinct_families(), 1, "exactly the MAC attack");
+//! let report = AchillesSession::new(&PbftSpec::paper()).run();
+//! assert!(!report.trojans.is_empty());
+//! assert!(
+//!     report.trojans.iter().all(|t| classify(t) == PbftTrojanFamily::MacAttack),
+//!     "exactly the MAC attack"
+//! );
 //! ```
 
 #![warn(missing_docs)]
@@ -34,9 +42,7 @@ pub mod protocol;
 pub mod replica;
 pub mod target;
 
-pub use analysis::{
-    classify, run_analysis, PbftAnalysisConfig, PbftAnalysisResult, PbftTrojanFamily,
-};
+pub use analysis::{classify, PbftTrojanFamily};
 pub use client::{extract_client_predicate, PbftClient};
 pub use cluster::{run_workload, ClusterConfig, ClusterStats, PbftCluster, SubmitOutcome};
 pub use mac::{authenticator, digest, mac, session_key, N_CLIENTS, N_REPLICAS};

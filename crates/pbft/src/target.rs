@@ -8,17 +8,17 @@
 use std::sync::Arc;
 
 use achilles::{
-    AchillesConfig, Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec,
-    SnapshotReplayTarget, TargetSpec, TrojanReport,
+    Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec, SnapshotReplayTarget,
+    TargetSpec, TrojanReport,
 };
-use achilles_symvm::{ExploreConfig, MessageLayout, NodeProgram};
+use achilles_symvm::{MessageLayout, NodeProgram};
 
-use crate::analysis::{classify, PbftAnalysisConfig, PbftTrojanFamily};
+use crate::analysis::{classify, PbftTrojanFamily};
 use crate::client::PbftClient;
 use crate::cluster::{ClusterConfig, PbftCluster, SubmitOutcome};
 use crate::mac::{N_CLIENTS, N_REPLICAS};
 use crate::protocol::{layout, PbftRequest, COMMAND_LEN, MESSAGE_SIZE, REQUEST_TAG};
-use crate::replica::PbftReplica;
+use crate::replica::{PbftReplica, PbftReplicaConfig};
 
 /// The PBFT deployment target: the deterministic 4-replica cluster over
 /// `SimClock` cost accounting.
@@ -104,26 +104,26 @@ impl SnapshotReplayTarget for PbftForkSession {
     }
 }
 
-/// The PBFT protocol as a [`TargetSpec`].
+/// The PBFT protocol as a [`TargetSpec`]: the analyzed replica and the
+/// concrete cluster its witnesses replay against. The
+/// [`AchillesSession`](achilles::AchillesSession) that runs the spec owns
+/// every pipeline knob.
 #[derive(Clone, Debug, Default)]
 pub struct PbftSpec {
-    /// The analysis configuration (replica patch toggle, workers).
-    pub analysis: PbftAnalysisConfig,
+    /// The analyzed replica (its MAC-verification patch toggle).
+    pub replica: PbftReplicaConfig,
     /// Cost model of the concrete cluster booted by the replay factory.
     /// Its MAC-verification toggle is *ignored*: the factory always
-    /// derives it from `analysis.replica.verify_macs`, so the replayed
-    /// deployment can never silently disagree with the analyzed replica.
+    /// derives it from `replica.verify_macs`, so the replayed deployment
+    /// can never silently disagree with the analyzed replica.
     pub cluster: ClusterConfig,
 }
 
 impl PbftSpec {
-    /// The paper's setup: vulnerable replica, verification on — the
+    /// The paper's setup: vulnerable replica, default cost model — the
     /// registry default.
     pub fn paper() -> PbftSpec {
-        PbftSpec {
-            analysis: PbftAnalysisConfig::paper(),
-            cluster: ClusterConfig::default(),
-        }
+        PbftSpec::default()
     }
 }
 
@@ -144,37 +144,21 @@ impl TargetSpec for PbftSpec {
         let request = SessionSlot::new("request", layout(), vec![0]);
         // One report per accepting replica path (read-only + pre_prepare),
         // both of the single MAC-attack type — unless the patch closes it.
-        let expected = if self.analysis.replica.verify_macs {
-            0
-        } else {
-            2
-        };
+        let expected = if self.replica.verify_macs { 0 } else { 2 };
         SessionSpec::new("request", vec![request]).expecting(expected)
     }
 
     fn session_server(&self, _session: &str) -> Box<dyn NodeProgram + Sync + '_> {
-        Box::new(PbftReplica::new(self.analysis.replica.clone()))
+        Box::new(PbftReplica::new(self.replica.clone()))
     }
 
     fn session_replay_target(&self, _session: &str) -> Box<dyn ReplayTarget> {
         // Patch toggles must match the analyzed server: derive the
         // cluster's MAC check from the replica config under analysis.
         Box::new(PbftTarget::new(ClusterConfig {
-            primary_verifies_macs: self.analysis.replica.verify_macs,
+            primary_verifies_macs: self.replica.verify_macs,
             ..self.cluster
         }))
-    }
-
-    fn analysis_config(&self) -> AchillesConfig {
-        AchillesConfig {
-            optimizations: self.analysis.optimizations,
-            verify_witnesses: self.analysis.verify_witnesses,
-            server_explore: ExploreConfig {
-                workers: self.analysis.workers.max(1),
-                ..ExploreConfig::default()
-            },
-            ..AchillesConfig::default()
-        }
     }
 
     fn classify(&self, report: &TrojanReport) -> String {
@@ -203,7 +187,7 @@ mod tests {
     #[test]
     fn patched_spec_expects_zero() {
         let mut spec = PbftSpec::paper();
-        spec.analysis.replica.verify_macs = true;
+        spec.replica.verify_macs = true;
         let report = AchillesSession::new(&spec).run();
         assert_eq!(report.trojans.len(), 0);
         assert_eq!(spec.message().expected_trojans, Some(0));
@@ -217,7 +201,7 @@ mod tests {
         // is dropped exactly when the analysis is patched.
         for patched in [false, true] {
             let mut spec = PbftSpec::paper();
-            spec.analysis.replica.verify_macs = patched;
+            spec.replica.verify_macs = patched;
             spec.cluster.primary_verifies_macs = !patched; // contradicts on purpose
             let target = spec.session_replay_target("request");
             let bad = PbftRequest::correct(0, 1, *b"op__").with_corrupted_mac(1);

@@ -32,14 +32,11 @@ pub struct SolverStats {
     pub presorted_queries: u64,
     /// Satisfiable answers (computed, not cached).
     pub sat: u64,
-    /// Unsatisfiable answers (computed, not cached).
+    /// Unsatisfiable answers (computed, not cached), each carrying a
+    /// freshly recorded certificate.
     pub unsat: u64,
     /// Unknown answers (computed, not cached).
     pub unknown: u64,
-    /// Unsat answers that carried a freshly recorded certificate (equals
-    /// `unsat`; kept separate so aggregated reports can distinguish
-    /// certificate-bearing verdicts from legacy/unknown prunes).
-    pub certified_unsat: u64,
     /// Queries answered by the shared cache's core-subsumption tier: no
     /// exact entry existed, but the query's fingerprint set contained a
     /// cached unsat core.
@@ -300,7 +297,6 @@ impl Solver {
             }
             SatResult::Unsat(c) => {
                 self.stats.unsat += 1;
-                self.stats.certified_unsat += 1;
                 if let Err(e) = proof_audit(pool, &ordered, c) {
                     panic!("freshly computed certificate rejected: {e}");
                 }

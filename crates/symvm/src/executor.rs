@@ -21,7 +21,6 @@
 //! `Runner::run_item` is the one per-item body; the sequential worklist
 //! below and the work-stealing pool in [`crate::parallel`] both call it.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,17 +32,6 @@ use crate::observer::{NullObserver, ObserverCx, ObserverState, PathObserver};
 use crate::parallel::ParallelOutcome;
 use crate::program::{Halt, NodeProgram};
 use crate::record::{ExploreResult, ExploreStats, PathRecord, Verdict};
-
-/// Worklist ordering.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ExploreOrder {
-    /// Depth-first (default): dives into specialized paths early, matching
-    /// the incremental Trojan discovery behaviour of Figure 10.
-    #[default]
-    Dfs,
-    /// Breadth-first: explores all short paths before long ones.
-    Bfs,
-}
 
 /// Exploration limits and inputs.
 #[derive(Clone, Debug)]
@@ -57,8 +45,6 @@ pub struct ExploreConfig {
     pub max_runs: usize,
     /// Maximum symbolic branch points per path.
     pub max_depth: usize,
-    /// Worklist ordering.
-    pub order: ExploreOrder,
     /// Number of worker threads for [`Executor::explore_parallel`].
     ///
     /// `1` (the default) keeps exploration on the calling thread with
@@ -79,12 +65,7 @@ pub struct ExploreConfig {
     /// sequential capped run completes, for every worker count. (Execution
     /// *counters* other than `runs`/`completed` may still exceed a
     /// sequential capped run's, since workers keep exploring until the
-    /// canonical bound proves the remainder lies past the cut.) One
-    /// caveat remains: parallel scheduling is always depth-first per
-    /// worker — [`ExploreOrder::Bfs`] explorations run sequentially, with
-    /// the downgrade surfaced through
-    /// [`ExploreStats::workers_effective`](crate::ExploreStats::workers_effective)
-    /// (see [`Executor::explore_multi`]).
+    /// canonical bound proves the remainder lies past the cut.)
     pub workers: usize,
     /// Salt mixed into the identity tags of [`SymEnv::sym`](crate::SymEnv::sym)
     /// inputs and auto-created `recv` messages.
@@ -113,7 +94,6 @@ impl Default for ExploreConfig {
             max_paths: 100_000,
             max_runs: 1_000_000,
             max_depth: 512,
-            order: ExploreOrder::Dfs,
             workers: 1,
             sym_salt: 0,
             recv_prefix: "msg".to_string(),
@@ -200,16 +180,8 @@ impl<'a> Executor<'a> {
 
     /// Explores all feasible paths of a `Sync` program, using the pool of
     /// [`ExploreConfig::workers`] threads when it is greater than one.
-    ///
-    /// [`ExploreOrder::Bfs`] explorations always run sequentially: the
-    /// work-stealing pool schedules depth-first per worker, so it cannot
-    /// reproduce BFS completion order (which matters when a budget caps the
-    /// search and the caller wants the shallowest paths). The downgrade is
-    /// *explicit* in the result — [`ExploreStats::workers`] keeps the
-    /// requested count while [`ExploreStats::workers_effective`] drops to
-    /// `1` — so callers and benches never report phantom parallelism.
     pub fn explore_multi(&mut self, program: &(dyn NodeProgram + Sync)) -> ExploreResult {
-        if self.config.workers <= 1 || self.config.order == ExploreOrder::Bfs {
+        if self.config.workers <= 1 {
             return self.explore(program);
         }
         self.explore_parallel(program, |_| NullObserver).result
@@ -258,13 +230,10 @@ impl<'a> Executor<'a> {
         let solver_before = *self.solver.stats();
         let config = &self.config;
         let mut runner = Runner::new(self.pool, self.solver, config);
-        let mut worklist = VecDeque::from([WorkItem::root(observer)]);
+        let mut worklist = vec![WorkItem::root(observer)];
         let mut paths: Vec<PathRecord> = Vec::new();
 
-        while let Some(item) = match config.order {
-            ExploreOrder::Dfs => worklist.pop_back(),
-            ExploreOrder::Bfs => worklist.pop_front(),
-        } {
+        while let Some(item) = worklist.pop() {
             if runner.stats.runs >= config.max_runs {
                 break;
             }
@@ -279,16 +248,11 @@ impl<'a> Executor<'a> {
             }
         }
         let mut stats = ExploreStats {
-            // `workers` echoes the request; `workers_effective` records that
-            // this exploration actually ran on one thread (callers reach
-            // this path either with `workers <= 1` or through the explicit
-            // BFS downgrade in `explore_multi`).
             workers: config.workers.max(1),
-            workers_effective: 1,
             ..runner.stats
         };
         let solver_after = self.solver.stats();
-        stats.certified_unsat = solver_after.certified_unsat - solver_before.certified_unsat;
+        stats.certified_unsat = solver_after.unsat - solver_before.unsat;
         stats.core_subsumption_hits =
             solver_after.core_subsumption_hits - solver_before.core_subsumption_hits;
         stats.wall_time = started.elapsed();
@@ -653,44 +617,6 @@ mod tests {
         });
         assert_eq!(result.paths.len(), 1);
         assert_eq!(result.paths[0].constraints, vec![lt]);
-    }
-
-    #[test]
-    fn bfs_explores_shallow_paths_first() {
-        let (mut pool, mut solver) = harness();
-        let config = ExploreConfig {
-            order: ExploreOrder::Bfs,
-            ..ExploreConfig::default()
-        };
-        let mut exec = Executor::new(&mut pool, &mut solver, config);
-        // A program where the false side of the first branch exits
-        // immediately (depth 1) and the true side goes deeper (depth 3).
-        let result = exec.explore(&|env: &mut SymEnv<'_>| -> PathResult<()> {
-            let b0 = env.sym("b0", Width::BOOL);
-            if !env.branch(b0)? {
-                env.note("shallow");
-                env.mark_accept();
-                return Ok(());
-            }
-            for i in 1..3 {
-                let b = env.sym(&format!("b{i}"), Width::BOOL);
-                let _ = env.branch(b)?;
-            }
-            env.note("deep");
-            env.mark_accept();
-            Ok(())
-        });
-        assert_eq!(result.paths.len(), 5, "1 shallow + 4 deep leaves");
-        // Under BFS the shallow path completes before the deepest ones.
-        let shallow_pos = result
-            .paths
-            .iter()
-            .position(|p| p.notes.contains(&"shallow".to_string()))
-            .expect("shallow path exists");
-        assert!(
-            shallow_pos <= 1,
-            "BFS finishes the depth-1 path early (pos {shallow_pos})"
-        );
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod program;
 pub mod record;
 
 pub use env::SymEnv;
-pub use executor::{Executor, ExploreConfig, ExploreOrder};
+pub use executor::{Executor, ExploreConfig};
 pub use message::{FieldDef, MessageLayout, MessageLayoutBuilder, SymMessage};
 pub use observer::{NullObserver, ObserverCx, ObserverState, PathObserver};
 pub use parallel::{parallel_map, parallel_map_with, ParallelOutcome, WorkerReport};

@@ -282,12 +282,6 @@ where
     O: PathObserver + Send,
     F: Fn(usize) -> O,
 {
-    debug_assert!(
-        config.order == crate::executor::ExploreOrder::Dfs,
-        "the work-stealing pool schedules depth-first per worker and cannot \
-         reproduce BFS completion order; BFS explorations must stay on the \
-         sequential path (see Executor::explore_multi)"
-    );
     let workers = config.workers.max(1);
     let started = Instant::now();
     // Shared-cache persistence across pipeline phases: when the base
@@ -458,7 +452,6 @@ fn merge<O>(
     let _span = achilles_obs::span("merge", "symvm");
     let mut stats = ExploreStats {
         workers,
-        workers_effective: workers,
         ..ExploreStats::default()
     };
     let steals_of: Vec<u64> = coord
@@ -488,7 +481,7 @@ fn merge<O>(
         stats.absorb_counters(&ws);
         // Each worker ran a fresh solver, so its stats are already deltas.
         stats.shared_cache_hits += solver_stats.shared_hits;
-        stats.certified_unsat += solver_stats.certified_unsat;
+        stats.certified_unsat += solver_stats.unsat;
         stats.core_subsumption_hits += solver_stats.core_subsumption_hits;
         executed.extend(executed_prefixes);
 

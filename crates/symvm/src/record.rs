@@ -63,16 +63,9 @@ pub struct ExploreStats {
     /// Branch checks answered by reusing a previous frame's model
     /// (the incremental [`ScopedSolver`](achilles_solver::ScopedSolver)).
     pub model_reuse_hits: u64,
-    /// Worker threads *requested* for the exploration (the
+    /// Worker threads the exploration ran on (the
     /// [`ExploreConfig::workers`](crate::ExploreConfig::workers) knob).
     pub workers: usize,
-    /// Worker threads that actually ran. Differs from
-    /// [`ExploreStats::workers`] exactly when the exploration was silently
-    /// downgraded to sequential — BFS-ordered explorations always run on
-    /// one thread because the work-stealing pool schedules depth-first per
-    /// worker. Callers and benches must report *this* number, not the
-    /// request, or they claim phantom parallelism.
-    pub workers_effective: usize,
     /// Worklist items taken from another worker's deque.
     pub steals: u64,
     /// Queries answered by the cross-worker shared cache.

@@ -3,7 +3,7 @@
 //! A scheduled path carries its observer's state from the fork point that
 //! scheduled it, and the run that executes it notifies the observer only
 //! past the replayed prefix. Two consequences are pinned here, for the
-//! sequential executor (depth- and breadth-first) and the 4-worker pool:
+//! sequential executor and the 4-worker pool:
 //!
 //! * at every path end, a stateful observer's state equals a fresh
 //!   fold over the completed path's constraints (resume + the conjuncts
@@ -15,8 +15,8 @@ use std::collections::HashSet;
 
 use achilles_solver::{Solver, TermId, TermPool, Width};
 use achilles_symvm::{
-    Executor, ExploreConfig, ExploreOrder, ExploreResult, ObserverCx, ObserverState, PathObserver,
-    PathRecord, PathResult, SymEnv,
+    Executor, ExploreConfig, ExploreResult, ObserverCx, ObserverState, PathObserver, PathRecord,
+    PathResult, SymEnv,
 };
 
 /// Threshold branches over one word (the later ones forced on the `<`
@@ -109,12 +109,11 @@ fn tree_edges(pool: &TermPool, result: &ExploreResult) -> u64 {
 /// Explores `tree_program`: returns the path tree's edge count, the
 /// observers' summed `calls`, `paths` and `mismatches`, and the number of
 /// completed paths.
-fn explore(workers: usize, order: ExploreOrder) -> (u64, u64, u64, u64, usize) {
+fn explore(workers: usize) -> (u64, u64, u64, u64, usize) {
     let mut pool = TermPool::new();
     let mut solver = Solver::new();
     let config = ExploreConfig {
         workers,
-        order,
         ..ExploreConfig::default()
     };
     let mut exec = Executor::new(&mut pool, &mut solver, config);
@@ -139,13 +138,9 @@ fn explore(workers: usize, order: ExploreOrder) -> (u64, u64, u64, u64, usize) {
 
 #[test]
 fn resumed_state_matches_a_fold_and_each_edge_is_observed_once() {
-    for (workers, order) in [
-        (1, ExploreOrder::Dfs),
-        (1, ExploreOrder::Bfs),
-        (4, ExploreOrder::Dfs),
-    ] {
-        let (edges, calls, ends, mismatches, paths) = explore(workers, order);
-        let label = format!("workers={workers} order={order:?}");
+    for workers in [1, 4] {
+        let (edges, calls, ends, mismatches, paths) = explore(workers);
+        let label = format!("workers={workers}");
         assert_eq!(paths, 32, "{label}: 4 threshold outcomes x 8 boolean paths");
         assert_eq!(
             ends, 32,

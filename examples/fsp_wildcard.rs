@@ -13,31 +13,39 @@
 //! cargo run --release -p achilles-examples --example fsp_wildcard
 //! ```
 
+use achilles::AchillesSession;
 use achilles_fsp::{
-    classify, run_analysis, run_utility, Command, FspAnalysisConfig, FspMessage, FspServerConfig,
-    FspServerRuntime, TrojanFamily, UtilityOutcome,
+    classify, run_utility, Command, FspMessage, FspServerConfig, FspServerRuntime, FspSpec,
+    TrojanFamily, UtilityOutcome,
 };
 use achilles_netsim::{Addr, Network, SimFs};
 
 fn main() {
     // ---- Phase 1: find the Trojans -------------------------------------
     println!("== Achilles analysis (glob expansion modeled) ==");
-    let config = FspAnalysisConfig::wildcard().with_commands(2);
-    let result = run_analysis(&config);
+    let spec = FspSpec::wildcard().with_commands(2);
+    let report = AchillesSession::new(&spec).run();
+    let families: Vec<TrojanFamily> = report.trojans.iter().map(classify).collect();
+    let length_mismatches = families
+        .iter()
+        .filter(|f| matches!(f, TrojanFamily::LengthMismatch { .. }))
+        .count();
+    let wildcards = families
+        .iter()
+        .filter(|f| matches!(f, TrojanFamily::Wildcard { .. }))
+        .count();
     println!(
-        "client predicates: {}, Trojans: {} ({} length-mismatch, {} wildcard)",
-        result.client.len(),
-        result.trojans.len(),
-        result.length_mismatches(),
-        result.wildcards(),
+        "client predicates: {}, Trojans: {} ({length_mismatches} length-mismatch, \
+         {wildcards} wildcard)",
+        report.client.len(),
+        report.trojans.len(),
     );
-    let wildcard_witness = result
+    let wildcard_trojan = report
         .trojans
         .iter()
-        .zip(&result.families)
-        .find(|(_, f)| matches!(f, TrojanFamily::Wildcard { .. }))
-        .map(|(t, _)| FspMessage::from_field_values(&t.witness_fields))
+        .find(|t| matches!(classify(t), TrojanFamily::Wildcard { .. }))
         .expect("a wildcard Trojan is always found");
+    let wildcard_witness = FspMessage::from_field_values(&wildcard_trojan.witness_fields);
     println!(
         "wildcard witness: cmd={:#x} path={:?}",
         wildcard_witness.cmd,
@@ -98,15 +106,6 @@ fn main() {
          'f1' and 'f2' — there is no way to name only the Trojan file."
     );
 
-    // Classification sanity: the witness really is the wildcard family.
-    let family = classify(
-        &result
-            .trojans
-            .iter()
-            .zip(&result.families)
-            .find(|(_, f)| matches!(f, TrojanFamily::Wildcard { .. }))
-            .map(|(t, _)| t.clone())
-            .unwrap(),
-    );
-    assert!(matches!(family, TrojanFamily::Wildcard { .. }));
+    // Classification sanity: every report is one of the two families.
+    assert_eq!(length_mismatches + wildcards, report.trojans.len());
 }

@@ -13,7 +13,8 @@
 //! cargo run --release -p achilles-examples --example replay_triage
 //! ```
 
-use achilles_fsp::{run_analysis, FspAnalysisConfig, FspMessage, FspTarget};
+use achilles::{AchillesSession, TargetSpec};
+use achilles_fsp::{FspMessage, FspSpec, FspTarget};
 use achilles_replay::{
     minimize_session, replay_session, validate_trojans, DeliveryFault, FaultSchedule, ReplayCorpus,
     ValidateConfig,
@@ -21,18 +22,20 @@ use achilles_replay::{
 
 fn main() {
     // 1. Discover: one utility in wildcard mode — both Trojan families.
-    let config = FspAnalysisConfig::wildcard().with_commands(1);
-    let result = run_analysis(&config);
+    let spec = FspSpec::wildcard().with_commands(1);
+    let result = AchillesSession::new(&spec).run();
+    let families: Vec<String> = result.trojans.iter().map(|t| spec.classify(t)).collect();
+    let count = |family: &str| families.iter().filter(|f| *f == family).count();
     println!(
         "discovered {} Trojans ({} length-mismatch, {} wildcard)",
         result.trojans.len(),
-        result.length_mismatches(),
-        result.wildcards()
+        count("len-mismatch"),
+        count("wildcard")
     );
 
     // 2. Validate: replay every witness against the concrete deployment,
     //    minimizing the first witness of each crash signature.
-    let target = FspTarget::new(config.server.clone(), config.client.glob_expansion);
+    let target = FspTarget::new(spec.server.clone(), spec.client.glob_expansion);
     let mut corpus = ReplayCorpus::new();
     let validate_config = ValidateConfig {
         minimize: true,

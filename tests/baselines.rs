@@ -2,10 +2,12 @@
 //! fuzzing) and the a-posteriori differencing agree with Achilles on *what*
 //! is Trojan while demonstrating the paper's efficiency gaps.
 
-use achilles::{a_posteriori_diff, classic_symex, prepare_client, FieldMask, Optimizations};
+use achilles::{
+    a_posteriori_diff, classic_symex, prepare_client, AchillesSession, FieldMask, Optimizations,
+};
 use achilles_fsp::{
-    expected_length_mismatch_trojans, extract_client_predicate, is_trojan, run_analysis,
-    FspAnalysisConfig, FspMessage, FspServer, FspServerConfig,
+    expected_length_mismatch_trojans, extract_client_predicate, is_trojan, FspMessage, FspServer,
+    FspServerConfig, FspSpec,
 };
 use achilles_fuzz::{expectation, run_campaign, run_e2e_campaign, FuzzConfig};
 use achilles_solver::{Solver, TermPool};
@@ -50,16 +52,16 @@ fn classic_symex_finds_everything_but_cannot_tell() {
 
 #[test]
 fn a_posteriori_equals_incremental() {
-    let incremental = run_analysis(&FspAnalysisConfig::accuracy().with_commands(2));
+    let spec = FspSpec::accuracy().with_commands(2);
+    let incremental = AchillesSession::new(&spec).run();
 
     let mut pool = TermPool::new();
     let mut solver = Solver::new();
-    let config = FspAnalysisConfig::accuracy().with_commands(2);
     let client = extract_client_predicate(
         &mut pool,
         &mut solver,
-        &config.commands,
-        &config.client,
+        &spec.commands,
+        &spec.client,
         &ExploreConfig::default(),
     );
     let server_msg = SymMessage::fresh(&mut pool, &achilles_fsp::layout(), "msg");
@@ -74,7 +76,7 @@ fn a_posteriori_equals_incremental() {
     let ap = a_posteriori_diff(
         &mut pool,
         &mut solver,
-        &FspServer::new(config.server.clone()),
+        &FspServer::new(spec.server.clone()),
         &prepared,
         &ExploreConfig::default(),
     );
@@ -119,8 +121,8 @@ fn fuzzing_finds_nothing_in_bounded_budgets() {
 
 #[test]
 fn fuzzing_expectation_is_negligible_in_achilles_window() {
-    let achilles_run = run_analysis(&FspAnalysisConfig::accuracy().with_commands(2));
-    let window = achilles_run.client_time + achilles_run.preprocess_time + achilles_run.server_time;
+    let achilles_run = AchillesSession::new(&FspSpec::accuracy().with_commands(2)).run();
+    let window = achilles_run.phase_times.total();
     // Even at an (optimistic) million tests per minute, the expected number
     // of Trojans fuzzing finds in Achilles' runtime window is ~zero.
     let e = expectation(1_000_000.0, false);

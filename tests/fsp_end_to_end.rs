@@ -2,58 +2,75 @@
 //! hold on the concretely deployed server, and the counting matches the
 //! paper's arithmetic.
 
+use achilles::{AchillesReport, AchillesSession};
 use achilles_fsp::{
-    expected_length_mismatch_trojans, expected_wildcard_trojans, is_trojan, run_analysis,
-    server_accepts, FspAnalysisConfig, FspMessage, FspServerConfig, FspServerRuntime, TrojanFamily,
-    MAX_PATH,
+    classify, expected_length_mismatch_trojans, expected_wildcard_trojans, is_trojan,
+    server_accepts, FspMessage, FspServerConfig, FspServerRuntime, FspSpec, TrojanFamily, MAX_PATH,
 };
 use achilles_netsim::{Addr, SimFs};
+
+/// One discovery over `spec`, with each report's family.
+fn discover(spec: &FspSpec) -> (AchillesReport, Vec<TrojanFamily>) {
+    let report = AchillesSession::new(spec).run();
+    let families = report.trojans.iter().map(classify).collect();
+    (report, families)
+}
+
+/// Reports per family: (length mismatches, wildcards, others).
+fn family_counts(families: &[TrojanFamily]) -> (usize, usize, usize) {
+    let count = |f: fn(&TrojanFamily) -> bool| families.iter().filter(|x| f(x)).count();
+    (
+        count(|f| matches!(f, TrojanFamily::LengthMismatch { .. })),
+        count(|f| matches!(f, TrojanFamily::Wildcard { .. })),
+        count(|f| matches!(f, TrojanFamily::Other)),
+    )
+}
+
+fn unverified(report: &AchillesReport) -> usize {
+    report.trojans.iter().filter(|t| !t.verified).count()
+}
 
 #[test]
 fn scaled_accuracy_counts_match_the_arithmetic() {
     for n_commands in [1, 2, 3] {
-        let config = FspAnalysisConfig::accuracy().with_commands(n_commands);
-        let result = run_analysis(&config);
+        let (result, families) = discover(&FspSpec::accuracy().with_commands(n_commands));
         assert_eq!(
             result.trojans.len(),
             expected_length_mismatch_trojans(n_commands),
             "{n_commands} commands"
         );
-        assert_eq!(result.unverified(), 0);
-        assert_eq!(result.others(), 0);
+        assert_eq!(unverified(&result), 0);
+        assert_eq!(family_counts(&families).2, 0);
     }
 }
 
 #[test]
 fn wildcard_mode_finds_both_families() {
-    let config = FspAnalysisConfig::wildcard().with_commands(2);
-    let result = run_analysis(&config);
-    assert_eq!(
-        result.length_mismatches(),
-        expected_length_mismatch_trojans(2)
-    );
-    assert_eq!(result.wildcards(), expected_wildcard_trojans(2));
-    assert_eq!(result.unverified(), 0);
+    let (result, families) = discover(&FspSpec::wildcard().with_commands(2));
+    let (length_mismatches, wildcards, _) = family_counts(&families);
+    assert_eq!(length_mismatches, expected_length_mismatch_trojans(2));
+    assert_eq!(wildcards, expected_wildcard_trojans(2));
+    assert_eq!(unverified(&result), 0);
 }
 
 #[test]
 fn every_witness_is_injectable() {
     // Each reported witness, turned into wire bytes, must be accepted by a
     // concretely deployed server and classified Trojan by the oracle.
-    let config = FspAnalysisConfig::accuracy().with_commands(2);
-    let result = run_analysis(&config);
+    let spec = FspSpec::accuracy().with_commands(2);
+    let (result, _) = discover(&spec);
     let mut server = FspServerRuntime::new(
         Addr::new("fspd"),
         SimFs::new(),
         FspServerConfig {
-            commands: config.commands.clone(),
+            commands: spec.commands.clone(),
             ..FspServerConfig::default()
         },
     );
     for t in &result.trojans {
         let msg = FspMessage::from_field_values(&t.witness_fields);
         assert!(
-            is_trojan(&msg, &config.server, config.client.glob_expansion),
+            is_trojan(&msg, &spec.server, spec.client.glob_expansion),
             "oracle agrees the witness is Trojan: {msg:?}"
         );
         let before = server.accepted;
@@ -71,10 +88,9 @@ fn witnesses_carry_smuggled_payload_capability() {
     // §6.3 mismatched lengths: for every reported length-mismatch Trojan,
     // the bytes after the NUL are attacker-controlled payload. Check there
     // exists a witness with a non-zero smuggled byte.
-    let config = FspAnalysisConfig::accuracy().with_commands(2);
-    let result = run_analysis(&config);
+    let (_, families) = discover(&FspSpec::accuracy().with_commands(2));
     let mut found_capacity = false;
-    for (_t, f) in result.trojans.iter().zip(&result.families) {
+    for f in &families {
         if let TrojanFamily::LengthMismatch {
             reported, actual, ..
         } = f
@@ -90,8 +106,7 @@ fn witnesses_carry_smuggled_payload_capability() {
 
 #[test]
 fn fully_patched_server_rejects_all_witnesses() {
-    let config = FspAnalysisConfig::wildcard().with_commands(1);
-    let result = run_analysis(&config);
+    let (result, _) = discover(&FspSpec::wildcard().with_commands(1));
     let patched = FspServerConfig {
         check_actual_length: true,
         reject_wildcards: true,
@@ -110,10 +125,8 @@ fn fully_patched_server_rejects_all_witnesses() {
 fn trojan_reports_cover_every_length_combination() {
     // The 1-command accuracy run must produce one report per
     // (reported, actual) pair with actual < reported — all Σ L = 10 classes.
-    let config = FspAnalysisConfig::accuracy().with_commands(1);
-    let result = run_analysis(&config);
-    let mut classes: Vec<(usize, usize)> = result
-        .families
+    let (_, families) = discover(&FspSpec::accuracy().with_commands(1));
+    let mut classes: Vec<(usize, usize)> = families
         .iter()
         .filter_map(|f| match f {
             TrojanFamily::LengthMismatch {
@@ -143,12 +156,12 @@ fn refinement_confirms_fsp_witnesses() {
     use achilles_solver::{Solver, TermPool};
     use achilles_symvm::ExploreConfig;
 
-    let config = FspAnalysisConfig::accuracy().with_commands(2);
-    let result = run_analysis(&config);
+    let spec = FspSpec::accuracy().with_commands(2);
+    let (result, _) = discover(&spec);
     let mut pool = TermPool::new();
     let mut solver = Solver::new();
     for t in result.trojans.iter().take(8) {
-        for &cmd in &config.commands {
+        for &cmd in &spec.commands {
             let client = FspClient::new(cmd, FspClientConfig::default());
             let r = refine_witness(
                 &mut pool,

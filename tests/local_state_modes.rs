@@ -1,14 +1,17 @@
 //! Integration: the three §3.4 local-state modes, both through the Paxos
 //! programs and through the pipeline's `LocalState::Constructed` seeding.
 
-use achilles::{Achilles, AchillesConfig, FieldMask, LocalState, Optimizations};
-use achilles_paxos::{analyze_local_state, AcceptorMode, ProposerMode, MAX_PROPOSABLE_VALUE};
+use achilles::{
+    Achilles, AchillesConfig, AchillesSession, FieldMask, LocalState, Optimizations, TrojanReport,
+};
+use achilles_paxos::{AcceptorMode, PaxosSpec, ProposerMode, MAX_PROPOSABLE_VALUE};
 use achilles_solver::Width;
 use achilles_symvm::{ExploreConfig, MessageLayout, PathResult, SymEnv, SymMessage};
 use std::sync::Arc;
 
-fn analyze_paxos(proposer: ProposerMode, acceptor: AcceptorMode) -> Vec<achilles::TrojanReport> {
-    analyze_local_state(proposer, acceptor, 1).1
+fn analyze_paxos(proposer: ProposerMode, acceptor: AcceptorMode) -> Vec<TrojanReport> {
+    let spec = PaxosSpec::new(proposer, acceptor);
+    AchillesSession::new(&spec).run().trojans
 }
 
 #[test]

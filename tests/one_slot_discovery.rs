@@ -9,9 +9,7 @@
 //! verification and notes — and attribute every one to slot 0, at every
 //! worker count.
 
-use achilles::{
-    AchillesConfig, AchillesSession, ReplayTarget, SessionSpec, TargetSpec, TrojanReport,
-};
+use achilles::{AchillesSession, ReplayTarget, SessionSpec, TargetSpec, TrojanReport};
 use achilles_symvm::NodeProgram;
 use achilles_targets::builtin_registry;
 
@@ -41,9 +39,6 @@ impl TargetSpec for OneSlot<'_> {
     }
     fn session_replay_target(&self, session: &str) -> Box<dyn ReplayTarget> {
         self.inner.session_replay_target(session)
-    }
-    fn analysis_config(&self) -> AchillesConfig {
-        self.inner.analysis_config()
     }
     fn classify(&self, report: &TrojanReport) -> String {
         self.inner.classify(report)

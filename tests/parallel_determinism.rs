@@ -18,9 +18,9 @@
 
 use std::sync::Arc;
 
-use achilles::{Achilles, AchillesConfig, TrojanReport};
-use achilles_fsp::{run_analysis, FspAnalysisConfig};
-use achilles_pbft::{run_analysis as run_pbft, PbftAnalysisConfig};
+use achilles::{Achilles, AchillesConfig, AchillesReport, AchillesSession, TrojanReport};
+use achilles_fsp::FspSpec;
+use achilles_pbft::PbftSpec;
 use achilles_solver::Width;
 use achilles_symvm::{ExploreConfig, MessageLayout, PathResult, SymEnv, SymMessage};
 
@@ -122,12 +122,9 @@ fn quickstart_is_worker_count_invariant() {
 
 #[test]
 fn fsp_is_worker_count_invariant() {
-    let seq = run_analysis(&FspAnalysisConfig::accuracy().with_commands(2));
-    let par = run_analysis(
-        &FspAnalysisConfig::accuracy()
-            .with_commands(2)
-            .with_workers(4),
-    );
+    let spec = FspSpec::accuracy().with_commands(2);
+    let seq = AchillesSession::new(&spec).run();
+    let par = AchillesSession::new(&spec).workers(4).run();
     assert_eq!(seq.server_paths, par.server_paths, "path counts");
     assert_eq!(seq.trojans.len(), par.trojans.len());
     assert_eq!(
@@ -135,12 +132,42 @@ fn fsp_is_worker_count_invariant() {
         report_keys(&par.trojans),
         "trojan sets + witnesses"
     );
-    assert_eq!(seq.families, par.families);
-    assert_eq!(par.explore_stats.workers, 4);
-    assert_eq!(par.worker_stats.len(), 4);
+    let families = |r: &AchillesReport| {
+        r.trojans
+            .iter()
+            .map(achilles_fsp::classify)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(families(&seq), families(&par));
+    assert_eq!(par.server_explore.workers, 4);
+    assert_eq!(par.server_workers.len(), 4);
     // The parallel run exercised the machinery it claims to: all work still
     // happened (runs are scheduling-invariant).
-    assert_eq!(seq.explore_stats.runs, par.explore_stats.runs);
+    assert_eq!(seq.server_explore.runs, par.server_explore.runs);
+}
+
+#[test]
+fn fsp_samples_are_worker_count_invariant() {
+    // Figure 11's raw data: one sample per server path-tree node. Above one
+    // worker their order follows the scheduling, so compare them sorted.
+    let spec = FspSpec::wildcard();
+    let sorted_samples = |workers: usize| {
+        let report = AchillesSession::new(&spec).workers(workers).run();
+        let mut samples: Vec<(usize, usize)> = report
+            .samples
+            .iter()
+            .map(|s| (s.path_len, s.matching))
+            .collect();
+        samples.sort_unstable();
+        samples
+    };
+    let seq = sorted_samples(1);
+    assert!(!seq.is_empty());
+    assert_eq!(
+        seq,
+        sorted_samples(4),
+        "the same (path_len, matching) samples at 1 and 4 workers"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -149,10 +176,11 @@ fn fsp_is_worker_count_invariant() {
 
 #[test]
 fn pbft_is_worker_count_invariant() {
-    let seq = run_pbft(&PbftAnalysisConfig::paper());
-    let par = run_pbft(&PbftAnalysisConfig::paper().with_workers(4));
+    let spec = PbftSpec::paper();
+    let seq = AchillesSession::new(&spec).run();
+    let par = AchillesSession::new(&spec).workers(4).run();
     assert_eq!(
-        seq.explore_stats.completed, par.explore_stats.completed,
+        seq.server_explore.completed, par.server_explore.completed,
         "path counts"
     );
     assert_eq!(
@@ -160,8 +188,14 @@ fn pbft_is_worker_count_invariant() {
         report_keys(&par.trojans),
         "trojan sets + witnesses"
     );
-    assert_eq!(seq.mac_attacks(), par.mac_attacks());
-    assert_eq!(par.worker_stats.len(), 4);
+    let mac_attacks = |r: &AchillesReport| {
+        r.trojans
+            .iter()
+            .filter(|t| achilles_pbft::classify(t) == achilles_pbft::PbftTrojanFamily::MacAttack)
+            .count()
+    };
+    assert_eq!(mac_attacks(&seq), mac_attacks(&par));
+    assert_eq!(par.server_workers.len(), 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -170,12 +204,11 @@ fn pbft_is_worker_count_invariant() {
 
 #[test]
 fn paxos_is_worker_count_invariant() {
-    use achilles_paxos::{analyze_local_state, AcceptorMode, ProposerMode};
-    let (_p1, seq) =
-        analyze_local_state(ProposerMode::Constructed(5), AcceptorMode::Concrete(5), 1);
-    let (_p2, par) =
-        analyze_local_state(ProposerMode::Constructed(5), AcceptorMode::Concrete(5), 4);
-    assert_eq!(report_keys(&seq), report_keys(&par));
+    use achilles_paxos::{AcceptorMode, PaxosSpec, ProposerMode};
+    let spec = PaxosSpec::new(ProposerMode::Constructed(5), AcceptorMode::Concrete(5));
+    let seq = AchillesSession::new(&spec).run();
+    let par = AchillesSession::new(&spec).workers(4).run();
+    assert_eq!(report_keys(&seq.trojans), report_keys(&par.trojans));
 }
 
 // ---------------------------------------------------------------------------
@@ -184,16 +217,9 @@ fn paxos_is_worker_count_invariant() {
 
 #[test]
 fn parallel_runs_are_repeatable() {
-    let a = run_analysis(
-        &FspAnalysisConfig::accuracy()
-            .with_commands(1)
-            .with_workers(4),
-    );
-    let b = run_analysis(
-        &FspAnalysisConfig::accuracy()
-            .with_commands(1)
-            .with_workers(4),
-    );
+    let spec = FspSpec::accuracy().with_commands(1);
+    let a = AchillesSession::new(&spec).workers(4).run();
+    let b = AchillesSession::new(&spec).workers(4).run();
     assert_eq!(report_keys(&a.trojans), report_keys(&b.trojans));
     assert_eq!(a.server_paths, b.server_paths);
 }
@@ -402,49 +428,6 @@ fn capped_max_paths_pipeline_is_worker_count_invariant() {
             "max_paths={max_paths}: capped Trojan sets + witnesses"
         );
     }
-}
-
-#[test]
-fn bfs_downgrade_is_surfaced_not_silent() {
-    // BFS-ordered explorations run sequentially regardless of the worker
-    // request; `workers_effective` must say so.
-    use achilles_solver::{Solver, TermPool};
-    use achilles_symvm::{Executor, ExploreOrder};
-
-    fn program(env: &mut SymEnv<'_>) -> PathResult<()> {
-        for i in 0..3 {
-            let b = env.sym(&format!("b{i}"), Width::BOOL);
-            let _ = env.branch(b)?;
-        }
-        env.mark_accept();
-        Ok(())
-    }
-
-    let mut pool = TermPool::new();
-    let mut solver = Solver::new();
-    let config = ExploreConfig {
-        workers: 4,
-        order: ExploreOrder::Bfs,
-        ..ExploreConfig::default()
-    };
-    let mut exec = Executor::new(&mut pool, &mut solver, config);
-    let result = exec.explore_multi(&program);
-    assert_eq!(result.stats.workers, 4, "the request is echoed");
-    assert_eq!(
-        result.stats.workers_effective, 1,
-        "…but the downgrade to sequential is explicit"
-    );
-
-    // The DFS parallel path reports what it actually used.
-    let mut pool = TermPool::new();
-    let mut solver = Solver::new();
-    let config = ExploreConfig {
-        workers: 4,
-        ..ExploreConfig::default()
-    };
-    let mut exec = Executor::new(&mut pool, &mut solver, config);
-    let result = exec.explore_multi(&program);
-    assert_eq!(result.stats.workers_effective, 4);
 }
 
 // ---------------------------------------------------------------------------

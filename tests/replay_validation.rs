@@ -5,13 +5,10 @@
 //! minimizer must strictly shrink multi-field witnesses while preserving
 //! their crash signature.
 
-use achilles_fsp::{
-    is_trojan, run_analysis as run_fsp, Command, FspAnalysisConfig, FspMessage, FspServerConfig,
-    FspTarget,
-};
-use achilles_paxos::{analyze_local_state, AcceptorMode, PaxosTarget, ProposerMode};
-use achilles_pbft::run_analysis as run_pbft;
-use achilles_pbft::{PbftAnalysisConfig, PbftTarget};
+use achilles::{AchillesSession, TargetSpec, TrojanReport};
+use achilles_fsp::{is_trojan, Command, FspMessage, FspServerConfig, FspSpec, FspTarget};
+use achilles_paxos::{AcceptorMode, PaxosSpec, PaxosTarget, ProposerMode};
+use achilles_pbft::{PbftSpec, PbftTarget};
 use achilles_replay::{
     minimize_session, replay_session, validate_trojans, FaultSchedule, ReplayCorpus, ReplayTarget,
     ReplayVerdict, SessionWitness, ValidateConfig,
@@ -21,9 +18,14 @@ use achilles_replay::{
 /// signature.
 type ReplayKey = (Vec<Vec<u64>>, Vec<Vec<u8>>, ReplayVerdict, String);
 
+/// The Trojans one discovery over `spec` reports.
+fn discover(spec: &dyn TargetSpec) -> Vec<TrojanReport> {
+    AchillesSession::new(spec).run().trojans
+}
+
 fn replay_keys(
     target: &dyn ReplayTarget,
-    trojans: &[achilles::TrojanReport],
+    trojans: &[TrojanReport],
     workers: usize,
 ) -> Vec<ReplayKey> {
     let mut corpus = ReplayCorpus::new();
@@ -49,80 +51,72 @@ fn replay_keys(
 
 #[test]
 fn fsp_trojans_replay_to_predicted_verdicts_deterministically() {
-    let config = FspAnalysisConfig::accuracy().with_commands(2);
-    let result = run_fsp(&config);
-    assert!(!result.trojans.is_empty());
-    let target = FspTarget::new(config.server.clone(), config.client.glob_expansion);
+    let spec = FspSpec::accuracy().with_commands(2);
+    let trojans = discover(&spec);
+    assert!(!trojans.is_empty());
+    let target = FspTarget::new(spec.server.clone(), spec.client.glob_expansion);
 
-    let keys1 = replay_keys(&target, &result.trojans, 1);
+    let keys1 = replay_keys(&target, &trojans, 1);
     // Every witness confirms, and the concrete oracle agrees.
     for (fields, _, verdict, _) in &keys1 {
         assert_eq!(*verdict, ReplayVerdict::ConfirmedTrojan);
         let msg = FspMessage::from_field_values(&fields[0]);
         // The runtime speaks the full protocol (Install added), so mirror
         // its effective configuration for the oracle.
-        let mut effective = config.server.clone();
+        let mut effective = spec.server.clone();
         effective.commands.push(Command::Install);
         assert!(
-            is_trojan(&msg, &effective, config.client.glob_expansion),
+            is_trojan(&msg, &effective, spec.client.glob_expansion),
             "oracle agrees the witness is Trojan: {fields:?}"
         );
     }
     // Byte-identical across worker counts and across runs.
-    assert_eq!(keys1, replay_keys(&target, &result.trojans, 4));
-    let rerun = run_fsp(&config);
-    assert_eq!(keys1, replay_keys(&target, &rerun.trojans, 1));
+    assert_eq!(keys1, replay_keys(&target, &trojans, 4));
+    let rerun = discover(&spec);
+    assert_eq!(keys1, replay_keys(&target, &rerun, 1));
 }
 
 #[test]
 fn wildcard_mode_confirms_and_dedups_by_signature() {
-    let config = FspAnalysisConfig::wildcard().with_commands(1);
-    let result = run_fsp(&config);
-    let target = FspTarget::new(config.server.clone(), config.client.glob_expansion);
+    let spec = FspSpec::wildcard().with_commands(1);
+    let trojans = discover(&spec);
+    let target = FspTarget::new(spec.server.clone(), spec.client.glob_expansion);
     let mut corpus = ReplayCorpus::new();
-    let summary = validate_trojans(
-        &target,
-        &result.trojans,
-        &mut corpus,
-        &ValidateConfig::default(),
-    );
-    assert_eq!(summary.confirmed, result.trojans.len(), "100% confirm");
+    let summary = validate_trojans(&target, &trojans, &mut corpus, &ValidateConfig::default());
+    assert_eq!(summary.confirmed, trojans.len(), "100% confirm");
     // The four wildcard witnesses (one per exact length) share signatures
     // beyond length: dedup strictly compresses.
     assert!(
-        corpus.distinct_signatures() < result.trojans.len(),
+        corpus.distinct_signatures() < trojans.len(),
         "{} signatures for {} witnesses",
         corpus.distinct_signatures(),
-        result.trojans.len()
+        trojans.len()
     );
 }
 
 #[test]
 fn pbft_trojans_replay_to_recovery() {
-    let result = run_pbft(&PbftAnalysisConfig::paper());
-    assert_eq!(result.trojans.len(), 2);
+    let trojans = discover(&PbftSpec::paper());
+    assert_eq!(trojans.len(), 2);
     let target = PbftTarget::default();
-    let keys1 = replay_keys(&target, &result.trojans, 1);
+    let keys1 = replay_keys(&target, &trojans, 1);
     for (_, _, verdict, sig) in &keys1 {
         assert_eq!(*verdict, ReplayVerdict::ConfirmedTrojan);
         assert!(sig.contains("outcome:recovered"), "{sig}");
     }
-    assert_eq!(keys1, replay_keys(&target, &result.trojans, 4));
+    assert_eq!(keys1, replay_keys(&target, &trojans, 4));
     // Both accepting paths map to the single MAC-attack bug class.
     let mut corpus = ReplayCorpus::new();
-    validate_trojans(
-        &target,
-        &result.trojans,
-        &mut corpus,
-        &ValidateConfig::default(),
-    );
+    validate_trojans(&target, &trojans, &mut corpus, &ValidateConfig::default());
     assert_eq!(corpus.distinct_signatures(), 1);
 }
 
 #[test]
 fn paxos_trojan_replays_against_the_engine() {
-    let (_pool, trojans) =
-        analyze_local_state(ProposerMode::Concrete(5, 7), AcceptorMode::Concrete(5), 1);
+    let trojans = discover(&PaxosSpec::new(
+        ProposerMode::Concrete(5, 7),
+        AcceptorMode::Concrete(5),
+    ));
     assert_eq!(trojans.len(), 1);
     let target = PaxosTarget::new(5, ProposerMode::Concrete(5, 7));
     let keys1 = replay_keys(&target, &trojans, 1);
@@ -162,30 +156,20 @@ fn minimizer_strictly_shrinks_and_preserves_signature() {
 
 #[test]
 fn corpus_makes_revalidation_incremental_across_save_load() {
-    let config = FspAnalysisConfig::accuracy().with_commands(1);
-    let result = run_fsp(&config);
-    let target = FspTarget::new(config.server.clone(), false);
+    let spec = FspSpec::accuracy().with_commands(1);
+    let trojans = discover(&spec);
+    let target = FspTarget::new(spec.server.clone(), false);
     let mut corpus = ReplayCorpus::new();
-    let first = validate_trojans(
-        &target,
-        &result.trojans,
-        &mut corpus,
-        &ValidateConfig::default(),
-    );
+    let first = validate_trojans(&target, &trojans, &mut corpus, &ValidateConfig::default());
     assert_eq!(first.skipped_known, 0);
-    assert_eq!(first.confirmed, result.trojans.len());
+    assert_eq!(first.confirmed, trojans.len());
 
     // Round-trip the corpus through its serialized form (as a CI cache
     // would) and re-validate: nothing replays.
     let mut reloaded =
         ReplayCorpus::from_text(&corpus.to_text()).expect("a saved corpus parses back");
     assert_eq!(reloaded.len(), corpus.len());
-    let second = validate_trojans(
-        &target,
-        &result.trojans,
-        &mut reloaded,
-        &ValidateConfig::default(),
-    );
+    let second = validate_trojans(&target, &trojans, &mut reloaded, &ValidateConfig::default());
     assert_eq!(second.replayed, 0);
-    assert_eq!(second.skipped_known, result.trojans.len());
+    assert_eq!(second.skipped_known, trojans.len());
 }
